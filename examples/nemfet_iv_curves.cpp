@@ -30,9 +30,11 @@ int main() {
   std::cout << "  Ion  = " << iv.iv.ion * 1e6 << " uA  (paper: 330)\n";
   std::cout << "  Ioff = " << iv.iv.ioff * 1e12 << " pA  (paper: 110)\n";
   std::cout << "  effective swing = " << iv.iv.swing_mv_dec << " mV/dec\n";
-  std::cout << "  pull-in  " << iv.pull_in_v << " V (analytic "
+  std::cout << "  pull-in  " << iv.pull_in_v << " V (model fold "
+            << params.pull_in_voltage() << " V, parallel-plate "
             << params.analytic_pull_in_voltage() << " V)\n";
-  std::cout << "  pull-out " << iv.pull_out_v << " V (analytic "
+  std::cout << "  pull-out " << iv.pull_out_v << " V (model fold "
+            << params.pull_out_voltage() << " V, parallel-plate "
             << params.analytic_pull_out_voltage() << " V)\n\n";
 
   Table t({"Vgs (V)", "Id up-sweep (A)", "Id down-sweep (A)"});

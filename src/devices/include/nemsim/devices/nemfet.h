@@ -13,6 +13,9 @@
 // effective subthreshold swing and the pull-in/pull-out hysteresis.
 #pragma once
 
+#include <memory>
+#include <vector>
+
 #include "nemsim/devices/companion.h"
 #include "nemsim/spice/device.h"
 #include "nemsim/spice/engine.h"
@@ -66,7 +69,53 @@ struct NemsParams {
   /// Analytic release (pull-out) voltage: bias at which the electrostatic
   /// force at contact equals the spring restoring force.
   double analytic_pull_out_voltage() const;
+
+  /// Pull-in and pull-out voltages of the smoothed model the simulator
+  /// solves: the folds of its static equilibrium, read from the card's
+  /// branch table (NemsBranchTable).  +inf / 0 when the card has no such
+  /// fold (a monostable beam).
+  double pull_in_voltage() const;
+  double pull_out_voltage() const;
 };
+
+/// Stable branches of a card's static beam equilibrium.
+///
+/// A beam position x >= 0 balances the actuation |v| when
+///   v^2 * area = W(x) = 2 (k x + Fc(x)) d(x)^2 / eps0,
+/// with the spring k, the contact force Fc and the electrostatic gap d of
+/// the smoothed model.  The force balance r(x) = k x + Fc - Fe has the
+/// sign of W(x) - v^2 area, so a root is stable exactly where W increases.
+/// The branches are the maximal x-intervals on which W increases; their
+/// ends are the folds of W, i.e. the exact pull-in (a maximum) and
+/// pull-out (a minimum) points of the model.  Every force scales with the
+/// beam width, so the table depends only on gap0, spring_k, contact_k,
+/// contact_softness, gap_softness, tox and eps_ox.
+struct NemsBranchTable {
+  struct Branch {
+    /// Samples of the branch, ascending in x; front and back are its ends.
+    std::vector<double> x;
+    /// W at the samples (increasing along the branch).
+    std::vector<double> w;
+    /// The last branch rises without bound past x.back().
+    bool unbounded = false;
+  };
+  std::vector<Branch> branches;
+
+  /// Locates the folds of W for card p: 256 samples over the
+  /// parallel-plate region, 8 per softness width near contact, and a
+  /// bisection to full precision in every sign change of dW/dx.
+  static NemsBranchTable build(const NemsParams& p);
+
+  /// Fold voltages for an electrode of `area`: the top of the branch that
+  /// starts at x = 0 (+inf if it never folds) and the bottom of the last
+  /// branch (0 if that branch is the one starting at x = 0).
+  double pull_in_voltage(double area) const;
+  double pull_out_voltage(double area) const;
+};
+
+/// The branch table of card p, shared by every caller with the same
+/// mechanical fields.  Built on first use into a small thread-safe memo.
+std::shared_ptr<const NemsBranchTable> nems_branch_table(const NemsParams& p);
 
 /// The NEMFET device.  Terminals: drain, gate (beam), source.
 class Nemfet : public spice::Device {
@@ -119,6 +168,23 @@ class Nemfet : public spice::Device {
   /// Gate-stack capacitance at beam position x (excludes overlaps).
   double gate_capacitance(double x) const;
 
+  /// Static equilibrium of the beam at actuation magnitude |v|.
+  ///
+  /// The DC force balance k x + Fc(x) = Fe(v, x) is bistable; Newton on
+  /// the raw residual cannot traverse the pull-in fold (the up-branch
+  /// root vanishes in a saddle-node).  This helper solves for the root
+  /// on every stable branch of the card's branch table that brackets
+  /// one and returns the root closest to the device's remembered
+  /// position (branch memory = hysteresis; a tie goes to the lower
+  /// root), plus the implicit-function derivative dx/d|v| there.
+  struct StaticEq {
+    double x;
+    double dx_dv;
+  };
+  StaticEq static_equilibrium(double v_abs) const;
+  /// The card's branch table (shared by every device of the card).
+  const NemsBranchTable& branch_table() const { return *branches_; }
+
   void bind_params(spice::ParamBank& bank) override;
   /// Width drives the companion capacitances; resize them from the bank.
   void on_params_changed() override;
@@ -156,23 +222,17 @@ class Nemfet : public spice::Device {
   };
   ChannelEval eval_channel(double vgs, double vds, double x) const;
 
-  /// Static equilibrium of the beam at actuation magnitude |v|.
-  ///
-  /// The DC force balance k x + Fc(x) = Fe(v, x) is bistable; Newton on
-  /// the raw residual cannot traverse the pull-in fold (the up-branch
-  /// root vanishes in a saddle-node).  This helper finds all stable
-  /// roots by scan + bisection and returns the one closest to the
-  /// device's remembered position (branch memory = hysteresis), plus the
-  /// implicit-function derivative dx/d|v| on that branch.
-  struct StaticEq {
-    double x;
-    double dx_dv;
-  };
-  StaticEq static_equilibrium(double v_abs) const;
+  /// Force balance r(x) = k x + Fc - Fe at actuation |v| and its slope.
+  double static_residual(double v_abs, double x) const;
+  double static_residual_slope(double v_abs, double x) const;
+  /// Root of r on one branch that brackets it, or false.
+  bool branch_root(const NemsBranchTable::Branch& b, double v_abs,
+                   double& root) const;
 
   spice::NodeId d_, g_, s_;
   NemsPolarity polarity_;
   NemsParams params_;
+  std::shared_ptr<const NemsBranchTable> branches_;
   spice::BankedParam w_;
   spice::BankedParam vth_shift_{0.0};
   double initial_position_ = 0.0;

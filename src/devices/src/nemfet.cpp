@@ -1,12 +1,17 @@
 #include "nemsim/devices/nemfet.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <map>
+#include <mutex>
+#include <sstream>
 #include <utility>
 
 #include "nemsim/devices/ekv.h"
-#include <sstream>
 
 #include "nemsim/spice/ac.h"
 #include "nemsim/util/error.h"
@@ -31,11 +36,150 @@ double NemsParams::analytic_pull_out_voltage() const {
   return std::sqrt(spring_k * gap0 / fe_per_v2);
 }
 
+double NemsParams::pull_in_voltage() const {
+  return nems_branch_table(*this)->pull_in_voltage(area);
+}
+
+double NemsParams::pull_out_voltage() const {
+  return nems_branch_table(*this)->pull_out_voltage(area);
+}
+
+namespace {
+
+// Mechanics of the beam at the reference width.  The Nemfet members scale
+// every force by w / w_ref, which cancels in W.
+struct CardMechanics {
+  const NemsParams& p;
+
+  double gap(double x) const {
+    return p.gap_softness * softplus((p.gap0 - x) / p.gap_softness) +
+           p.tox / p.eps_ox;
+  }
+  double spring(double x) const {
+    return p.spring_k * x +
+           p.contact_k * p.contact_softness *
+               softplus((x - p.gap0) / p.contact_softness);
+  }
+  // W(x) = v^2 * area at an equilibrium.
+  double w(double x) const {
+    const double d = gap(x);
+    return 2.0 * spring(x) * d * d / phys::kEps0;
+  }
+  // dW/dx * eps0 / (2 d): the sign of dW/dx.
+  double rise(double x) const {
+    const double dspring =
+        p.spring_k +
+        p.contact_k * sigmoid((x - p.gap0) / p.contact_softness);
+    const double dgap = -sigmoid((p.gap0 - x) / p.gap_softness);
+    return dspring * gap(x) + 2.0 * spring(x) * dgap;
+  }
+};
+
+}  // namespace
+
+NemsBranchTable NemsBranchTable::build(const NemsParams& p) {
+  const CardMechanics m{p};
+  // Below x_c both softplus arguments lie past +-40, where the smoothing
+  // is exponentially small: W is the parallel-plate 2 k x (gap0 + tox /
+  // eps_ox - x)^2 / eps0 with its single maximum, which 256 samples
+  // resolve.  Near contact the smoothing widths set the scale.  Past
+  // gap0 + 60 gap_softness, dgap/dx < e^-60 and the springs make W rise
+  // for good, so the last branch is unbounded.
+  const double soft_max = std::max(p.gap_softness, p.contact_softness);
+  const double soft_min = std::min(p.gap_softness, p.contact_softness);
+  const double x_c = std::max(0.0, p.gap0 - 40.0 * soft_max);
+  const double x_end = p.gap0 + 60.0 * p.gap_softness;
+  std::vector<double> grid;
+  constexpr int kCoarse = 256;
+  if (x_c > 0.0) {
+    for (int i = 0; i < kCoarse; ++i) grid.push_back(x_c * i / kCoarse);
+  }
+  const auto fine = static_cast<std::size_t>(
+      std::ceil(8.0 * (x_end - x_c) / soft_min));
+  for (std::size_t i = 0; i <= fine; ++i) {
+    grid.push_back(x_c + (x_end - x_c) * static_cast<double>(i) /
+                             static_cast<double>(fine));
+  }
+
+  // Refines a sign change of dW/dx in (a, b) to adjacent doubles and
+  // returns the one on the rising side.
+  auto fold = [&](double a, double b) {
+    const bool rising_left = m.rise(a) > 0.0;
+    for (double mid = 0.5 * (a + b); mid > a && mid < b;
+         mid = 0.5 * (a + b)) {
+      if ((m.rise(mid) > 0.0) == rising_left) a = mid; else b = mid;
+    }
+    return rising_left ? a : b;
+  };
+
+  NemsBranchTable table;
+  Branch* open = nullptr;
+  auto add_sample = [&](double x) {
+    if (!open->x.empty() && !(x > open->x.back())) return;
+    open->x.push_back(x);
+    open->w.push_back(m.w(x));
+  };
+  bool rising = false;
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    const bool r = m.rise(grid[i]) > 0.0;
+    if (r && !rising) {  // pull-out fold (or x = 0): a branch starts
+      table.branches.emplace_back();
+      open = &table.branches.back();
+      add_sample(i == 0 ? grid[0] : fold(grid[i - 1], grid[i]));
+    } else if (!r && rising) {  // pull-in fold: the branch ends
+      add_sample(fold(grid[i - 1], grid[i]));
+      open = nullptr;
+    }
+    if (r) add_sample(grid[i]);
+    rising = r;
+  }
+  if (open) open->unbounded = true;
+  return table;
+}
+
+double NemsBranchTable::pull_in_voltage(double area) const {
+  if (branches.empty() || branches.front().unbounded) {
+    return std::numeric_limits<double>::infinity();
+  }
+  return std::sqrt(branches.front().w.back() / area);
+}
+
+double NemsBranchTable::pull_out_voltage(double area) const {
+  if (branches.size() < 2) return 0.0;
+  return std::sqrt(branches.back().w.front() / area);
+}
+
+std::shared_ptr<const NemsBranchTable> nems_branch_table(const NemsParams& p) {
+  // Keyed by the bit patterns of the fields the table depends on.  Parallel
+  // sweeps build devices on worker threads, hence the lock; the cap keeps
+  // a long parameter scan from growing the memo (devices keep their
+  // tables alive on their own).
+  using Key = std::array<std::uint64_t, 7>;
+  const Key key = {std::bit_cast<std::uint64_t>(p.gap0),
+                   std::bit_cast<std::uint64_t>(p.spring_k),
+                   std::bit_cast<std::uint64_t>(p.contact_k),
+                   std::bit_cast<std::uint64_t>(p.contact_softness),
+                   std::bit_cast<std::uint64_t>(p.gap_softness),
+                   std::bit_cast<std::uint64_t>(p.tox),
+                   std::bit_cast<std::uint64_t>(p.eps_ox)};
+  constexpr std::size_t kCapacity = 64;
+  static std::mutex mutex;
+  static std::map<Key, std::shared_ptr<const NemsBranchTable>> memo;
+  const std::lock_guard<std::mutex> lock(mutex);
+  if (auto it = memo.find(key); it != memo.end()) return it->second;
+  if (memo.size() >= kCapacity) memo.clear();
+  auto table =
+      std::make_shared<const NemsBranchTable>(NemsBranchTable::build(p));
+  memo.emplace(key, table);
+  return table;
+}
+
 Nemfet::Nemfet(std::string name, spice::NodeId drain, spice::NodeId gate,
                spice::NodeId source, NemsPolarity polarity, NemsParams params,
                double width)
     : Device(std::move(name)), d_(drain), g_(gate), s_(source),
-      polarity_(polarity), params_(params), w_(width) {
+      polarity_(polarity), params_(params),
+      branches_(nems_branch_table(params_)), w_(width) {
   require(width > 0.0, "Nemfet: width must be positive");
   require(params_.gap0 > 0.0 && params_.tox > 0.0,
           "Nemfet: geometry must be positive");
@@ -146,68 +290,136 @@ double Nemfet::drain_current(double vgs, double vds, double x) const {
   return eval_channel(vgs, vds, x).id;
 }
 
-Nemfet::StaticEq Nemfet::static_equilibrium(double v_abs) const {
-  const double k = params_.spring_k * sw();
-  auto residual = [&](double x) {
-    return k * x + contact_force(x) - electrostatic_force(v_abs, x);
-  };
-  auto residual_slope = [&](double x) {
-    const double d = air_gap(x) + params_.tox / params_.eps_ox;
-    const double fe = electrostatic_force(v_abs, x);
-    const double dga = -sigmoid((params_.gap0 - x) / params_.gap_softness);
-    const double dfe = -2.0 * fe / d * dga;
-    const double dfc = params_.contact_k * sw() *
-                       sigmoid((x - params_.gap0) / params_.contact_softness);
-    return k + dfc - dfe;
-  };
+double Nemfet::static_residual(double v_abs, double x) const {
+  return params_.spring_k * sw() * x + contact_force(x) -
+         electrostatic_force(v_abs, x);
+}
 
-  // Upper scan bound: walk past the contact stop until the stiff stop
-  // spring dominates and the residual is positive.
-  double x_hi = params_.gap0;
-  for (int i = 0; i < 200 && residual(x_hi) <= 0.0; ++i) {
-    x_hi += 0.05 * params_.gap0;
+double Nemfet::static_residual_slope(double v_abs, double x) const {
+  const double k = params_.spring_k * sw();
+  const double d = air_gap(x) + params_.tox / params_.eps_ox;
+  const double fe = electrostatic_force(v_abs, x);
+  const double dga = -sigmoid((params_.gap0 - x) / params_.gap_softness);
+  const double dfe = -2.0 * fe / d * dga;
+  const double dfc = params_.contact_k * sw() *
+                     sigmoid((x - params_.gap0) / params_.contact_softness);
+  return k + dfc - dfe;
+}
+
+bool Nemfet::branch_root(const NemsBranchTable::Branch& b, double v_abs,
+                         double& root) const {
+  auto r = [&](double x) { return static_residual(v_abs, x); };
+  double lo = b.x.front();
+  const double r_lo = r(lo);
+  if (r_lo >= 0.0) {
+    // The exactly-unbiased root at 0; elsewhere the branch holds no root.
+    root = 0.0;
+    return r_lo == 0.0 && lo == 0.0;
+  }
+  double hi = b.x.back();
+  bool bracketed = r(hi) >= 0.0;
+  // Past the last sample the contact branch rises without bound: double
+  // the bracket until it holds the root.
+  for (int i = 0; !bracketed && b.unbounded && i < 64; ++i) {
+    lo = hi;
+    hi = b.x.front() + 2.0 * (hi - b.x.front());
+    bracketed = r(hi) >= 0.0;
+  }
+  if (!bracketed) return false;
+
+  // Start Newton where the sampled W crosses v^2 * area.
+  const double target = v_abs * v_abs * params_.area;
+  const auto it = std::upper_bound(b.w.begin(), b.w.end(), target);
+  double x = 0.5 * (lo + hi);
+  if (it != b.w.begin() && it != b.w.end()) {
+    const std::size_t j = static_cast<std::size_t>(it - b.w.begin());
+    const double t = (target - b.w[j - 1]) / (b.w[j] - b.w[j - 1]);
+    x = b.x[j - 1] + t * (b.x[j] - b.x[j - 1]);
   }
 
-  // Scan for stable roots: residual sign changes from - to +.
-  constexpr int kScanPoints = 256;
-  std::vector<double> stable_roots;
-  double x_prev = 0.0;
-  double r_prev = residual(0.0);
-  if (r_prev == 0.0) stable_roots.push_back(0.0);  // exactly unbiased
-  for (int i = 1; i <= kScanPoints; ++i) {
-    const double xx = x_hi * static_cast<double>(i) / kScanPoints;
-    const double rr = residual(xx);
-    if (r_prev < 0.0 && rr >= 0.0) {
-      // Bisection refinement of the bracketed stable root.
-      double lo = x_prev, hi = xx;
-      for (int it = 0; it < 80; ++it) {
-        const double mid = 0.5 * (lo + hi);
-        if (residual(mid) < 0.0) lo = mid; else hi = mid;
-      }
-      stable_roots.push_back(0.5 * (lo + hi));
+  // Safeguarded Newton: every evaluation tightens [lo, hi] around the
+  // root (r(lo) < 0 <= r(hi)); a step that leaves it bisects instead.
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  for (int iter = 0; iter < 50; ++iter) {
+    if (!(x > lo && x < hi)) x = 0.5 * (lo + hi);
+    const double rx = r(x);
+    if (rx < 0.0) lo = x; else hi = x;
+    const double step = rx / static_residual_slope(v_abs, x);
+    if (!(std::abs(step) > 4.0 * kEps * std::abs(x))) break;  // converged
+    x -= step;
+  }
+  // Finish where the bisection rule ends: probe past the converged
+  // iterate with doubling steps until r changes sign, then bisect down to
+  // adjacent doubles and return their midpoint.
+  if (x == lo || x == hi) {
+    const bool from_above = x == hi;
+    for (double s = std::max(std::abs(x) * kEps,
+                             std::numeric_limits<double>::min());
+         ; s *= 2.0) {
+      const double probe = from_above ? hi - s : lo + s;
+      if (!(probe > lo && probe < hi)) break;
+      const bool below = r(probe) < 0.0;
+      if (below) lo = probe; else hi = probe;
+      if (below == from_above) break;  // sign changed: tight bracket
     }
-    x_prev = xx;
-    r_prev = rr;
+  }
+  for (double mid = 0.5 * (lo + hi); mid > lo && mid < hi;
+       mid = 0.5 * (lo + hi)) {
+    if (r(mid) < 0.0) lo = mid; else hi = mid;
+  }
+  root = 0.5 * (lo + hi);
+  return true;
+}
+
+Nemfet::StaticEq Nemfet::static_equilibrium(double v_abs) const {
+  // Branch memory: the stable root closest to the remembered position,
+  // the lower one on a tie.  Solving the branch nearest to it first lets
+  // the distance bound skip the others.
+  const std::vector<NemsBranchTable::Branch>& branches = branches_->branches;
+  auto lower_distance = [&](const NemsBranchTable::Branch& b) {
+    if (x_state_ < b.x.front()) return b.x.front() - x_state_;
+    if (!b.unbounded && x_state_ > b.x.back()) return x_state_ - b.x.back();
+    return 0.0;
+  };
+  std::size_t nearest = 0;
+  for (std::size_t i = 1; i < branches.size(); ++i) {
+    if (lower_distance(branches[i]) < lower_distance(branches[nearest])) {
+      nearest = i;
+    }
+  }
+  bool found = false;
+  double x = 0.0;
+  double best = std::numeric_limits<double>::infinity();
+  auto visit = [&](const NemsBranchTable::Branch& b) {
+    double root = 0.0;
+    if (lower_distance(b) > best || !branch_root(b, v_abs, root)) return;
+    const double dist = std::abs(root - x_state_);
+    if (dist < best || (dist == best && root < x)) {
+      x = root;
+      best = dist;
+      found = true;
+    }
+  };
+  if (!branches.empty()) visit(branches[nearest]);
+  for (std::size_t i = 0; i < branches.size(); ++i) {
+    if (i != nearest) visit(branches[i]);
   }
 
   StaticEq eq;
-  if (stable_roots.empty()) {
+  if (!found) {
     // v_abs == 0 and no deflection: the trivial equilibrium.
     eq.x = 0.0;
     eq.dx_dv = 0.0;
     return eq;
   }
-  // Branch memory: stay on the branch the beam currently occupies.
-  eq.x = stable_roots.front();
-  for (double root : stable_roots) {
-    if (std::abs(root - x_state_) < std::abs(eq.x - x_state_)) eq.x = root;
-  }
+  eq.x = x;
   // Implicit-function derivative dx/d|v| = (dFe/d|v|) / r'(x); r' > 0 on
   // a stable branch, clamped away from the fold singularity.
   const double d = air_gap(eq.x) + params_.tox / params_.eps_ox;
   const double a = params_.area * sw();
   const double dfe_dv = phys::kEps0 * a * v_abs / (d * d);
-  const double slope = std::max(residual_slope(eq.x), 1e-3 * k);
+  const double slope = std::max(static_residual_slope(v_abs, eq.x),
+                                1e-3 * params_.spring_k * sw());
   eq.dx_dv = dfe_dv / slope;
   return eq;
 }
@@ -559,34 +771,46 @@ void Nemfet::interval_check(const analyze::IntervalSet& nodes,
   const double v_abs_hi = std::max(agd.hi, ags.hi);
   const double v_abs_lo = std::min(agd.lo, ags.lo);
 
-  const double vpi = params_.analytic_pull_in_voltage();
-  const double vpo = params_.analytic_pull_out_voltage();
-  // The softplus-smoothed gap/contact forces shift the fold a few
-  // percent off the parallel-plate analytics; 10 % guard bands keep the
-  // verdicts sound against that modeling gap.
-  const double pull_in_floor = 0.9 * vpi;
-  const double hold_ceiling = 1.1 * vpo;
+  // Fold voltages of the model the solver runs, from the card's branch
+  // table.  The only band is kFoldBand: the solved actuation carries
+  // Newton's reltol (1e-7), and static_equilibrium still finds a branch
+  // root within 1e-9 of its fold (NemfetEquilibrium property tests), so
+  // a bias pinned closer to a fold than this is judged on neither side.
+  constexpr double kFoldBand = 1e-6;
+  const std::vector<NemsBranchTable::Branch>& branches = branches_->branches;
+  const double vpi = branches_->pull_in_voltage(params_.area);
+  const double vpo = branches_->pull_out_voltage(params_.area);
+  const double pull_in_floor = (1.0 - kFoldBand) * vpi;
+  const double pull_in_ceiling = (1.0 + kFoldBand) * vpi;
+  const double hold_ceiling = (1.0 + kFoldBand) * vpo;
   const bool open0 = initial_position_ < 0.5 * params_.gap0;
   const double half_gap = 0.5 * params_.gap0;
   const double inf = std::numeric_limits<double>::infinity();
+  // The enclosures below need the open branch to end on the open half of
+  // the gap and every later branch to start on the closed half.
+  const bool folds_split_gap = branches.size() >= 2 &&
+                               branches[0].x.back() < half_gap &&
+                               branches[1].x.front() >= half_gap;
 
-  if (open0 && std::isfinite(v_abs_hi) && v_abs_hi < pull_in_floor) {
+  if (open0 && folds_split_gap && std::isfinite(v_abs_hi) &&
+      v_abs_hi < pull_in_floor) {
     std::ostringstream msg;
     msg << "actuation |v(gate)-v(source)| is confined to [" << v_abs_lo
-        << ", " << v_abs_hi << "] V, always below 0.9 * V_PI = "
-        << pull_in_floor << " V (analytic pull-in " << vpi
-        << " V) with the beam starting open: the beam can never pull in "
-        << "and the channel stays on its deeply-off branch — raise the "
-        << "gate swing or soften the spring";
+        << ", " << v_abs_hi << "] V, always below the pull-in voltage "
+        << vpi << " V with the beam starting open: the beam can never "
+        << "pull in and the channel stays on its deeply-off branch — raise "
+        << "the gate swing or soften the spring";
     out.push_back({name(), "nemfet-never-actuates", msg.str(),
                    lint::LintSeverity::kWarning, name() + ".x",
                    analyze::Interval{-inf, half_gap}});
-  } else if (v_abs_lo > 1.1 * (open0 ? std::max(vpi, vpo) : vpo)) {
+  } else if (folds_split_gap &&
+             v_abs_lo > (open0 ? std::max(pull_in_ceiling, hold_ceiling)
+                                 : hold_ceiling)) {
     std::ostringstream msg;
     msg << "actuation |v(gate)-v(source)| never falls below " << v_abs_lo
-        << " V, above 1.1 * " << (open0 ? "max(V_PI, V_PO)" : "V_PO")
-        << " = " << 1.1 * (open0 ? std::max(vpi, vpo) : vpo)
-        << " V (analytic pull-out " << vpo << " V): the beam "
+        << " V, above the " << (open0 ? "pull-in and pull-out" : "pull-out")
+        << " voltage " << (open0 ? std::max(vpi, vpo) : vpo)
+        << " V: the beam "
         << (open0 ? "pulls in at the first solve and " : "")
         << "can never release — the device is a closed switch, not a "
         << "switch";
@@ -595,13 +819,13 @@ void Nemfet::interval_check(const analyze::IntervalSet& nodes,
                    analyze::Interval{half_gap, inf}});
   }
 
-  if (std::isfinite(v_abs_hi) && v_abs_lo > hold_ceiling &&
-      v_abs_hi < pull_in_floor) {
+  if (branches.size() >= 2 && std::isfinite(v_abs_hi) &&
+      v_abs_lo > hold_ceiling && v_abs_hi < pull_in_floor) {
     std::ostringstream msg;
     msg << "actuation |v(gate)-v(source)| stays inside the hysteresis "
-        << "window (1.1 * V_PO, 0.9 * V_PI) = (" << hold_ceiling << ", "
-        << pull_in_floor << ") V: both beam branches remain stable, so "
-        << "the device latches whichever branch it started on ("
+        << "window (V_PO, V_PI) = (" << vpo << ", " << vpi
+        << ") V: both beam branches remain stable, so the device latches "
+        << "whichever branch it started on ("
         << (open0 ? "open" : "closed")
         << ") and no input in this deck can toggle it";
     out.push_back({name(), "nemfet-hysteresis-latched", msg.str(),

@@ -53,8 +53,9 @@ devices::MosParams pmos_90nm_lvt() {
 devices::NemsParams nems_90nm() {
   devices::NemsParams p;
   // Mechanics: 2 nm gap, pull-in ~0.45 V (comparable to the CMOS Vth as
-  // the paper requires), pull-out ~0.13 V (hysteretic), pull-in transit
-  // of a few tens of ps under full Vdd overdrive.
+  // the paper requires), pull-out ~0.27 V (hysteretic; the parallel-plate
+  // estimate is 0.13 V, but the smoothed contact keeps a residual air
+  // gap), pull-in transit of a few tens of ps under full Vdd overdrive.
   p.gap0 = 2e-9;
   p.spring_k = 8.0;
   p.mass = 4e-20;

@@ -9,12 +9,15 @@
 #include <sstream>
 #include <string>
 
+#include "nemsim/devices/nemfet.h"
+#include "nemsim/devices/sources.h"
 #include "nemsim/spice/analyze.h"
 #include "nemsim/spice/circuit.h"
 #include "nemsim/spice/diagnostics.h"
 #include "nemsim/spice/engine.h"
 #include "nemsim/spice/lint.h"
 #include "nemsim/spice/op.h"
+#include "nemsim/tech/cards.h"
 #include "nemsim/tech/netlist_parser.h"
 
 namespace nemsim {
@@ -204,8 +207,10 @@ TEST(AnalyzeRegions, NemfetNeverReleases) {
 }
 
 TEST(AnalyzeRegions, NemfetLatchedInTheHysteresisWindowIsAHint) {
+  // 0.35 V lies inside the model's hysteresis window (pull-out 0.274 V,
+  // pull-in 0.453 V), where both branches are stable.
   spice::Circuit ckt = tech::parse_netlist(
-      "VG g 0 DC 0.25\n"
+      "VG g 0 DC 0.35\n"
       "X1 0 g 0 NEMFET_N W=1e-6\n"
       ".op\n.end\n");
   const AnalyzeReport rpt = analyze::analyze_circuit(ckt);
@@ -214,6 +219,33 @@ TEST(AnalyzeRegions, NemfetLatchedInTheHysteresisWindowIsAHint) {
     if (f.rule == "nemfet-hysteresis-latched") {
       EXPECT_EQ(f.severity, LintSeverity::kHint);
     }
+  }
+}
+
+TEST(AnalyzeRegions, ClosedStartBelowPullOutReleases) {
+  // Below the model's pull-out voltage a beam that starts in contact
+  // releases: no never-releases or latched verdict may claim otherwise,
+  // and the solved beam sits on the open branch.
+  const devices::NemsParams p = tech::nems_90nm();
+  ASSERT_LT(0.25, p.pull_out_voltage());
+  for (double vg : {0.20, 0.25}) {
+    SCOPED_TRACE(vg);
+    spice::Circuit ckt;
+    const spice::NodeId g = ckt.node("g");
+    ckt.add<devices::VoltageSource>("VG", g, ckt.gnd(),
+                                    devices::SourceWave::dc(vg));
+    auto& x = ckt.add<devices::Nemfet>("X1", ckt.gnd(), g, ckt.gnd(),
+                                       devices::NemsPolarity::kN, p, 1e-6);
+    x.set_initially_closed();
+    const AnalyzeReport rpt = analyze::analyze_circuit(ckt);
+    EXPECT_FALSE(has(rpt.findings, "nemfet-never-releases", "X1"));
+    EXPECT_FALSE(has(rpt.findings, "nemfet-hysteresis-latched", "X1"));
+    EXPECT_TRUE(rpt.verdicts.empty());
+    spice::MnaSystem system(ckt);
+    spice::OpOptions options;
+    options.lint = lint::LintMode::kOff;  // pull-in-above-rail is expected
+    const spice::OpResult op = spice::operating_point(system, options);
+    EXPECT_LT(op.x(x.unknown_x()), 0.5 * p.gap0);
   }
 }
 

@@ -11,6 +11,7 @@
 #include "nemsim/core/gates.h"
 #include "nemsim/core/sram.h"
 #include "nemsim/devices/mosfet.h"
+#include "nemsim/devices/nemfet.h"
 #include "nemsim/devices/passives.h"
 #include "nemsim/devices/sources.h"
 #include "nemsim/linalg/lu.h"
@@ -433,6 +434,47 @@ TEST(ParallelDeterminism, DcSweepParallelMatchesSequentialCold) {
     EXPECT_DOUBLE_EQ(w1.at("v(out)", t), w4.at("v(out)", t));
     EXPECT_DOUBLE_EQ(w4.at("v(out)", t), ref.at("v(out)", t));
   }
+}
+
+TEST(ParallelDeterminism, NemfetBranchTableSharedAcrossWorkers) {
+  // Every worker builds its own NEMS inverter from one card that no other
+  // test uses, so the card's branch table is first built while several
+  // threads ask for it.  The shared memo must hand all of them the same
+  // table, and the sweep must match the serial run bitwise.
+  devices::NemsParams card = tech::nems_90nm();
+  card.spring_k = 8.5;
+  const std::vector<double> points = spice::linspace(0.0, 1.2, 25);
+  std::vector<const devices::NemsBranchTable*> tables(points.size());
+  auto make_at = [&](std::size_t i) {
+    Circuit ckt;
+    spice::NodeId vdd = ckt.node("vdd");
+    spice::NodeId in = ckt.node("in");
+    spice::NodeId out = ckt.node("out");
+    ckt.add<VoltageSource>("Vdd", vdd, ckt.gnd(), SourceWave::dc(1.2));
+    ckt.add<VoltageSource>("Vin", in, ckt.gnd(), SourceWave::dc(points[i]));
+    auto& pd = ckt.add<devices::Nemfet>("XN", out, in, ckt.gnd(),
+                                        devices::NemsPolarity::kN, card,
+                                        0.3e-6);
+    ckt.add<devices::Nemfet>("XP", out, in, vdd, devices::NemsPolarity::kP,
+                             card, 0.3e-6);
+    ckt.add<Resistor>("Rload", out, ckt.gnd(), 1e6);
+    tables[i] = &pd.branch_table();
+    return ckt;
+  };
+  auto solve = [&](std::size_t i) {
+    Circuit ckt = make_at(i);
+    MnaSystem system(ckt);
+    return spice::operating_point(system).value("v(out)");
+  };
+  const std::vector<double> par = util::parallel_map(points.size(), solve, 4);
+  const std::vector<double> seq = util::parallel_map(points.size(), solve, 1);
+  ASSERT_EQ(par.size(), seq.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(par[i], seq[i]) << "vin " << points[i];
+    EXPECT_EQ(tables[i], tables.front());
+  }
+  EXPECT_GT(par.front(), 1.1);  // input low: pull-up closed
+  EXPECT_LT(par.back(), 0.1);   // input high: pull-down closed
 }
 
 }  // namespace
