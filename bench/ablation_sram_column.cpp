@@ -84,39 +84,5 @@ int main() {
                "wide device; the structural column keeps each cell's "
                "storage feedback, so the two agree to within the model's "
                "fidelity and the structural run is the ground truth.\n";
-
-  // Solver-accelerator before/after on the structural read: the 63 idle
-  // cells sit at their hold state for the whole transient, so with the
-  // quiescent-device bypass most of their evaluations replay from cache,
-  // and Jacobian reuse skips refactorizations while Newton contracts.
-  std::cout << "\nQuiescent bypass + Jacobian reuse on the structural "
-               "64-cell read (baseline vs accelerated):\n\n";
-  Table a({"cell", "nl evals", "nl evals (accel)", "bypass hit", "stale solves",
-           "latency ratio"});
-  for (SramKind kind : {SramKind::kConventional, SramKind::kHybrid}) {
-    SramColumnConfig col_cfg;
-    col_cfg.cell.kind = kind;
-    col_cfg.n_cells = 64;
-    spice::RunReport base;
-    const double lat_base =
-        measure_column_read_latency_structural(col_cfg, 0.1, &base);
-    col_cfg.cell.newton.bypass = true;
-    col_cfg.cell.newton.jacobian_reuse = true;
-    spice::RunReport accel;
-    const double lat_accel =
-        measure_column_read_latency_structural(col_cfg, 0.1, &accel);
-    a.begin_row()
-        .cell(sram_kind_name(kind))
-        .cell(std::to_string(base.newton.nonlinear_evals))
-        .cell(std::to_string(accel.newton.nonlinear_evals))
-        .cell(Table::format(accel.newton.bypass_hit_rate() * 100.0, 3) + " %")
-        .cell(std::to_string(accel.newton.stale_jacobian_solves))
-        .cell(Table::format(lat_accel / lat_base, 3) + "x");
-  }
-  a.print(std::cout);
-
-  std::cout << "\nBoth accelerators are opt-in (NewtonOptions::bypass / "
-               "jacobian_reuse); the accelerated solution matches the "
-               "baseline within the Newton tolerances.\n";
   return 0;
 }

@@ -51,12 +51,6 @@ inline DiagnosticsFlag suffix_variant(const DiagnosticsFlag& flag,
   return out;
 }
 
-/// "_accel": the representative instance re-run with the quiescent-bypass
-/// + Jacobian-reuse accelerators enabled.
-inline DiagnosticsFlag accel_variant(const DiagnosticsFlag& flag) {
-  return suffix_variant(flag, "_accel");
-}
-
 /// "_kernels": the representative instance re-run with the type-bucketed
 /// kernel lanes (NewtonOptions::kernels) enabled — the before/after pair
 /// behind the EXPERIMENTS.md stamp-throughput table.

@@ -86,19 +86,8 @@ int main(int argc, char** argv) {
     measure_dynamic_or(gate, &report);
     bench::emit_report(diag, report);
 
-    // Same instance with the quiescent-device bypass and Jacobian-reuse
-    // accelerators on: the before/after pair for EXPERIMENTS.md.
-    c.newton.bypass = true;
-    c.newton.jacobian_reuse = true;
-    DynamicOrGate accel_gate = build_dynamic_or(c);
-    spice::RunReport accel_report;
-    measure_dynamic_or(accel_gate, &accel_report);
-    bench::emit_report(bench::accel_variant(diag), accel_report);
-
-    // And with the type-bucketed kernel lanes alone, so the EXPERIMENTS
-    // stamp-throughput table isolates the lane win from the bypass win.
-    c.newton.bypass = false;
-    c.newton.jacobian_reuse = false;
+    // Same instance with the type-bucketed kernel lanes on: the
+    // before/after pair of the EXPERIMENTS stamp-throughput table.
     c.newton.kernels = true;
     DynamicOrGate kernel_gate = build_dynamic_or(c);
     spice::RunReport kernel_report;

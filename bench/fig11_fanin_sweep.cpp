@@ -90,19 +90,8 @@ int main(int argc, char** argv) {
     measure_dynamic_or(gate, &report);
     bench::emit_report(diag, report);
 
-    // Accelerated re-run (quiescent bypass + Jacobian reuse) for the
-    // before/after table in EXPERIMENTS.md.
-    c.newton.bypass = true;
-    c.newton.jacobian_reuse = true;
-    DynamicOrGate accel_gate = build_dynamic_or(c);
-    spice::RunReport accel_report;
-    measure_dynamic_or(accel_gate, &accel_report);
-    bench::emit_report(bench::accel_variant(diag), accel_report);
-
-    // Kernel-lane re-run (NewtonOptions::kernels only) for the same
-    // table's stamp-throughput column.
-    c.newton.bypass = false;
-    c.newton.jacobian_reuse = false;
+    // Kernel-lane re-run (NewtonOptions::kernels) for the EXPERIMENTS
+    // stamp-throughput table.
     c.newton.kernels = true;
     DynamicOrGate kernel_gate = build_dynamic_or(c);
     spice::RunReport kernel_report;

@@ -277,36 +277,6 @@ BENCHMARK(BM_TransientSolverPath)
     ->Args({0, 16})
     ->Args({1, 16});
 
-void BM_TransientAccel(benchmark::State& state) {
-  // Quiescent-device bypass + modified-Newton Jacobian reuse, off vs on,
-  // on the fan-in 8 hybrid dynamic OR transient.  The label carries the
-  // nonlinear-eval / bypass / stale-solve counters of the last run so the
-  // eval reduction is visible directly in BENCH_solver.json.
-  core::DynamicOrConfig c;
-  c.fanin = 8;
-  c.fanout = 3;
-  c.hybrid = true;
-  const bool accel = state.range(0) != 0;
-  core::DynamicOrGate gate = core::build_dynamic_or(c);
-  spice::NewtonStats ns;
-  for (auto _ : state) {
-    spice::MnaSystem system(gate.ckt());
-    spice::TransientOptions options;
-    options.tstop = 1.5e-9;
-    options.newton.bypass = accel;
-    options.newton.jacobian_reuse = accel;
-    ns = spice::NewtonStats{};
-    options.newton_stats = &ns;
-    benchmark::DoNotOptimize(spice::transient(system, options));
-  }
-  std::ostringstream label;
-  label << (accel ? "accel" : "baseline") << " nl=" << ns.nonlinear_evals
-        << " byp=" << ns.bypassed_evals << " hit=" << ns.bypass_hit_rate()
-        << " stale=" << ns.stale_jacobian_solves;
-  state.SetLabel(label.str());
-}
-BENCHMARK(BM_TransientAccel)->Arg(0)->Arg(1);
-
 void BM_TransientKernels(benchmark::State& state) {
   // Type-bucketed kernel lanes off vs on, end to end, on the fan-in 16
   // hybrid dynamic OR transient (the largest per-figure system).  The
@@ -335,21 +305,6 @@ void BM_TransientKernels(benchmark::State& state) {
   state.SetLabel(label.str());
 }
 BENCHMARK(BM_TransientKernels)->Arg(0)->Arg(1);
-
-void BM_SramReadAccel(benchmark::State& state) {
-  // Same off/on pair on the hybrid SRAM read transient (the NEMS beams
-  // and idle half of the cell are quiescent for most of the run).
-  core::SramConfig c;
-  c.kind = core::SramKind::kHybrid;
-  const bool accel = state.range(0) != 0;
-  c.newton.bypass = accel;
-  c.newton.jacobian_reuse = accel;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::measure_read_latency(c));
-  }
-  state.SetLabel(accel ? "accel" : "baseline");
-}
-BENCHMARK(BM_SramReadAccel)->Arg(0)->Arg(1);
 
 void BM_FaninSweepParallel(benchmark::State& state) {
   // The Figure 11 style sweep (fan-in 4/8/12/16, CMOS + hybrid = 8
@@ -428,16 +383,13 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("nemsim_git_sha", NEMSIM_GIT_SHA);
   benchmark::AddCustomContext("nemsim_benchmark_library",
                               NEMSIM_BENCHMARK_PROVIDER);
-  // Accelerator defaults of this build: every benchmark that does not
-  // say otherwise in its label ran with exactly these NewtonOptions
-  // knobs.  The accel/kernels benches toggle them per-arg.
+  // Accelerator default of this build: every benchmark that does not
+  // say otherwise in its label ran with exactly this NewtonOptions knob.
+  // BM_TransientKernels toggles it per-arg.
   const nemsim::spice::NewtonOptions defaults;
-  const auto onoff = [](bool v) { return v ? "on" : "off"; };
   benchmark::AddCustomContext(
       "nemsim_newton_accel_defaults",
-      std::string("bypass=") + onoff(defaults.bypass) +
-          " jacobian_reuse=" + onoff(defaults.jacobian_reuse) +
-          " kernels=" + onoff(defaults.kernels));
+      std::string("kernels=") + (defaults.kernels ? "on" : "off"));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

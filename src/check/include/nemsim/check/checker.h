@@ -19,9 +19,6 @@
 //  - reltol: two legs must agree to a tolerance because they perform
 //    different arithmetic on the way to the same converged solution.
 //      kSparseVsDense  JacobianSolver::kDense vs kSparse
-//      kBypass         NewtonOptions::bypass on vs off
-//      kJacobianReuse  NewtonOptions::jacobian_reuse on vs off
-//      kBypassAndReuse both accelerators on vs off (transient only)
 //      kKernels        NewtonOptions::kernels on vs off, exercised
 //                      against both the dense and the sparse Jacobian
 //                      sink (lanes accumulate in bucket order, so the
@@ -35,7 +32,7 @@
 //
 // Every leg builds its OWN circuit from the seed — device state
 // (capacitor history, NEMS beam position) must never leak between legs.
-// The baseline leg (dense LU, accelerators off, flat, serial) is solved
+// The baseline leg (dense LU, kernels off, flat, serial) is solved
 // once per analysis and shared as the reference for all contracts.
 #pragma once
 
@@ -57,12 +54,16 @@ enum class Contract {
   kHierarchy,
   kParallelSweep,
   kSparseVsDense,
-  kBypass,
-  kJacobianReuse,
-  kBypassAndReuse,
   kAnalyze,
   kCompiled,
   kKernels,
+};
+
+/// Every contract, in the order the matrix runs them.
+inline constexpr Contract kAllContracts[] = {
+    Contract::kDeterminism,   Contract::kRoundTrip, Contract::kHierarchy,
+    Contract::kParallelSweep, Contract::kSparseVsDense, Contract::kAnalyze,
+    Contract::kCompiled,      Contract::kKernels,
 };
 
 const char* to_string(Analysis a);
@@ -75,11 +76,11 @@ Contract parse_contract(const std::string& s);
 
 /// Deliberate defect injection, for proving the checker catches what it
 /// claims to catch (and for exercising the minimizer on a real
-/// mismatch).  kStaleJacobian models a modified-Newton implementation
-/// whose refresh gate is broken: on jacobian_reuse legs the Newton
-/// tolerance is loosened and the stale-LU acceptance gate is disabled,
-/// so solves settle visibly short of the true solution.
-enum class Sabotage { kNone, kStaleJacobian };
+/// mismatch).  kStuckGmin models a homotopy ladder that never removes
+/// its shunts: the sparse leg of kSparseVsDense solves with a 1e-3 S
+/// gmin left on every node, so its solution drifts visibly from the
+/// dense reference.
+enum class Sabotage { kNone, kStuckGmin };
 
 struct CheckOptions {
   GeneratorOptions generator;
@@ -99,15 +100,13 @@ struct CheckOptions {
   /// the integrator only bounds per-step truncation error to lte_reltol
   /// (2e-3) — at switching edges the accumulated, interpolated
   /// divergence between two legitimate step sequences reaches a few
-  /// times that (measured ~0.6 % worst case for bypass on generated
-  /// circuits).  tran_reltol therefore sits at 5x LTE; anything past it
-  /// means a leg left the converged trajectory, not that the steppers
-  /// disagreed about where to sample it (this margin caught the
-  /// bypass fast-restart defect: blind dt/8 post-breakpoint steps
-  /// displaced trajectories by ~30 mV / 15 %).  tran_abstol covers
-  /// small-amplitude nodes whose per-signal reltol scale shrinks below
-  /// the bypass admission tolerance (bypass_reltol = 1e-4 on ~1 V
-  /// signals; second-order replay error ~1e-5).
+  /// times that (measured ~0.6 % worst case on generated circuits).
+  /// tran_reltol therefore sits at 5x LTE; anything past it means a leg
+  /// left the converged trajectory, not that the steppers disagreed
+  /// about where to sample it (this margin caught a fast-restart defect:
+  /// blind dt/8 post-breakpoint steps displaced trajectories by ~30 mV /
+  /// 15 %).  tran_abstol covers small-amplitude nodes whose per-signal
+  /// reltol scale shrinks to a few microvolts.
   double tran_reltol = 1e-2;
   double tran_abstol = 2e-5;
   /// Time half-width of the comparison tube (Tolerance::time_tol):

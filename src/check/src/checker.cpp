@@ -37,9 +37,6 @@ const char* to_string(Contract c) {
     case Contract::kHierarchy: return "hierarchy";
     case Contract::kParallelSweep: return "parallel-sweep";
     case Contract::kSparseVsDense: return "sparse-vs-dense";
-    case Contract::kBypass: return "bypass";
-    case Contract::kJacobianReuse: return "jacobian-reuse";
-    case Contract::kBypassAndReuse: return "bypass-and-reuse";
     case Contract::kAnalyze: return "analyze";
     case Contract::kCompiled: return "compiled";
     case Contract::kKernels: return "kernels";
@@ -69,11 +66,7 @@ Analysis parse_analysis(const std::string& s) {
 }
 
 Contract parse_contract(const std::string& s) {
-  for (Contract c :
-       {Contract::kDeterminism, Contract::kRoundTrip, Contract::kHierarchy,
-        Contract::kParallelSweep, Contract::kSparseVsDense, Contract::kBypass,
-        Contract::kJacobianReuse, Contract::kBypassAndReuse,
-        Contract::kAnalyze, Contract::kCompiled, Contract::kKernels}) {
+  for (Contract c : kAllContracts) {
     if (s == to_string(c)) return c;
   }
   throw InvalidArgument("unknown contract '" + s + "'");
@@ -86,8 +79,6 @@ using spice::Waveform;
 /// One engine configuration of the redundant-path matrix.
 struct LegConfig {
   spice::JacobianSolver solver = spice::JacobianSolver::kDense;
-  bool bypass = false;
-  bool reuse = false;
   bool kernels = false;
 };
 
@@ -95,15 +86,13 @@ spice::NewtonOptions newton_for(const LegConfig& leg,
                                 const CheckOptions& opts) {
   spice::NewtonOptions n;
   n.solver = leg.solver;
-  n.bypass = leg.bypass;
-  n.jacobian_reuse = leg.reuse;
   n.kernels = leg.kernels;
-  if (leg.reuse && opts.sabotage == Sabotage::kStaleJacobian) {
-    // A broken refresh gate: any stale-LU solve is accepted and the
-    // convergence test is loosened far past the contract tolerance, so
-    // reuse legs settle visibly short of the true solution.
-    n.reltol = 3e-2;
-    n.reuse_residual_ratio = 1e9;
+  // The sparse leg without kernel lanes is kSparseVsDense's variant leg.
+  if (opts.sabotage == Sabotage::kStuckGmin &&
+      leg.solver == spice::JacobianSolver::kSparse && !leg.kernels) {
+    // A homotopy ladder that never removes its shunts: every node keeps
+    // a 1e-3 S path to ground, far past the contract tolerance.
+    n.gmin_final = 1e-3;
   }
   return n;
 }
@@ -442,14 +431,7 @@ class Runner {
         return compare_values(base_op(), got, bitwise_tol());
       }
       case Contract::kSparseVsDense:
-        return op_variant({spice::JacobianSolver::kSparse, false, false},
-                          op_tol());
-      case Contract::kBypass:
-        return op_variant({spice::JacobianSolver::kDense, true, false},
-                          op_tol());
-      case Contract::kJacobianReuse:
-        return op_variant({spice::JacobianSolver::kDense, false, true},
-                          op_tol());
+        return op_variant({spice::JacobianSolver::kSparse}, op_tol());
       case Contract::kAnalyze:
         return run_op_analyze();
       case Contract::kCompiled:
@@ -457,16 +439,15 @@ class Runner {
       case Contract::kKernels: {
         // Lane assembly against both Jacobian sinks: dense offsets and
         // frozen CSR scatter slots are separate code paths.
-        auto dense = op_variant(
-            {spice::JacobianSolver::kDense, false, false, true}, op_tol());
+        auto dense =
+            op_variant({spice::JacobianSolver::kDense, true}, op_tol());
         if (!dense || !dense->ok) return dense;
-        auto sparse = op_variant(
-            {spice::JacobianSolver::kSparse, false, false, true}, op_tol());
+        auto sparse =
+            op_variant({spice::JacobianSolver::kSparse, true}, op_tol());
         if (sparse) sparse->compared += dense->compared;
         return sparse;
       }
       case Contract::kParallelSweep:
-      case Contract::kBypassAndReuse:
         return std::nullopt;
     }
     return std::nullopt;
@@ -539,25 +520,15 @@ class Runner {
             bitwise_tol());
       }
       case Contract::kSparseVsDense:
-        return tran_variant({spice::JacobianSolver::kSparse, false, false},
-                            tran_tol());
-      case Contract::kBypass:
-        return tran_variant({spice::JacobianSolver::kDense, true, false},
-                            tran_tol());
-      case Contract::kJacobianReuse:
-        return tran_variant({spice::JacobianSolver::kDense, false, true},
-                            tran_tol());
-      case Contract::kBypassAndReuse:
-        return tran_variant({spice::JacobianSolver::kDense, true, true},
-                            tran_tol());
+        return tran_variant({spice::JacobianSolver::kSparse}, tran_tol());
       case Contract::kCompiled:
         return run_tran_compiled();
       case Contract::kKernels: {
-        auto dense = tran_variant(
-            {spice::JacobianSolver::kDense, false, false, true}, tran_tol());
+        auto dense =
+            tran_variant({spice::JacobianSolver::kDense, true}, tran_tol());
         if (!dense || !dense->ok) return dense;
-        auto sparse = tran_variant(
-            {spice::JacobianSolver::kSparse, false, false, true}, tran_tol());
+        auto sparse =
+            tran_variant({spice::JacobianSolver::kSparse, true}, tran_tol());
         if (sparse) sparse->compared += dense->compared;
         return sparse;
       }
@@ -584,8 +555,7 @@ class Runner {
       case Contract::kSparseVsDense: {
         spice::Circuit ckt = make_flat_();
         return compare_waveforms(
-            base_sweep(),
-            solve_sweep(ckt, {spice::JacobianSolver::kSparse, false, false}),
+            base_sweep(), solve_sweep(ckt, {spice::JacobianSolver::kSparse}),
             op_tol());
       }
       case Contract::kCompiled:
@@ -594,8 +564,7 @@ class Runner {
         spice::Circuit ckt = make_flat_();
         return compare_waveforms(
             base_sweep(),
-            solve_sweep(ckt,
-                        {spice::JacobianSolver::kSparse, false, false, true}),
+            solve_sweep(ckt, {spice::JacobianSolver::kSparse, true}),
             op_tol());
       }
       default:
@@ -615,14 +584,6 @@ class Runner {
   std::optional<Waveform> base_sweep_;
 };
 
-constexpr Contract kAllContracts[] = {
-    Contract::kDeterminism,   Contract::kRoundTrip,
-    Contract::kHierarchy,     Contract::kParallelSweep,
-    Contract::kSparseVsDense, Contract::kBypass,
-    Contract::kJacobianReuse, Contract::kBypassAndReuse,
-    Contract::kAnalyze,       Contract::kCompiled,
-    Contract::kKernels,
-};
 constexpr Analysis kAllAnalyses[] = {Analysis::kOp, Analysis::kTransient,
                                      Analysis::kDcSweep};
 

@@ -53,9 +53,8 @@ struct DynamicOrConfig {
   double t_edge = 20e-12;      ///< clk and input edge times
   double input_skew = 100e-12; ///< input rises this long after clk
 
-  /// Newton solver knobs for the measurement transients/ops (notably the
-  /// quiescent-device bypass and Jacobian-reuse accelerators, both off by
-  /// default so results stay bitwise-stable).
+  /// Newton solver knobs for the measurement transients/ops (solver
+  /// path, tolerances, kernel lanes).
   spice::NewtonOptions newton{};
 };
 

@@ -50,8 +50,8 @@ struct GatedBlockConfig {
   double sleep_width = 1e-6;   ///< footer device width
   int stages = 4;              ///< inverter chain length
   double vdd = 1.2;
-  /// Newton knobs for the underlying transients (bypass / Jacobian reuse
-  /// accelerators, both off by default).
+  /// Newton knobs for the underlying transients (solver path,
+  /// tolerances, kernel lanes).
   spice::NewtonOptions newton{};
 };
 
@@ -68,8 +68,8 @@ struct GranularityConfig {
   int stages = 4;                 ///< inverter chain length
   double total_sleep_width = 2e-6;///< silicon spent on sleep devices, total
   double vdd = 1.2;
-  /// Newton knobs for the underlying transients (bypass / Jacobian reuse
-  /// accelerators, both off by default).
+  /// Newton knobs for the underlying transients (solver path,
+  /// tolerances, kernel lanes).
   spice::NewtonOptions newton{};
 };
 

@@ -46,8 +46,7 @@ struct SramConfig {
   /// Stored value: true means QL = Vdd ("1"), false QL = 0 ("0").
   bool stored_one = false;
   /// Newton solver knobs for every analysis the benches run on this cell
-  /// (notably the quiescent-device bypass and Jacobian-reuse accelerators,
-  /// both off by default so results stay bitwise-stable).
+  /// (solver path, tolerances, kernel lanes).
   spice::NewtonOptions newton{};
 };
 

@@ -91,16 +91,6 @@ class CapCompanion {
 
   void discontinuity() { use_be_ = true; }
 
-  /// Appends everything the stamp reads besides the iterate and context
-  /// scalars — the quiescent-bypass signature contribution of this branch
-  /// (Device::bypass_signature).
-  void append_signature(std::vector<double>& out) const {
-    out.push_back(c_);
-    out.push_back(v0_);
-    out.push_back(i0_);
-    out.push_back(use_be_ ? 1.0 : 0.0);
-  }
-
  private:
   double current_at_accept(double dt, double v) const {
     return use_be_ ? c_ / dt * (v - v0_)

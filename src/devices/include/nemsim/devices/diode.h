@@ -35,12 +35,6 @@ class Diode : public spice::Device {
   void kernel_eval(const spice::KernelSink& k) const;
   void stamp_ac(spice::AcStampContext& ctx) const override;
   bool has_ac_model() const override { return true; }
-  /// The stamp is a pure function of the junction voltage: an empty
-  /// signature opts into quiescent bypass unconditionally.
-  bool bypass_signature(std::vector<double>& out) const override {
-    (void)out;
-    return true;
-  }
   spice::DeviceTopology topology() const override;
   void interval_transfer(const analyze::IntervalSet& nodes,
                          std::vector<analyze::NodeClaim>& out) const override;

@@ -64,7 +64,6 @@ class Mosfet : public spice::Device {
                          spice::KernelDescriptor& out) const override;
   /// Kernel twin of stamp(); roles: 0 = drain, 1 = gate, 2 = source.
   void kernel_eval(const spice::KernelSink& k) const;
-  bool bypass_signature(std::vector<double>& out) const override;
   void accept_step(const spice::AcceptContext& ctx) override;
   void reset_state() override;
   void stamp_ac(spice::AcStampContext& ctx) const override;

@@ -195,7 +195,6 @@ class Nemfet : public spice::Device {
   /// Kernel twin of stamp(); roles: 0 = drain, 1 = gate, 2 = source,
   /// 3 = beam displacement, 4 = beam velocity.
   void kernel_eval(const spice::KernelSink& k) const;
-  bool bypass_signature(std::vector<double>& out) const override;
   void begin_step(double time, double dt) override;
   void accept_step(const spice::AcceptContext& ctx) override;
   void reset_state() override;

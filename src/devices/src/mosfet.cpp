@@ -170,19 +170,6 @@ void Mosfet::kernel_eval(const spice::KernelSink& k) const {
   csb_.kernel_stamp(k, 2, -1);
 }
 
-bool Mosfet::bypass_signature(std::vector<double>& out) const {
-  // Everything the stamp reads besides the iterate: instance geometry and
-  // threshold shift (mutable via keeper/Monte-Carlo sweeps) plus the four
-  // companion histories.
-  out.push_back(w_.get());
-  out.push_back(vth_shift_.get());
-  cgs_.append_signature(out);
-  cgd_.append_signature(out);
-  cdb_.append_signature(out);
-  csb_.append_signature(out);
-  return true;
-}
-
 void Mosfet::accept_step(const spice::AcceptContext& ctx) {
   cgs_.accept(ctx, ctx.v(g_) - ctx.v(s_));
   cgd_.accept(ctx, ctx.v(g_) - ctx.v(d_));

@@ -630,22 +630,6 @@ void Nemfet::begin_step(double time, double dt) {
   // capture, and repeated calls with shrinking dt are naturally safe.
 }
 
-bool Nemfet::bypass_signature(std::vector<double>& out) const {
-  // Beam history drives both the transient mechanics rows and the DC
-  // branch memory of static_equilibrium; the cg_gap_ companion also
-  // carries the position-dependent capacitance.
-  out.push_back(w_.get());
-  out.push_back(vth_shift_.get());
-  out.push_back(x_state_);
-  out.push_back(v_state_);
-  cg_gap_.append_signature(out);
-  cgs_ov_.append_signature(out);
-  cgd_ov_.append_signature(out);
-  cdb_.append_signature(out);
-  csb_.append_signature(out);
-  return true;
-}
-
 void Nemfet::accept_step(const spice::AcceptContext& ctx) {
   x_state_ = ctx.x(ux_);
   v_state_ = ctx.x(uv_);

@@ -140,19 +140,6 @@ class Device {
   virtual void kernel_descriptor(const KernelLayout& layout,
                                  KernelDescriptor& out) const;
 
-  /// Quiescent-bypass support (nonlinear devices only).  A device that
-  /// returns true appends every piece of committed state its stamp reads
-  /// *besides* the iterate and the StampContext scalars (beam position,
-  /// companion history, ...) to `out`; the engine may then replay a cached
-  /// stamp whenever the iterate, the context scalars, and this signature
-  /// all match the values at capture time within the bypass tolerance.
-  /// The default (false) opts the device out of bypass entirely — it is
-  /// always evaluated.
-  virtual bool bypass_signature(std::vector<double>& out) const {
-    (void)out;
-    return false;
-  }
-
   /// Adds small-signal G/C/rhs contributions at the bias point in `ctx`.
   /// The default implementation throws: a device without an AC model must
   /// not silently vanish from an AC analysis.

@@ -61,87 +61,6 @@ class Solution {
   const linalg::Vector* x_;
 };
 
-/// Cached stamp of one quiescent nonlinear device (SPICE-style bypass).
-///
-/// Captured during a full (residual + Jacobian) assembly: every input the
-/// stamp read — iterate entries via v()/x() and context scalars via
-/// time()/dt()/gmin()/source_factor() — plus every residual/Jacobian
-/// entry it produced and the device's committed-state signature.  A later
-/// assembly whose inputs all match within the bypass tolerance replays
-/// the recorded entries instead of re-evaluating the device model.
-///
-/// Each device holds a small set of these (up to kBypassWays, LRU
-/// eviction) rather than a single slot: dt enters companion conductances
-/// as 1/dt, so replay demands an exact dt match, and a single slot is
-/// flushed by every dt change.  The transient's post-breakpoint ramps
-/// revisit the same quantized dt rungs at every source edge, so keeping
-/// one entry per rung lets quiescent devices replay straight through the
-/// ramp from the second edge onward — the entries self-validate on every
-/// lookup (inputs, committed-state signature, exact scalars), so no
-/// event-driven invalidation is needed for correctness.
-struct DeviceBypassCache {
-  struct FEntry {
-    std::size_t row;
-    double value;
-  };
-  struct JEntry {
-    std::size_t row;
-    std::size_t col;
-    std::size_t slot;  ///< CSR slot at capture; npos for dense captures
-    double value;
-  };
-  /// Sentinel epoch for dense captures: never matches a real pattern
-  /// epoch, so dense-captured slots are never replayed into a CSR sink.
-  static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
-
-  bool valid = false;
-  /// Set when the capture hit outside the frozen CSR pattern (the pattern
-  /// grows and the assembly retries); such a capture is discarded.
-  bool poisoned = false;
-  AnalysisMode mode = AnalysisMode::kDcOperatingPoint;
-  // Context scalars the stamp actually read (replay requires an exact
-  // match on each one that was read; unread scalars are unconstrained).
-  bool read_time = false, read_dt = false, read_gmin = false,
-       read_source_factor = false;
-  double time = 0.0, dt = 0.0, gmin = 0.0, source_factor = 0.0;
-  std::uint64_t epoch = kNoEpoch;  ///< pattern epoch of the CSR slots
-  /// Set when the f-side of the capture has been refreshed (residual-only
-  /// pass) at a point outside the bypass tolerance of the J entries'
-  /// capture point: the J entries no longer linearize around `inputs`,
-  /// so the cache only replays where they are never stamped and the
-  /// first-order correction vanishes (exact-match residual-only replay).
-  bool j_stale = false;
-  /// (unknown index, value at capture) for every iterate entry read.
-  std::vector<std::pair<std::size_t, double>> inputs;
-  /// `inputs` as of the last *full* capture: the anchor the J entries
-  /// linearize around, used to decide `j_stale` on f-side refreshes.
-  std::vector<std::pair<std::size_t, double>> j_anchor;
-  std::vector<double> signature;  ///< Device::bypass_signature at capture
-  std::vector<FEntry> f_entries;
-  std::vector<JEntry> j_entries;
-  std::uint64_t last_used = 0;  ///< LRU stamp (MnaSystem::bypass_tick_)
-
-  void reset() {
-    valid = false;
-    poisoned = false;
-    j_stale = false;
-    read_time = read_dt = read_gmin = read_source_factor = false;
-    epoch = kNoEpoch;
-    inputs.clear();
-    j_anchor.clear();
-    signature.clear();
-    f_entries.clear();
-    j_entries.clear();
-  }
-};
-
-/// Bypass set associativity: sized so the distinct quantized dt rungs a
-/// post-breakpoint ramp visits (dt_initial .. dt_max at ~1.5x growth on
-/// the quarter-octave ladder) plus the equilibrated step all stay
-/// resident — a smaller set LRU-thrashes on the cyclic per-edge rung
-/// sequence and every ramp step degenerates to a full evaluation.
-inline constexpr std::size_t kBypassWays = 16;
-
 /// Stamping interface passed to Device::stamp.
 ///
 /// The Jacobian sink is pluggable: dense matrix (classic path), frozen
@@ -171,37 +90,13 @@ class StampContext {
 
   AnalysisMode mode() const { return mode_; }
   /// End time of the step being solved (transient), or 0 for OP.
-  double time() const {
-    if (capture_) {
-      capture_->read_time = true;
-      capture_->time = time_;
-    }
-    return time_;
-  }
+  double time() const { return time_; }
   /// Step size (transient only; 0 for OP).
-  double dt() const {
-    if (capture_) {
-      capture_->read_dt = true;
-      capture_->dt = dt_;
-    }
-    return dt_;
-  }
+  double dt() const { return dt_; }
   /// Shunt conductance to ground added at every node (homotopy aid).
-  double gmin() const {
-    if (capture_) {
-      capture_->read_gmin = true;
-      capture_->gmin = gmin_;
-    }
-    return gmin_;
-  }
+  double gmin() const { return gmin_; }
   /// Scale factor applied by sources during source stepping, in [0,1].
-  double source_factor() const {
-    if (capture_) {
-      capture_->read_source_factor = true;
-      capture_->source_factor = source_factor_;
-    }
-    return source_factor_;
-  }
+  double source_factor() const { return source_factor_; }
 
   /// Value of node voltage at the current Newton iterate.
   double v(NodeId node) const;
@@ -223,40 +118,12 @@ class StampContext {
   void configure(AnalysisMode mode, double time, double dt, double gmin,
                  double source_factor);
 
-  // --- Bypass plumbing (engine-internal, not for devices) --------------
-
-  /// True when this context can produce a complete capture: residual and
-  /// Jacobian sinks both attached (full assembly, not a pattern pass).
-  bool can_capture() const {
-    return want_residual_ && pattern_ == nullptr &&
-           (dense_jacobian_ != nullptr || sparse_jacobian_ != nullptr);
-  }
-  /// Residual-only assembly: Jacobian contributions are dropped, so a
-  /// replayed cache's J entries are never stamped.
-  bool residual_only() const {
-    return want_residual_ && pattern_ == nullptr &&
-           dense_jacobian_ == nullptr && sparse_jacobian_ == nullptr;
-  }
-  bool has_sparse_sink() const { return sparse_jacobian_ != nullptr; }
-  bool has_jacobian_sink() const {
-    return dense_jacobian_ != nullptr || sparse_jacobian_ != nullptr;
-  }
-  bool wants_residual() const { return want_residual_; }
-  /// Raw iterate entry by unknown index (replay input comparison).
-  double unknown_value(std::size_t index) const { return x_[index]; }
-  /// Routes all reads/stamps of the next Device::stamp into `cache`.
-  void begin_capture(DeviceBypassCache* cache) { capture_ = cache; }
-  void end_capture() { capture_ = nullptr; }
-  /// Replays a cached stamp into the attached sinks.  The caller has
-  /// already verified compatibility (mode/scalars/inputs/signature, and
-  /// for CSR sinks a matching pattern epoch).
-  void apply_cached(const DeviceBypassCache& cache);
-
   // --- Kernel plumbing (engine-internal, not for devices) --------------
   // Raw views over the attached sinks so the batched lane path
   // (nemsim/spice/kernels.h) can scatter directly into storage.
 
   bool pattern_recording() const { return pattern_ != nullptr; }
+  bool wants_residual() const { return want_residual_; }
   const double* iterate_data() const { return x_.data(); }
   linalg::Matrix* dense_sink() const { return dense_jacobian_; }
   linalg::CsrMatrix* sparse_sink() const { return sparse_jacobian_; }
@@ -284,9 +151,6 @@ class StampContext {
   double dt_ = 0.0;
   double gmin_ = 0.0;
   double source_factor_ = 1.0;
-  /// Active capture sink (null outside a bypass capture); the const
-  /// accessors (v, x, dt, ...) record reads into the pointee.
-  DeviceBypassCache* capture_ = nullptr;
 };
 
 /// Passed to Device::accept_step after a converged solve.
@@ -407,39 +271,10 @@ class MnaSystem {
                                 AnalysisMode mode, double time,
                                 double dt) const;
 
-  // --- Quiescent-device bypass (nemsim/spice/newton.h knobs) -----------
-  //
-  // Off by default; NewtonSolver::solve_plain configures it from
-  // NewtonOptions on every solve.  When enabled, nonlinear devices whose
-  // inputs (iterate entries + context scalars + committed-state
-  // signature) match their last full evaluation within the tolerance
-  // replay the recorded residual/Jacobian entries instead of
-  // re-evaluating the model.  With bypass disabled the assembly control
-  // flow is unchanged (bitwise-identical results).
-
-  /// Cumulative nonlinear-device stamp accounting.  `evals` counts model
-  /// evaluations actually executed in assembly passes (maintained even
-  /// with bypass off, so before/after comparisons share a baseline);
-  /// `bypassed` counts replays that skipped an evaluation.
-  struct BypassCounters {
-    std::int64_t evals = 0;
-    std::int64_t bypassed = 0;
-  };
-
-  void configure_bypass(bool enabled, double reltol, double abstol);
-  /// Suspends replay (capture still runs): every device is re-evaluated
-  /// and its cache refreshed.  Used for the final converged-iteration
-  /// verification pass, which must see true model evaluations.
-  void set_bypass_replay_suspended(bool suspended);
-  /// Converged-iteration verification mode: caches captured at the
-  /// current iterate replay bitwise-exactly (their entries ARE the true
-  /// evaluation at this point); any tolerance-admitted cache is
-  /// re-evaluated.  Cheaper than full suspension with the same
-  /// "never converge on an approximated residual" guarantee.
-  void set_bypass_exact_only(bool exact_only);
-  /// Drops every cached stamp (LTE reject, breakpoint, discontinuity).
-  void invalidate_bypass_caches();
-  const BypassCounters& bypass_counters() const { return bypass_counters_; }
+  /// Cumulative nonlinear-device model evaluations run in Newton
+  /// assembly passes (lane and per-device paths alike; symbolic and
+  /// pattern passes are not counted).
+  std::int64_t nonlinear_evals() const { return nonlinear_evals_; }
 
   // --- Type-bucketed evaluation kernels (nemsim/spice/kernels.h) -------
   //
@@ -482,9 +317,8 @@ class MnaSystem {
 
  private:
   enum class DeviceSet { kAll, kLinear, kNonlinear };
-  /// `hot` marks the Newton assembly passes: nonlinear evaluations are
-  /// counted and the bypass cache may capture/replay.  Symbolic and
-  /// pattern passes stamp plainly (hot = false).
+  /// `hot` marks the Newton assembly passes, whose nonlinear evaluations
+  /// are counted.  Symbolic and pattern passes are not (hot = false).
   void stamp_devices(StampContext& ctx, DeviceSet set,
                      bool hot = false) const;
   /// The classic per-device virtual dispatch loop (always used for
@@ -492,8 +326,7 @@ class MnaSystem {
   void stamp_devices_virtual(StampContext& ctx, DeviceSet set,
                              bool hot) const;
   /// Lane-batched assembly through the kernel plan; devices without a
-  /// descriptor (and bypass-managed devices in hot passes) fall back to
-  /// stamp_one.
+  /// descriptor fall back to stamp_one.
   void stamp_devices_kernels(StampContext& ctx, DeviceSet set,
                              bool hot) const;
   void stamp_one(StampContext& ctx, std::size_t device_index,
@@ -512,28 +345,6 @@ class MnaSystem {
   /// plan's declared cells in at build time instead).
   void ensure_pattern_contains(
       const std::vector<std::pair<std::size_t, std::size_t>>& cells) const;
-  /// True when `cache` can stand in for re-evaluating the device whose
-  /// stamp it recorded, given the context's iterate/scalars/sinks.
-  /// With `exact` set, inputs and signature must match bitwise (the
-  /// cache was captured at this very iterate, so replaying it IS the
-  /// true evaluation); otherwise the configured tolerances apply.
-  bool bypass_compatible(const StampContext& ctx,
-                         const DeviceBypassCache& cache,
-                         const Device& device, bool exact) const;
-  /// True when the scalar context the entry's stamp read (mode plus any
-  /// of time/dt/gmin/source_factor it consumed) matches `ctx` exactly —
-  /// the entry describes *this* operating context, whatever its iterate
-  /// inputs say.  Used to pick capture victims and f-refresh targets in
-  /// the per-device way set.
-  static bool bypass_context_matches(const DeviceBypassCache& cache,
-                                     const StampContext& ctx);
-  /// Picks the way a fresh capture for `device_index` should land in:
-  /// supersede the entry for this exact context if one exists, else an
-  /// invalid slot, else a time-stamped entry that can never replay again
-  /// (its absolute time has passed), else grow the set up to kBypassWays,
-  /// else evict least-recently-used.
-  DeviceBypassCache& bypass_capture_way(std::size_t device_index,
-                                        const StampContext& ctx) const;
   void ensure_pattern() const;
   void grow_pattern(
       const std::vector<std::pair<std::size_t, std::size_t>>& missed) const;
@@ -543,27 +354,10 @@ class MnaSystem {
   std::unordered_map<std::string, std::size_t> unknown_index_;
   std::vector<std::size_t> linear_devices_;
   std::vector<std::size_t> nonlinear_devices_;
-  /// Per device index: 0 linear, 1 nonlinear (bypass-ineligible),
-  /// 2 nonlinear with bypass_signature support.
-  std::vector<std::uint8_t> device_class_;
-  // Bypass configuration + per-device caches (mutable: assembly is
-  // logically const; the caches memoize it).
-  bool bypass_enabled_ = false;
-  bool bypass_replay_suspended_ = false;
-  /// Verification mode: replay only caches captured at the current
-  /// iterate bitwise; everything else gets a true model evaluation.
-  bool bypass_exact_only_ = false;
-  double bypass_reltol_ = 1e-6;
-  double bypass_abstol_ = 1e-12;
-  /// Per device index: up to kBypassWays cached stamps (grown on demand,
-  /// LRU-evicted), one per distinct operating context — typically one per
-  /// quantized dt rung the transient revisits.
-  mutable std::vector<std::vector<DeviceBypassCache>> bypass_caches_;
-  mutable std::uint64_t bypass_tick_ = 0;
-  mutable BypassCounters bypass_counters_;
-  mutable std::vector<double> bypass_signature_scratch_;
-  /// Scratch capture for f-side refreshes in residual-only passes.
-  mutable DeviceBypassCache f_refresh_scratch_;
+  /// Per device index: 1 linear, 0 nonlinear.
+  std::vector<std::uint8_t> device_linear_;
+  /// Backs nonlinear_evals() (mutable: assembly is logically const).
+  mutable std::int64_t nonlinear_evals_ = 0;
   // Jacobian sparsity pattern, built lazily and grown on demand.
   mutable std::vector<std::pair<std::size_t, std::size_t>> pattern_;
   mutable bool pattern_built_ = false;

@@ -14,10 +14,10 @@
 // device, no NodeId-to-unknown hashing, no slot search per entry: those
 // are all resolved once per pattern epoch and frozen into the plan.
 //
-// Opt-in via NewtonOptions::kernels (accel contract: default off is
-// bitwise-identical to the virtual path; on is a reltol contract because
-// lanes accumulate in bucket order, not circuit order — see DESIGN.md
-// §7i and Contract::kKernels).
+// Opt-in via NewtonOptions::kernels (default off is bitwise-identical to
+// the virtual path; on is a reltol contract because lanes accumulate in
+// bucket order, not circuit order — see DESIGN.md §7i and
+// Contract::kKernels).
 #pragma once
 
 #include <cmath>
@@ -185,8 +185,7 @@ struct KernelLane {
   std::string bucket;
   KernelBatchFn batch = nullptr;
   int roles = 0;
-  bool linear = false;      ///< device_class 0 (vs nonlinear lanes)
-  bool bypassable = false;  ///< any member supports quiescent bypass
+  bool linear = false;  ///< linear-device lane (vs nonlinear lanes)
   std::vector<const Device*> devices;
   std::vector<std::size_t> device_indices;  ///< MnaSystem device index
   std::vector<std::size_t> rows;            ///< count * roles

@@ -13,12 +13,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "nemsim/linalg/lu.h"
 #include "nemsim/linalg/matrix.h"
 #include "nemsim/linalg/sparse.h"
 #include "nemsim/linalg/sparse_lu.h"
@@ -58,42 +56,6 @@ struct NewtonOptions {
   /// #4 and bench/perf_simulator).
   std::size_t sparse_threshold = 32;
 
-  // --- Event-locality acceleration (off by default: with both knobs
-  // off, results are bitwise identical to the baseline engine).  See
-  // DESIGN.md "Quiescent bypass and Jacobian reuse".
-
-  /// Quiescent-device bypass: nonlinear devices whose inputs (iterate,
-  /// context scalars, committed state) moved less than the bypass
-  /// tolerance since their last full evaluation replay their cached
-  /// residual/Jacobian entries, first-order corrected for the input
-  /// delta.  Convergence is never declared on a replayed residual: a
-  /// trial predicted to converge runs with replay restricted to
-  /// bitwise-exact caches (whose entries ARE the true evaluation), and
-  /// any other converging iterate is re-verified the same way, so the
-  /// accepted solution satisfies the true residual test regardless of
-  /// the tolerance.
-  bool bypass = false;
-  /// Replay admission tolerances on device inputs.  Replay error is
-  /// second order in the admitted delta (the cached Jacobian corrects
-  /// the first-order term) and only perturbs the Newton direction —
-  /// the exact-replay convergence guard keeps accepted solutions exact
-  /// either way, so these sit orders of magnitude above solver reltol.
-  /// Tightening them below ~1e-6 mostly converts replays into redundant
-  /// evaluations; loosening beyond ~1e-3 starts costing extra Newton
-  /// iterations on mis-steered steps.
-  double bypass_reltol = 1e-4;
-  double bypass_abstol = 1e-8;
-  /// Modified Newton: keep the previous LU factorization across
-  /// iterations and across accepted timesteps while convergence stays
-  /// fast, refreshing on slow contraction, damping, homotopy stage
-  /// changes, or dt changes beyond `reuse_dt_ratio`.
-  bool jacobian_reuse = false;
-  /// A stale-LU iteration must shrink the weighted residual norm to this
-  /// fraction (or below tolerance) to keep the factorization.
-  double reuse_residual_ratio = 0.3;
-  /// Maximum dt growth/shrink ratio across steps before the cross-step
-  /// LU is considered stale beyond use.
-  double reuse_dt_ratio = 2.0;
   /// Type-bucketed SoA evaluation kernels (nemsim/spice/kernels.h):
   /// devices with a kernel descriptor assemble through per-type lanes
   /// that scatter f/J into the Jacobian through frozen slot maps instead
@@ -101,9 +63,7 @@ struct NewtonOptions {
   /// Off: bitwise identical to the baseline engine.  On: lanes
   /// accumulate in bucket order rather than circuit order, so results
   /// match the baseline to solver tolerance, not bitwise (reltol
-  /// contract, Contract::kKernels).  Composes with bypass — kernels own
-  /// cold full assemblies, bypass keeps owning hot replay of quiescent
-  /// nonlinear devices.
+  /// contract, Contract::kKernels).
   bool kernels = false;
 };
 
@@ -124,27 +84,11 @@ struct NewtonStats {
   std::int64_t factorizations = 0;       ///< full LU factorizations
   std::int64_t factorization_reuses = 0; ///< sparse numeric refactorizations
   bool used_sparse = false;              ///< sparse path taken at least once
-  // Event-locality acceleration counters (NewtonOptions::bypass /
-  // jacobian_reuse).  nonlinear_evals is maintained even with both knobs
-  // off, so before/after comparisons share a baseline.
   std::int64_t nonlinear_evals = 0;      ///< nonlinear model evaluations run
-  std::int64_t bypassed_evals = 0;       ///< evaluations replayed from cache
-  std::int64_t stale_jacobian_solves = 0;///< solves against a kept-stale LU
-  std::int64_t forced_refreshes = 0;     ///< stale state abandoned (slow
-                                         ///< contraction or converged-
-                                         ///< iteration verification)
   /// Per-bucket device evaluations through the kernel lane path
   /// (NewtonOptions::kernels), keyed by bucket label; empty when kernels
   /// never ran.
   std::vector<std::pair<std::string, std::uint64_t>> kernel_lane_evals;
-
-  /// Fraction of nonlinear stamp requests served from the bypass cache.
-  double bypass_hit_rate() const {
-    const std::int64_t total = nonlinear_evals + bypassed_evals;
-    return total > 0 ? static_cast<double>(bypassed_evals) /
-                           static_cast<double>(total)
-                     : 0.0;
-  }
 
   /// Accumulates another stats block into this one (counters add,
   /// used_sparse ORs) — used by drivers that solve with a local block per
@@ -160,9 +104,6 @@ struct NewtonStats {
     factorization_reuses += other.factorization_reuses;
     used_sparse = used_sparse || other.used_sparse;
     nonlinear_evals += other.nonlinear_evals;
-    bypassed_evals += other.bypassed_evals;
-    stale_jacobian_solves += other.stale_jacobian_solves;
-    forced_refreshes += other.forced_refreshes;
     for (const auto& [bucket, count] : other.kernel_lane_evals) {
       add_kernel_lane_evals(bucket, count);
     }
@@ -214,12 +155,6 @@ class NewtonSolver {
   /// True when solve_plain would take the sparse path for this system.
   bool uses_sparse() const;
 
-  /// Iteration count of the most recent converged solve (99 after a
-  /// failed one).  The transient driver uses it to tell the quiet
-  /// regime (easy solves, worth pinning dt so bypass caches replay)
-  /// from active windows (follow the LTE controller verbatim).
-  int last_converged_iters() const { return last_converged_iters_; }
-
  private:
   linalg::Vector solve_plain_dense(const linalg::Vector& x0,
                                    AnalysisMode mode, double time, double dt,
@@ -232,10 +167,6 @@ class NewtonSolver {
   /// (Re)builds the CSR skeleton when the system's pattern epoch moved;
   /// invalidates the cached symbolic LU on rebuild.
   void ensure_sparse_skeleton();
-  /// True when the kept LU was factored at a compatible analysis point
-  /// (same mode/gmin/source factor; dt within reuse_dt_ratio).
-  bool lu_context_compatible(AnalysisMode mode, double dt, double gmin,
-                             double source_factor) const;
 
   MnaSystem& system_;
   NewtonOptions options_;
@@ -248,24 +179,6 @@ class NewtonSolver {
   std::uint64_t sparse_epoch_ = 0;  ///< pattern epoch of sparse_jac_
   bool sparse_ready_ = false;       ///< sparse_jac_ matches current pattern
   bool lu_ready_ = false;           ///< sparse_lu_ analysis matches sparse_jac_
-
-  // Modified-Newton state (NewtonOptions::jacobian_reuse): the analysis
-  // point the kept LU was factored at, used to decide cross-solve reuse.
-  // dense_lu_ holds the dense path's factorization across iterations and
-  // solves (the sparse path reuses sparse_lu_ itself).
-  std::optional<linalg::LuDecomposition> dense_lu_;
-  AnalysisMode lu_mode_ = AnalysisMode::kDcOperatingPoint;
-  double lu_dt_ = -1.0;
-  double lu_gmin_ = -1.0;
-  double lu_source_factor_ = -1.0;
-  bool lu_context_valid_ = false;
-
-  // Iteration count of the most recent converged solve.  Cross-step
-  // stale-LU starts only pay off in the quiet regime where solves
-  // converge in a step or two; after a hard solve the circuit is moving
-  // and a stale start just wastes a residual pass before the inevitable
-  // refresh.
-  int last_converged_iters_ = 99;
 };
 
 }  // namespace nemsim::spice

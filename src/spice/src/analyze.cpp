@@ -272,8 +272,8 @@ void run_magnitude_scan(const Circuit& circuit,
           << ": the system is stiff — the LTE controller will hold dt near "
           << "the fast pole while the waveform evolves on the slow one. "
           << "Start with dt_initial ~ " << engineering(tau_min)
-          << " s, keep jacobian_reuse on, and consider whether the fast "
-          << "pole is parasitic and can be coarsened";
+          << " s, and consider whether the fast pole is parasitic and "
+          << "can be coarsened";
       out.add({LintSeverity::kWarning, "stiff-time-constants", tau_max_at,
                msg.str()});
     }

@@ -104,13 +104,6 @@ std::string RunReport::summary() const {
      << " factorizations=" << newton.factorizations
      << " reuses=" << newton.factorization_reuses
      << (newton.used_sparse ? " sparse" : " dense");
-  if (newton.bypassed_evals > 0 || newton.stale_jacobian_solves > 0) {
-    os << " nl_evals=" << newton.nonlinear_evals
-       << " bypassed=" << newton.bypassed_evals
-       << " bypass_hit_rate=" << newton.bypass_hit_rate()
-       << " stale_solves=" << newton.stale_jacobian_solves
-       << " forced_refreshes=" << newton.forced_refreshes;
-  }
   if (!newton.kernel_lane_evals.empty()) {
     os << " kernels[";
     for (std::size_t i = 0; i < newton.kernel_lane_evals.size(); ++i) {
@@ -176,10 +169,6 @@ void RunReport::write_json(std::ostream& os) const {
      << ", \"factorizations\": " << newton.factorizations
      << ", \"factorization_reuses\": " << newton.factorization_reuses
      << ", \"nonlinear_evals\": " << newton.nonlinear_evals
-     << ", \"bypassed_evals\": " << newton.bypassed_evals
-     << ", \"bypass_hit_rate\": " << newton.bypass_hit_rate()
-     << ", \"stale_jacobian_solves\": " << newton.stale_jacobian_solves
-     << ", \"forced_refreshes\": " << newton.forced_refreshes
      << ", \"used_sparse\": " << (newton.used_sparse ? "true" : "false")
      << ", \"kernel_lane_evals\": {";
   for (std::size_t i = 0; i < newton.kernel_lane_evals.size(); ++i) {

@@ -100,16 +100,11 @@ void StampContext::configure(AnalysisMode mode, double time, double dt,
 
 double StampContext::v(NodeId node) const {
   if (node.is_ground()) return 0.0;
-  const std::size_t index = system_.unknown_of(node).index;
-  if (capture_ != nullptr) capture_->inputs.emplace_back(index, x_[index]);
-  return x_[index];
+  return x_[system_.unknown_of(node).index];
 }
 
 double StampContext::x(UnknownId unknown) const {
   require(unknown.valid(), "StampContext::x: invalid unknown");
-  if (capture_ != nullptr) {
-    capture_->inputs.emplace_back(unknown.index, x_[unknown.index]);
-  }
   return x_[unknown.index];
 }
 
@@ -118,7 +113,6 @@ void StampContext::raw_f(UnknownId eq, double value) {
   if (!want_residual_) return;
   residual_[eq.index] += value;
   residual_scale_[eq.index] += std::abs(value);
-  if (capture_ != nullptr) capture_->f_entries.push_back({eq.index, value});
 }
 
 void StampContext::raw_J(UnknownId eq, UnknownId var, double value) {
@@ -129,10 +123,6 @@ void StampContext::raw_J(UnknownId eq, UnknownId var, double value) {
   }
   if (dense_jacobian_ != nullptr) {
     (*dense_jacobian_)(eq.index, var.index) += value;
-    if (capture_ != nullptr) {
-      capture_->j_entries.push_back(
-          {eq.index, var.index, linalg::CsrMatrix::npos, value});
-    }
     return;
   }
   if (sparse_jacobian_ != nullptr) {
@@ -141,54 +131,12 @@ void StampContext::raw_J(UnknownId eq, UnknownId var, double value) {
       // Outside the frozen pattern (e.g. a MOSFET source/drain swap hit
       // a new asymmetric position): report it so the pattern can grow.
       if (missed_ != nullptr) missed_->emplace_back(eq.index, var.index);
-      // The assembly will be retried against a grown pattern; a capture
-      // taken during this pass has dangling slots and must be dropped.
-      if (capture_ != nullptr) capture_->poisoned = true;
       return;
     }
     sparse_jacobian_->values()[slot] += value;
-    if (capture_ != nullptr) {
-      capture_->j_entries.push_back({eq.index, var.index, slot, value});
-    }
     return;
   }
   // Residual-only assembly: Jacobian contributions are dropped.
-}
-
-void StampContext::apply_cached(const DeviceBypassCache& cache) {
-  if (want_residual_) {
-    for (const auto& e : cache.f_entries) {
-      residual_[e.row] += e.value;
-      residual_scale_[e.row] += std::abs(e.value);
-    }
-    // First-order replay: f(x) ~= f(x_c) + J(x_c) * (x - x_c).  Replaying
-    // the cached values alone freezes the residual at the capture point,
-    // which stalls Newton as soon as sub-tolerance movement matters (the
-    // solver chases a residual that cannot respond to its updates).  The
-    // linear correction keeps the replay error second-order in the input
-    // delta, so bypassed devices stay consistent with the iterate.
-    for (const auto& e : cache.j_entries) {
-      for (const auto& in : cache.inputs) {
-        if (in.first == e.col) {
-          const double corr = e.value * (x_[e.col] - in.second);
-          residual_[e.row] += corr;
-          residual_scale_[e.row] += std::abs(corr);
-          break;
-        }
-      }
-    }
-  }
-  if (dense_jacobian_ != nullptr) {
-    for (const auto& e : cache.j_entries) {
-      (*dense_jacobian_)(e.row, e.col) += e.value;
-    }
-  } else if (sparse_jacobian_ != nullptr) {
-    // Compatibility pre-check guarantees the recorded slots belong to the
-    // current pattern epoch.
-    for (const auto& e : cache.j_entries) {
-      sparse_jacobian_->values()[e.slot] += e.value;
-    }
-  }
 }
 
 void StampContext::add_f(NodeId eq, double current) {
@@ -232,17 +180,11 @@ MnaSystem::MnaSystem(Circuit& circuit) : circuit_(circuit) {
   for (std::size_t i = 0; i < circuit.num_devices(); ++i) {
     circuit.device(i).setup(setup);
   }
-  device_class_.reserve(circuit.num_devices());
+  device_linear_.reserve(circuit.num_devices());
   for (std::size_t i = 0; i < circuit.num_devices(); ++i) {
-    const Device& device = circuit.device(i);
-    if (device.is_linear()) {
-      linear_devices_.push_back(i);
-      device_class_.push_back(0);
-    } else {
-      nonlinear_devices_.push_back(i);
-      std::vector<double> probe;
-      device_class_.push_back(device.bypass_signature(probe) ? 2 : 1);
-    }
+    const bool linear = circuit.device(i).is_linear();
+    (linear ? linear_devices_ : nonlinear_devices_).push_back(i);
+    device_linear_.push_back(linear ? 1 : 0);
   }
 }
 
@@ -292,247 +234,12 @@ void MnaSystem::clear_nodesets() {
   }
 }
 
-// --------------------------------------------------- quiescent bypass
-
-namespace {
-/// The bypass input tolerance: |a - b| within reltol of the larger
-/// magnitude plus an absolute floor.
-inline bool bypass_close(double a, double b, double reltol, double abstol) {
-  return std::abs(a - b) <=
-         reltol * std::max(std::abs(a), std::abs(b)) + abstol;
-}
-}  // namespace
-
-void MnaSystem::configure_bypass(bool enabled, double reltol, double abstol) {
-  if (enabled && bypass_caches_.size() != circuit_.num_devices()) {
-    bypass_caches_.assign(circuit_.num_devices(), {});
-  }
-  // A tolerance or enable change re-baselines what "quiescent" means;
-  // entries admitted under the old bound must not survive it.
-  if (enabled != bypass_enabled_ || reltol != bypass_reltol_ ||
-      abstol != bypass_abstol_) {
-    invalidate_bypass_caches();
-  }
-  bypass_enabled_ = enabled;
-  bypass_reltol_ = reltol;
-  bypass_abstol_ = abstol;
-}
-
-void MnaSystem::set_bypass_replay_suspended(bool suspended) {
-  bypass_replay_suspended_ = suspended;
-}
-
-void MnaSystem::set_bypass_exact_only(bool exact_only) {
-  bypass_exact_only_ = exact_only;
-}
-
-void MnaSystem::invalidate_bypass_caches() {
-  for (std::vector<DeviceBypassCache>& ways : bypass_caches_) {
-    for (DeviceBypassCache& cache : ways) cache.valid = false;
-  }
-}
-
-bool MnaSystem::bypass_context_matches(const DeviceBypassCache& cache,
-                                       const StampContext& ctx) {
-  if (cache.mode != ctx.mode()) return false;
-  if (cache.read_time && cache.time != ctx.time()) return false;
-  if (cache.read_dt && cache.dt != ctx.dt()) return false;
-  if (cache.read_gmin && cache.gmin != ctx.gmin()) return false;
-  if (cache.read_source_factor && cache.source_factor != ctx.source_factor())
-    return false;
-  return true;
-}
-
-DeviceBypassCache& MnaSystem::bypass_capture_way(std::size_t device_index,
-                                                 const StampContext& ctx) const {
-  std::vector<DeviceBypassCache>& ways = bypass_caches_[device_index];
-  // Supersede the entry for this exact context first: a re-capture at the
-  // same step/dt replaces the previous iteration's entry instead of
-  // evicting another rung's.
-  for (DeviceBypassCache& way : ways) {
-    if (way.valid && bypass_context_matches(way, ctx)) return way;
-  }
-  for (DeviceBypassCache& way : ways) {
-    if (!way.valid) return way;
-  }
-  // Entries pinned to an absolute time that has passed can never replay
-  // again — reuse them before evicting anything live.
-  for (DeviceBypassCache& way : ways) {
-    if (way.read_time && way.time != ctx.time()) return way;
-  }
-  if (ways.size() < kBypassWays) {
-    ways.emplace_back();
-    return ways.back();
-  }
-  DeviceBypassCache* victim = &ways.front();
-  for (DeviceBypassCache& way : ways) {
-    if (way.last_used < victim->last_used) victim = &way;
-  }
-  return *victim;
-}
-
-bool MnaSystem::bypass_compatible(const StampContext& ctx,
-                                  const DeviceBypassCache& cache,
-                                  const Device& device, bool exact) const {
-  const double reltol = exact ? 0.0 : bypass_reltol_;
-  const double abstol = exact ? 0.0 : bypass_abstol_;
-  if (cache.mode != ctx.mode()) return false;
-  // Context scalars the stamp read must match *exactly*: dt enters
-  // companion conductances as 1/dt, so even a sub-tolerance mismatch
-  // skews the cached Jacobian in ways the input tolerance cannot bound.
-  if (cache.read_time && cache.time != ctx.time()) return false;
-  if (cache.read_dt && cache.dt != ctx.dt()) return false;
-  if (cache.read_gmin && cache.gmin != ctx.gmin()) return false;
-  if (cache.read_source_factor && cache.source_factor != ctx.source_factor())
-    return false;
-  // CSR sinks replay through recorded slots, valid only for the pattern
-  // epoch they were captured at (dense captures carry kNoEpoch and are
-  // never replayed into a CSR sink).
-  if (ctx.has_sparse_sink() && cache.epoch != pattern_epoch_) return false;
-  for (const auto& [index, value] : cache.inputs) {
-    if (!bypass_close(value, ctx.unknown_value(index), reltol, abstol))
-      return false;
-  }
-  // Committed device state (companion history, beam position) is judged
-  // two decades tighter than the iterate inputs: state drift feeds the
-  // residual at first order (companion currents scale it by C/dt) and
-  // the cached-Jacobian correction only spans the unknown inputs, so an
-  // input-sized state delta routinely flunks the converged-iteration
-  // verification and costs an extra Newton cycle.
-  const double sig_reltol = 0.01 * reltol;
-  const double sig_abstol = 0.01 * abstol;
-  bypass_signature_scratch_.clear();
-  if (!device.bypass_signature(bypass_signature_scratch_)) return false;
-  if (bypass_signature_scratch_.size() != cache.signature.size()) return false;
-  for (std::size_t i = 0; i < cache.signature.size(); ++i) {
-    if (!bypass_close(cache.signature[i], bypass_signature_scratch_[i],
-                      sig_reltol, sig_abstol))
-      return false;
-  }
-  return true;
-}
+// ------------------------------------------------------------ assembly
 
 void MnaSystem::stamp_one(StampContext& ctx, std::size_t device_index,
                           bool hot) const {
-  const Device& device = circuit_.device(device_index);
-  if (!hot || device_class_[device_index] == 0) {
-    device.stamp(ctx);
-    return;
-  }
-  if (!bypass_enabled_ || device_class_[device_index] != 2) {
-    ++bypass_counters_.evals;
-    device.stamp(ctx);
-    return;
-  }
-  std::vector<DeviceBypassCache>& ways = bypass_caches_[device_index];
-  if (!bypass_replay_suspended_) {
-    for (DeviceBypassCache& cache : ways) {
-      // A cache whose f-side has drifted from its J entries (j_stale)
-      // only replays into residual-only assemblies, where the J entries
-      // are never stamped: the f-side is current, and the first-order
-      // correction's stale slope contributes at most
-      // O(tolerance * J drift), which the converged-iteration
-      // verification bounds.
-      const bool j_ok = !cache.j_stale || ctx.residual_only();
-      if (cache.valid && j_ok &&
-          bypass_compatible(ctx, cache, device, bypass_exact_only_)) {
-        ctx.apply_cached(cache);
-        cache.last_used = ++bypass_tick_;
-        ++bypass_counters_.bypassed;
-        return;
-      }
-    }
-  }
-  ++bypass_counters_.evals;
-  if (ctx.can_capture()) {
-    DeviceBypassCache& cache = bypass_capture_way(device_index, ctx);
-    cache.reset();
-    ctx.begin_capture(&cache);
-    device.stamp(ctx);
-    ctx.end_capture();
-    if (cache.poisoned) return;  // pattern grew mid-stamp; capture dropped
-    cache.mode = ctx.mode();
-    cache.epoch = ctx.has_sparse_sink() ? pattern_epoch_
-                                        : DeviceBypassCache::kNoEpoch;
-    device.bypass_signature(cache.signature);
-    cache.j_anchor = cache.inputs;
-    cache.valid = true;
-    cache.last_used = ++bypass_tick_;
-    return;
-  }
-  // Residual-only pass: pick the way captured for this exact scalar
-  // context (damping trials and stale-Jacobian iterations run at the
-  // step's own time/dt, so this is the full capture they follow).
-  DeviceBypassCache* refresh_target = nullptr;
-  if (ctx.residual_only()) {
-    for (DeviceBypassCache& way : ways) {
-      if (way.valid && bypass_context_matches(way, ctx)) {
-        refresh_target = &way;
-        break;
-      }
-    }
-  }
-  if (refresh_target != nullptr) {
-    DeviceBypassCache& cache = *refresh_target;
-    // Residual-only pass over a full capture: refresh the f-side (inputs,
-    // residual entries, scalars, signature) and keep the J entries.  If
-    // the new point has left the bypass tolerance of the J anchor -- or
-    // any context scalar the J entries bake in changed -- the J side is
-    // marked stale.  This keeps caches current across damping trials and
-    // stale-Jacobian iterations, so the converged-iteration verification
-    // can replay the accepted trial's own evaluations bitwise instead of
-    // repeating them.
-    f_refresh_scratch_.reset();
-    ctx.begin_capture(&f_refresh_scratch_);
-    device.stamp(ctx);
-    ctx.end_capture();
-    bool stale = cache.j_stale;
-    if (cache.read_time != f_refresh_scratch_.read_time ||
-        (cache.read_time && cache.time != f_refresh_scratch_.time) ||
-        cache.read_dt != f_refresh_scratch_.read_dt ||
-        (cache.read_dt && cache.dt != f_refresh_scratch_.dt) ||
-        cache.read_gmin != f_refresh_scratch_.read_gmin ||
-        (cache.read_gmin && cache.gmin != f_refresh_scratch_.gmin) ||
-        cache.read_source_factor != f_refresh_scratch_.read_source_factor ||
-        (cache.read_source_factor &&
-         cache.source_factor != f_refresh_scratch_.source_factor)) {
-      stale = true;
-    }
-    if (!stale) {
-      if (f_refresh_scratch_.inputs.size() != cache.j_anchor.size()) {
-        stale = true;
-      } else {
-        for (std::size_t i = 0; i < cache.j_anchor.size(); ++i) {
-          if (f_refresh_scratch_.inputs[i].first != cache.j_anchor[i].first ||
-              !bypass_close(f_refresh_scratch_.inputs[i].second,
-                            cache.j_anchor[i].second, bypass_reltol_,
-                            bypass_abstol_)) {
-            stale = true;
-            break;
-          }
-        }
-      }
-    }
-    cache.j_stale = stale;
-    cache.inputs.swap(f_refresh_scratch_.inputs);
-    cache.f_entries.swap(f_refresh_scratch_.f_entries);
-    cache.mode = ctx.mode();
-    cache.read_time = f_refresh_scratch_.read_time;
-    cache.time = f_refresh_scratch_.time;
-    cache.read_dt = f_refresh_scratch_.read_dt;
-    cache.dt = f_refresh_scratch_.dt;
-    cache.read_gmin = f_refresh_scratch_.read_gmin;
-    cache.gmin = f_refresh_scratch_.gmin;
-    cache.read_source_factor = f_refresh_scratch_.read_source_factor;
-    cache.source_factor = f_refresh_scratch_.source_factor;
-    cache.signature.clear();
-    device.bypass_signature(cache.signature);
-    cache.last_used = ++bypass_tick_;
-    return;
-  }
-  // Jacobian-only pass (or no prior capture to refresh): stamp plainly
-  // and keep whatever captures the way set already holds.
-  device.stamp(ctx);
+  if (hot && !device_linear_[device_index]) ++nonlinear_evals_;
+  circuit_.device(device_index).stamp(ctx);
 }
 
 void MnaSystem::stamp_devices(StampContext& ctx, DeviceSet set,
@@ -551,9 +258,9 @@ void MnaSystem::stamp_devices_virtual(StampContext& ctx, DeviceSet set,
                                       bool hot) const {
   switch (set) {
     case DeviceSet::kAll:
-      // Circuit order, linear and nonlinear interleaved: with bypass off
-      // this floating-point accumulation order is part of the engine's
-      // bitwise contract.
+      // Circuit order, linear and nonlinear interleaved: this
+      // floating-point accumulation order is part of the engine's bitwise
+      // contract.
       for (std::size_t i = 0; i < circuit_.num_devices(); ++i) {
         stamp_one(ctx, i, hot);
       }
@@ -583,7 +290,7 @@ void MnaSystem::build_kernel_plan() {
     const Device& device = circuit_.device(di);
     KernelDescriptor desc;
     device.kernel_descriptor(layout, desc);
-    const bool linear = device_class_[di] == 0;
+    const bool linear = device_linear_[di] != 0;
     const std::size_t roles = static_cast<std::size_t>(desc.roles);
     bool usable = desc.supported && desc.batch != nullptr && desc.roles > 0 &&
                   desc.role_unknowns.size() == roles;
@@ -620,7 +327,6 @@ void MnaSystem::build_kernel_plan() {
       continue;
     }
     KernelLane& lane = plan->lanes[lane_index];
-    lane.bypassable = lane.bypassable || device_class_[di] == 2;
     lane.devices.push_back(&device);
     lane.device_indices.push_back(di);
     const std::size_t base = lane.rows.size();
@@ -737,22 +443,14 @@ void MnaSystem::stamp_devices_kernels(StampContext& ctx, DeviceSet set,
   ectx.gmin = ctx.gmin();
   ectx.source_factor = ctx.source_factor();
 
-  const bool bypass_hot = hot && bypass_enabled_;
   auto run_lane = [&](KernelLane& lane) {
     if (lane.devices.empty()) return;
-    if (bypass_hot && !lane.linear && lane.bypassable) {
-      // Bypass owns hot replay for these devices: route them through the
-      // per-device path so capture/replay (and its counters) work
-      // unchanged.
-      for (std::size_t di : lane.device_indices) stamp_one(ctx, di, hot);
-      return;
-    }
     lane.batch(lane.view(sparse ? lane.sparse_slots.data()
                                 : lane.dense_slots.data()),
                ectx);
     lane.evals += lane.devices.size();
     if (hot && !lane.linear) {
-      bypass_counters_.evals += static_cast<std::int64_t>(lane.devices.size());
+      nonlinear_evals_ += static_cast<std::int64_t>(lane.devices.size());
     }
   };
 
@@ -1057,7 +755,6 @@ void MnaSystem::reset_devices() {
   for (std::size_t i = 0; i < circuit_.num_devices(); ++i) {
     circuit_.device(i).reset_state();
   }
-  invalidate_bypass_caches();
 }
 
 void MnaSystem::notify_discontinuity() {

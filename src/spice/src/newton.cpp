@@ -12,19 +12,6 @@
 namespace nemsim::spice {
 
 namespace {
-// Weighted-residual threshold below which the next trial is likely the
-// converging one.  Such a trial runs with replay restricted to
-// bitwise-exact caches, so convergence is decided on the true residual
-// and no separate verification assembly is needed.  Mispredicting costs
-// little: the fresh evaluations are the ones the verification pass
-// would have run anyway, and they re-seed the caches for the next
-// iteration.
-constexpr double kExactTrialNorm = 30.0;
-
-}  // namespace
-
-
-namespace {
 
 /// Residual norm weighted per-row by reltol*scale + row_abstol; a value
 /// <= 1 means every row satisfies its convergence criterion.
@@ -116,19 +103,6 @@ bool NewtonSolver::uses_sparse() const {
   return false;
 }
 
-bool NewtonSolver::lu_context_compatible(AnalysisMode mode, double dt,
-                                         double gmin,
-                                         double source_factor) const {
-  if (!lu_context_valid_) return false;
-  if (lu_mode_ != mode) return false;
-  // Homotopy ladder stages change gmin/source_factor: always refresh.
-  if (lu_gmin_ != gmin || lu_source_factor_ != source_factor) return false;
-  if (lu_dt_ == dt) return true;
-  if (lu_dt_ <= 0.0 || dt <= 0.0) return false;
-  const double ratio = dt > lu_dt_ ? dt / lu_dt_ : lu_dt_ / dt;
-  return ratio <= options_.reuse_dt_ratio;
-}
-
 linalg::Vector NewtonSolver::solve_plain(const linalg::Vector& x0,
                                          AnalysisMode mode, double time,
                                          double dt, double gmin,
@@ -136,23 +110,14 @@ linalg::Vector NewtonSolver::solve_plain(const linalg::Vector& x0,
                                          NewtonStats* stats) {
   require(x0.size() == system_.num_unknowns(),
           "NewtonSolver: initial guess size mismatch");
-  system_.configure_bypass(options_.bypass, options_.bypass_reltol,
-                           options_.bypass_abstol);
   system_.configure_kernels(options_.kernels);
-  // A failed converged-iteration verification in a previous solve leaves
-  // replay suspended (see the guard below); every solve starts trusting
-  // its caches again.
-  system_.set_bypass_replay_suspended(false);
-  system_.set_bypass_exact_only(false);
-  // Fold the system's eval/bypass/kernel deltas into the stats block even
-  // when the solve throws — homotopy ladder retries must not lose counts.
-  const MnaSystem::BypassCounters before = system_.bypass_counters();
+  // Fold the system's eval/kernel deltas into the stats block even when
+  // the solve throws — homotopy ladder retries must not lose counts.
+  const std::int64_t evals_before = system_.nonlinear_evals();
   const auto kernel_before = system_.kernel_lane_evals();
   auto record = [&]() {
     if (stats == nullptr) return;
-    const MnaSystem::BypassCounters& after = system_.bypass_counters();
-    stats->nonlinear_evals += after.evals - before.evals;
-    stats->bypassed_evals += after.bypassed - before.bypassed;
+    stats->nonlinear_evals += system_.nonlinear_evals() - evals_before;
     const auto kernel_after = system_.kernel_lane_evals();
     for (std::size_t i = 0; i < kernel_after.size(); ++i) {
       const std::uint64_t prior =
@@ -172,7 +137,6 @@ linalg::Vector NewtonSolver::solve_plain(const linalg::Vector& x0,
     record();
     return x;
   } catch (...) {
-    last_converged_iters_ = 99;  // a failed solve means the circuit is hard
     record();
     throw;
   }
@@ -195,16 +159,6 @@ linalg::Vector NewtonSolver::solve_plain_dense(const linalg::Vector& x0,
   double res_norm =
       weighted_residual_norm(system_, residual, scale, options_.reltol);
   double last_update_norm = 0.0;
-  int verify_failures = 0;
-
-  // Modified-Newton bookkeeping (inert with jacobian_reuse off):
-  // `contraction_ok` tracks whether the previous iteration contracted
-  // fast enough to keep solving against the kept LU; `fresh_at_x` tracks
-  // whether `jacobian` holds the true Jacobian at the current x.  Cross-
-  // solve reuse only engages when the previous solve was easy -- a hard
-  // solve means the circuit is moving and the kept LU is a poor operator.
-  bool contraction_ok = last_converged_iters_ <= 1;
-  bool fresh_at_x = true;
 
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
     if (stats) {
@@ -212,47 +166,14 @@ linalg::Vector NewtonSolver::solve_plain_dense(const linalg::Vector& x0,
       ++stats->total_iterations;
     }
 
-    if (options_.bypass && iter == options_.max_iterations / 2) {
-      // Half the iteration budget is gone: a coarse replay tolerance may
-      // be masking real residual movement.  Fall back to full
-      // evaluations for the rest of this solve and refresh at x.
-      system_.set_bypass_replay_suspended(true);
-      fresh_at_x = false;
-      contraction_ok = false;
-      if (stats) ++stats->forced_refreshes;
-    }
-
-    const bool use_stale = options_.jacobian_reuse && dense_lu_.has_value() &&
-                           lu_context_compatible(mode, dt, gmin,
-                                                 source_factor) &&
-                           contraction_ok;
-    if (!use_stale && !fresh_at_x) {
-      // Leaving stale mode: rebuild the true Jacobian at x first.
-      system_.assemble(x, jacobian, residual, scale, mode, time, dt, gmin,
-                       source_factor);
-      if (stats) ++stats->assembles;
-      res_norm =
-          weighted_residual_norm(system_, residual, scale, options_.reltol);
-      fresh_at_x = true;
-    }
-
     // Newton direction: J dx = -f.
     linalg::Vector dx;
     try {
-      if (use_stale) {
-        if (stats) ++stats->stale_jacobian_solves;
-      } else {
-        dense_lu_.emplace(jacobian);
-        lu_mode_ = mode;
-        lu_dt_ = dt;
-        lu_gmin_ = gmin;
-        lu_source_factor_ = source_factor;
-        lu_context_valid_ = true;
-        if (stats) ++stats->factorizations;
-      }
+      const linalg::LuDecomposition lu(jacobian);
+      if (stats) ++stats->factorizations;
       linalg::Vector rhs = residual;
       rhs *= -1.0;
-      dx = dense_lu_->solve(rhs);
+      dx = lu.solve(rhs);
     } catch (const SingularMatrixError&) {
       throw ConvergenceError(
           "Newton: singular Jacobian (floating node or unstable device?)",
@@ -268,39 +189,14 @@ linalg::Vector NewtonSolver::solve_plain_dense(const linalg::Vector& x0,
     // Jacobian — if accepted, which is the common case, the Jacobian is
     // already in place for the next iteration.  Extra damping trials only
     // assemble the residual; the Jacobian is refreshed after acceptance.
-    // Stale-LU iterations keep every trial residual-only: the Jacobian is
-    // not needed while the kept factorization stays in use.
-    // When this trial can be the converging one -- the undamped update
-    // already satisfies the update test and the residual is within
-    // striking distance -- restrict replay to bitwise-exact caches for
-    // the whole trial: if it converges, it converged on the true
-    // residual and the separate verification below is unnecessary.  The
-    // update norm is computable before assembling (dx is known), so
-    // non-final trials keep full tolerance replay.
-    x_trial = x;
-    for (std::size_t i = 0; i < n; ++i) x_trial[i] += clamp * dx[i];
-    const bool exact_trial =
-        options_.bypass && res_norm <= kExactTrialNorm &&
-        weighted_update_norm(system_, x, x_trial, options_.reltol) <= 1.0;
     double alpha = clamp;
     double trial_norm = 0.0;
     bool jacobian_at_trial = false;
-    int halvings_used = 0;
-    std::int64_t trial_bypassed = 0;
     for (int halving = 0; halving <= options_.max_damping_halvings;
          ++halving) {
       x_trial = x;
       for (std::size_t i = 0; i < n; ++i) x_trial[i] += alpha * dx[i];
-      const std::int64_t bypassed_before = system_.bypass_counters().bypassed;
-      // Exact mode only applies to the undamped trial; a halved step is
-      // no longer the predicted convergence point, so fall back to
-      // tolerance replay (the verification below then covers it).  An
-      // exact trial always builds the full Jacobian, even against a
-      // stale LU: its fresh evaluations must capture complete cache
-      // entries, and the Jacobian at the solution is exactly what the
-      // next solve's cross-step reuse wants.
-      system_.set_bypass_exact_only(exact_trial && halving == 0);
-      if (halving == 0 && (!use_stale || exact_trial)) {
+      if (halving == 0) {
         system_.assemble(x_trial, jacobian, residual_trial, scale_trial,
                          mode, time, dt, gmin, source_factor);
         jacobian_at_trial = true;
@@ -311,95 +207,33 @@ linalg::Vector NewtonSolver::solve_plain_dense(const linalg::Vector& x0,
         jacobian_at_trial = false;
         if (stats) ++stats->residual_assembles;
       }
-      trial_bypassed = system_.bypass_counters().bypassed - bypassed_before;
       trial_norm = weighted_residual_norm(system_, residual_trial, scale_trial,
                                           options_.reltol);
       // Accept descent, any sub-tolerance point, or a mild increase when
       // the step was clamped (the model may need to traverse a barrier).
       if (trial_norm <= std::max(1.0, res_norm) ||
           (halving == options_.max_damping_halvings)) {
-        halvings_used = halving;
         break;
       }
       alpha *= 0.5;
     }
-    system_.set_bypass_exact_only(false);
 
     const double update_norm =
         weighted_update_norm(system_, x, x_trial, options_.reltol);
     last_update_norm = update_norm;
 
-    const double prev_norm = res_norm;
     x = x_trial;
     residual = residual_trial;
     scale = scale_trial;
     res_norm = trial_norm;
-    fresh_at_x = jacobian_at_trial;
 
-    bool verification_failed = false;
-    if (res_norm <= 1.0 && update_norm <= 1.0) {
-      if (options_.bypass && !(exact_trial && halvings_used == 0) &&
-          trial_bypassed > 0) {
-        // The accepted trial replayed tolerance-admitted stamps: never
-        // converge on an approximated residual.  Re-check with replay
-        // restricted to caches captured at this exact iterate -- those
-        // entries ARE the true evaluation here, so replaying them is
-        // free and exact -- while every tolerance-admitted device gets a
-        // real model evaluation and its cache re-seeded at the solution.
-        system_.set_bypass_exact_only(true);
-        system_.assemble(x, jacobian, residual, scale, mode, time, dt, gmin,
-                         source_factor);
-        system_.set_bypass_exact_only(false);
-        if (stats) {
-          ++stats->assembles;
-          ++stats->forced_refreshes;
-        }
-        res_norm =
-            weighted_residual_norm(system_, residual, scale, options_.reltol);
-        fresh_at_x = true;
-        jacobian_at_trial = true;
-        if (res_norm <= 1.0) {
-          last_converged_iters_ = iter + 1;
-          return x;
-        }
-        // Tolerance-admitted drift hid real residual movement.  The
-        // verification itself re-seeded every cache with a true
-        // evaluation at x, so replay stays trustworthy from here; just
-        // force a Jacobian refresh and keep iterating.  If it happens
-        // twice in one solve the iterate is hovering at the tolerance
-        // edge: stop replaying for the remainder of the solve rather
-        // than paying a verify assembly per bounce.
-        verification_failed = true;
-        if (++verify_failures >= 2)
-          system_.set_bypass_replay_suspended(true);
-      } else {
-        last_converged_iters_ = iter + 1;
-        return x;
-      }
-    }
-
-    if (options_.jacobian_reuse) {
-      const bool contracted =
-          halvings_used == 0 &&
-          (trial_norm <= options_.reuse_residual_ratio * prev_norm ||
-           trial_norm <= 1.0);
-      if (use_stale && !contracted && stats) ++stats->forced_refreshes;
-      contraction_ok = contracted && !verification_failed;
-    }
+    if (res_norm <= 1.0 && update_norm <= 1.0) return x;
 
     if (!jacobian_at_trial) {
-      const bool keep_stale = options_.jacobian_reuse &&
-                              dense_lu_.has_value() &&
-                              lu_context_compatible(mode, dt, gmin,
-                                                    source_factor) &&
-                              contraction_ok;
-      if (!keep_stale) {
-        // A damped trial was accepted: refresh the Jacobian at the new x.
-        system_.assemble(x, jacobian, residual, scale, mode, time, dt, gmin,
-                         source_factor);
-        if (stats) ++stats->assembles;
-        fresh_at_x = true;
-      }
+      // A damped trial was accepted: refresh the Jacobian at the new x.
+      system_.assemble(x, jacobian, residual, scale, mode, time, dt, gmin,
+                       source_factor);
+      if (stats) ++stats->assembles;
     }
   }
   throw ConvergenceError(
@@ -434,23 +268,19 @@ linalg::Vector NewtonSolver::solve_plain_sparse(const linalg::Vector& x0,
   ensure_sparse_skeleton();
 
   // Linear devices' Jacobian values are constant for the whole solve
-  // (fixed mode/time/dt and committed device state): stamp them once —
-  // lazily, so a solve that starts (and finishes) against a kept stale
-  // LU never pays for a baseline it does not use.
-  bool baseline_fresh = false;
+  // (fixed mode/time/dt and committed device state): stamp them once.
   auto refresh_baseline = [&]() {
     while (!system_.assemble_linear_jacobian(x, sparse_jac_, linear_baseline_,
                                              mode, time, dt)) {
       ensure_sparse_skeleton();
     }
-    baseline_fresh = true;
   };
+  refresh_baseline();
 
   // Full assembly with pattern-growth retry: on a miss the system grows
   // its pattern, we rebuild the skeleton + baseline and assemble again.
   auto assemble_full = [&](const linalg::Vector& xi, linalg::Vector& f,
                            linalg::Vector& s) {
-    if (!baseline_fresh) refresh_baseline();
     while (!system_.assemble_sparse(xi, sparse_jac_, f, s, mode, time, dt,
                                     gmin, source_factor, &linear_baseline_)) {
       ensure_sparse_skeleton();
@@ -459,27 +289,10 @@ linalg::Vector NewtonSolver::solve_plain_sparse(const linalg::Vector& x0,
     if (stats) ++stats->assembles;
   };
 
-  // Cross-step modified Newton: when the kept LU was factored at a
-  // compatible analysis point, start the solve against it and defer all
-  // Jacobian work until the contraction test demands a refresh.
-  const bool start_stale = options_.jacobian_reuse && lu_ready_ &&
-                           last_converged_iters_ <= 1 &&
-                           lu_context_compatible(mode, dt, gmin,
-                                                 source_factor);
-  bool contraction_ok = last_converged_iters_ <= 1;
-  bool fresh_at_x = false;
-  if (start_stale) {
-    system_.assemble_residual(x, residual, scale, mode, time, dt, gmin,
-                              source_factor);
-    if (stats) ++stats->residual_assembles;
-  } else {
-    assemble_full(x, residual, scale);
-    fresh_at_x = true;
-  }
+  assemble_full(x, residual, scale);
   double res_norm =
       weighted_residual_norm(system_, residual, scale, options_.reltol);
   double last_update_norm = 0.0;
-  int verify_failures = 0;
 
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
     if (stats) {
@@ -487,52 +300,19 @@ linalg::Vector NewtonSolver::solve_plain_sparse(const linalg::Vector& x0,
       ++stats->total_iterations;
     }
 
-    if (options_.bypass && iter == options_.max_iterations / 2) {
-      // Half the iteration budget is gone: a coarse replay tolerance may
-      // be masking real residual movement.  Fall back to full
-      // evaluations for the rest of this solve and refresh at x.
-      system_.set_bypass_replay_suspended(true);
-      fresh_at_x = false;
-      contraction_ok = false;
-      if (stats) ++stats->forced_refreshes;
-    }
-
-    const bool use_stale = options_.jacobian_reuse && lu_ready_ &&
-                           lu_context_compatible(mode, dt, gmin,
-                                                 source_factor) &&
-                           contraction_ok;
-    if (!use_stale && !fresh_at_x) {
-      // Leaving stale mode: rebuild the true Jacobian at x first.
-      assemble_full(x, residual, scale);
-      res_norm =
-          weighted_residual_norm(system_, residual, scale, options_.reltol);
-      fresh_at_x = true;
-    }
-
     // Newton direction: J dx = -f.  The symbolic analysis (pivot order +
     // fill pattern) is reused across iterations; only the numeric sweep
     // runs, unless a pivot decayed past the threshold or the pattern
-    // changed — then a full factorization recovers.  A stale-LU
-    // iteration skips even the numeric sweep and solves against the
-    // factors kept from an earlier iterate or step.
+    // changed — then a full factorization recovers.
     linalg::Vector dx;
     try {
-      if (use_stale) {
-        if (stats) ++stats->stale_jacobian_solves;
+      const linalg::CsrView view = linalg::csr_view(sparse_jac_);
+      if (lu_ready_ && sparse_lu_.refactor(view)) {
+        if (stats) ++stats->factorization_reuses;
       } else {
-        const linalg::CsrView view = linalg::csr_view(sparse_jac_);
-        if (lu_ready_ && sparse_lu_.refactor(view)) {
-          if (stats) ++stats->factorization_reuses;
-        } else {
-          sparse_lu_.factor(view);
-          lu_ready_ = true;
-          if (stats) ++stats->factorizations;
-        }
-        lu_mode_ = mode;
-        lu_dt_ = dt;
-        lu_gmin_ = gmin;
-        lu_source_factor_ = source_factor;
-        lu_context_valid_ = true;
+        sparse_lu_.factor(view);
+        lu_ready_ = true;
+        if (stats) ++stats->factorizations;
       }
       dx = residual;
       for (std::size_t i = 0; i < n; ++i) dx[i] = -dx[i];
@@ -547,37 +327,16 @@ linalg::Vector NewtonSolver::solve_plain_sparse(const linalg::Vector& x0,
 
     const double clamp = step_clamp(system_, dx);
 
-    // When this trial can be the converging one -- the undamped update
-    // already satisfies the update test and the residual is within
-    // striking distance -- restrict replay to bitwise-exact caches for
-    // the whole trial: if it converges, it converged on the true
-    // residual and the separate verification below is unnecessary.  The
-    // update norm is computable before assembling (dx is known), so
-    // non-final trials keep full tolerance replay.
-    x_trial = x;
-    for (std::size_t i = 0; i < n; ++i) x_trial[i] += clamp * dx[i];
-    const bool exact_trial =
-        options_.bypass && res_norm <= kExactTrialNorm &&
-        weighted_update_norm(system_, x, x_trial, options_.reltol) <= 1.0;
+    // Damped accept, as on the dense path: the undamped trial assembles
+    // residual and Jacobian, halved trials the residual only.
     double alpha = clamp;
     double trial_norm = 0.0;
     bool jacobian_at_trial = false;
-    int halvings_used = 0;
-    std::int64_t trial_bypassed = 0;
     for (int halving = 0; halving <= options_.max_damping_halvings;
          ++halving) {
       x_trial = x;
       for (std::size_t i = 0; i < n; ++i) x_trial[i] += alpha * dx[i];
-      const std::int64_t bypassed_before = system_.bypass_counters().bypassed;
-      // Exact mode only applies to the undamped trial; a halved step is
-      // no longer the predicted convergence point, so fall back to
-      // tolerance replay (the verification below then covers it).  An
-      // exact trial always builds the full Jacobian, even against a
-      // stale LU: its fresh evaluations must capture complete cache
-      // entries, and the Jacobian at the solution is exactly what the
-      // next solve's cross-step reuse wants.
-      system_.set_bypass_exact_only(exact_trial && halving == 0);
-      if (halving == 0 && (!use_stale || exact_trial)) {
+      if (halving == 0) {
         assemble_full(x_trial, residual_trial, scale_trial);
         jacobian_at_trial = true;
       } else {
@@ -586,87 +345,30 @@ linalg::Vector NewtonSolver::solve_plain_sparse(const linalg::Vector& x0,
         jacobian_at_trial = false;
         if (stats) ++stats->residual_assembles;
       }
-      trial_bypassed = system_.bypass_counters().bypassed - bypassed_before;
       trial_norm = weighted_residual_norm(system_, residual_trial, scale_trial,
                                           options_.reltol);
       if (trial_norm <= std::max(1.0, res_norm) ||
           (halving == options_.max_damping_halvings)) {
-        halvings_used = halving;
         break;
       }
       alpha *= 0.5;
     }
-    system_.set_bypass_exact_only(false);
 
     const double update_norm =
         weighted_update_norm(system_, x, x_trial, options_.reltol);
     last_update_norm = update_norm;
 
-    const double prev_norm = res_norm;
     x = x_trial;
     residual = residual_trial;
     scale = scale_trial;
     res_norm = trial_norm;
-    fresh_at_x = jacobian_at_trial;
 
-    bool verification_failed = false;
-    if (res_norm <= 1.0 && update_norm <= 1.0) {
-      if (options_.bypass && !(exact_trial && halvings_used == 0) &&
-          trial_bypassed > 0) {
-        // The accepted trial replayed tolerance-admitted stamps: never
-        // converge on an approximated residual.  Re-check with replay
-        // restricted to caches captured at this exact iterate -- those
-        // entries ARE the true evaluation here, so replaying them is
-        // free and exact -- while every tolerance-admitted device gets a
-        // real model evaluation and its cache re-seeded at the solution.
-        system_.set_bypass_exact_only(true);
-        assemble_full(x, residual, scale);
-        system_.set_bypass_exact_only(false);
-        if (stats) ++stats->forced_refreshes;
-        res_norm =
-            weighted_residual_norm(system_, residual, scale, options_.reltol);
-        fresh_at_x = true;
-        jacobian_at_trial = true;
-        if (res_norm <= 1.0) {
-          last_converged_iters_ = iter + 1;
-          return x;
-        }
-        // Tolerance-admitted drift hid real residual movement.  The
-        // verification itself re-seeded every cache with a true
-        // evaluation at x, so replay stays trustworthy from here; just
-        // force a Jacobian refresh and keep iterating.  If it happens
-        // twice in one solve the iterate is hovering at the tolerance
-        // edge: stop replaying for the remainder of the solve rather
-        // than paying a verify assembly per bounce.
-        verification_failed = true;
-        if (++verify_failures >= 2)
-          system_.set_bypass_replay_suspended(true);
-      } else {
-        last_converged_iters_ = iter + 1;
-        return x;
-      }
-    }
-
-    if (options_.jacobian_reuse) {
-      const bool contracted =
-          halvings_used == 0 &&
-          (trial_norm <= options_.reuse_residual_ratio * prev_norm ||
-           trial_norm <= 1.0);
-      if (use_stale && !contracted && stats) ++stats->forced_refreshes;
-      contraction_ok = contracted && !verification_failed;
-    }
+    if (res_norm <= 1.0 && update_norm <= 1.0) return x;
 
     if (!jacobian_at_trial) {
-      const bool keep_stale = options_.jacobian_reuse && lu_ready_ &&
-                              lu_context_compatible(mode, dt, gmin,
-                                                    source_factor) &&
-                              contraction_ok;
-      if (!keep_stale) {
-        assemble_full(x, residual, scale);
-        res_norm =
-            weighted_residual_norm(system_, residual, scale, options_.reltol);
-        fresh_at_x = true;
-      }
+      assemble_full(x, residual, scale);
+      res_norm =
+          weighted_residual_norm(system_, residual, scale, options_.reltol);
     }
   }
   throw ConvergenceError(

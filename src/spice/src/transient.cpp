@@ -1,10 +1,8 @@
 #include "nemsim/spice/transient.h"
 
-#include <optional>
-
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <optional>
 
 #include "nemsim/spice/analyze.h"
 #include "nemsim/spice/op.h"
@@ -40,17 +38,6 @@ linalg::Vector extrapolate(const std::vector<double>& ts,
     out[i] = l0 * xs[m - 3][i] + l1 * xs[m - 2][i] + l2 * xs[m - 1][i];
   }
   return out;
-}
-
-/// Snaps a step-size ask to the quarter-octave ladder anchored at
-/// `dt_ref`: the largest rung not above the ask.  Rungs are derived from
-/// the anchor and an integer exponent each call -- never by compounding
-/// -- so a revisited rung reproduces the identical double, which is what
-/// lets device bypass caches (exact-dt match) survive step retuning.
-double quantize_dt(double dt_desired, double dt_ref) {
-  const int rung =
-      static_cast<int>(std::floor(std::log2(dt_desired / dt_ref) * 4.0));
-  return dt_ref * std::pow(2.0, 0.25 * rung);
 }
 
 }  // namespace
@@ -237,23 +224,9 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
       if (options.newton_stats) options.newton_stats->merge(step_newton);
     }
 
-    // LTE control normally needs the full three-point history for its
-    // quadratic predictor.  The bypass path additionally runs the check
-    // at two history points, against the linear predictor: its
-    // post-breakpoint ramp rides the quantized dt ladder, whose
-    // round-up can outpace the reference path's smooth 1.5x growth, and
-    // an uncontrolled oversized step right after a source edge commits
-    // error into device companion state permanently.  A first-order
-    // predictor is order-consistent with the backward-Euler restart, so
-    // its deviation measures real local error there.  (The one-point
-    // constant predictor is NOT usable: it measures total change, which
-    // the relative tolerance turns into a demand for absurdly small
-    // steps on signals near zero.  The single one-point step stays at
-    // dt_initial, tiny and blind, exactly like the accelerator-off
-    // path.)
-    const bool lte_active =
-        hist_t.size() == 3 || (options.newton.bypass && hist_t.size() == 2);
-    if (solved && lte_active) {
+    // LTE control needs the full three-point history for its quadratic
+    // predictor.
+    if (solved && hist_t.size() == 3) {
       // LTE control: distance between the converged point and the
       // predictor, relative to per-unknown tolerance.
       double ratio = 0.0;
@@ -286,54 +259,15 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
           }
         }
         dt = std::max(options.dt_min, dt_eff * 0.25);
-        // The retry must not replay device entries captured along the
-        // rejected trajectory (bypass correctness guard, DESIGN.md).
-        if (options.newton.bypass) {
-          dt = std::max(options.dt_min, quantize_dt(dt, options.dt_initial));
-          system.invalidate_bypass_caches();
-        }
         continue;  // reject; device state untouched since not accepted
       }
       // Smooth step adaptation (trapezoidal is 2nd order: exponent 1/3).
       const double grow =
           ratio > 0.0 ? 0.9 * std::pow(1.0 / ratio, 1.0 / 3.0) : 2.0;
-      const double dt_desired = dt_eff * std::clamp(grow, 0.25, 2.0);
-      if (options.newton.bypass) {
-        // Step control for the bypass path: dt enters companion
-        // conductances as 1/dt, so device caches require an exact dt
-        // match and a continuously retuned step defeats replay entirely.
-        // Hold dt while the controller's ask stays inside its jitter
-        // band.  In the quiet regime (previous solve converged in <= 2
-        // iterations) the band reaches down to 0.7x -- the controller
-        // limit-cycles with asks around ~0.7x (LTE ratio ~ 2, still far
-        // from the reject threshold), and a genuinely too-large step
-        // escalates to an LTE reject, which shrinks hard and flushes the
-        // caches regardless; quiet asks outside the band snap down to
-        // the quarter-octave ladder so a revisited step size is an exact
-        // dt match.  Active windows follow the ask verbatim: the devices
-        // that matter miss on their inputs there anyway, and pinning dt
-        // (hold bands, snap-down, or nearest-rung rounding were all
-        // measured) costs more Newton iterations than the extra replays
-        // repay on the SRAM column workload.
-        constexpr double kRung = 1.18920711500272107;  // 2^(1/4)
-        const bool quiet = newton.last_converged_iters() <= 2;
-        if (quiet && dt_desired >= 0.7 * dt_eff &&
-            dt_desired < kRung * dt_eff) {
-          dt = dt_eff;
-        } else if (quiet) {
-          dt = quantize_dt(dt_desired, options.dt_initial);
-        } else {
-          dt = dt_desired;
-        }
-      } else {
-        dt = dt_desired;
-      }
+      dt = dt_eff * std::clamp(grow, 0.25, 2.0);
     } else if (solved) {
-      // Not enough history for LTE yet: grow gently (on-ladder when
-      // the bypass cares about dt repeating bit-for-bit).
-      dt = options.newton.bypass
-               ? quantize_dt(dt_eff * 1.5, options.dt_initial)
-               : dt_eff * 1.5;
+      // Not enough history for LTE yet: grow gently.
+      dt = dt_eff * 1.5;
     } else {
       ++stats.newton_failures;
       if (report) ++report->newton_failures;
@@ -362,8 +296,6 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
         throw error;
       }
       dt = dt_retry;
-      // Same guard as the LTE reject: retry from clean caches.
-      if (options.newton.bypass) system.invalidate_bypass_caches();
       continue;
     }
     dt = std::min(dt, dt_max);
@@ -388,24 +320,11 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
       ++next_bp;
       system.notify_discontinuity();
       clear_history_to(t, x);
-      // Full re-ramp from dt_initial on BOTH paths.  An earlier bypass
-      // variant resumed at dt/8 of the equilibrated step right after the
-      // edge — the history reset disarms the quadratic LTE check for two
-      // steps, so after a quiescent stretch that was a blind
-      // multi-picosecond backward-Euler step into the edge whose error
-      // entered device companion state permanently (caught by
-      // nemsim::check, tran/bypass contract, as a ~30 mV trajectory
-      // displacement through a 24 V/ns edge; a later linear-predictor-
-      // checked variant still under-resolved post-edge curvature, since
-      // the BE overshoot and the tangent extrapolation err together).
-      // The ramp's cost on the bypass path is carried by the cache
-      // instead: device entries are NOT invalidated here — they
-      // self-validate per lookup (exact dt, inputs, committed-state
-      // signature; the companions' BE-restart flag is part of the
-      // signature, so post-edge steps cannot replay pre-edge
-      // trapezoidal stamps) — and the per-device way set keeps one
-      // entry per quantized dt rung, so from the second edge onward
-      // quiescent devices replay straight through the re-ramp.
+      // Full re-ramp from dt_initial.  The history reset disarms the
+      // quadratic LTE check for two steps, so resuming at a fraction of
+      // the pre-edge step instead (dt/8 was tried) takes a blind
+      // backward-Euler step into the edge whose error enters device
+      // companion state permanently (DESIGN.md §7e).
       dt = options.dt_initial;
     } else {
       push_history(t, x);

@@ -162,13 +162,13 @@ CheckOptions quiet_options() {
 }
 
 TEST(CheckCase, PinnedSeedsRunCleanAcrossTheFullMatrix) {
-  // Smoke corpus: the full 23-leg matrix (9 op + 9 transient + 5 dc
+  // Smoke corpus: the full 18-leg matrix (7 op + 6 transient + 5 dc
   // sweep contracts, counting the kernel-lane legs) passes on pinned
   // seeds.  A failure here means an engine path broke a redundancy
   // contract — see the mismatch detail.
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const CheckCaseResult r = check::run_check_case(seed, quiet_options());
-    EXPECT_EQ(r.contracts_run, 23u) << "seed " << seed;
+    EXPECT_EQ(r.contracts_run, 18u) << "seed " << seed;
     EXPECT_TRUE(r.ok()) << "seed " << seed << ": "
                         << (r.mismatches.empty()
                                 ? ""
@@ -199,33 +199,34 @@ TEST(CheckCase, OnlyContractRestrictsTheMatrixToOneLeg) {
                                                : r.mismatches.front().detail);
 }
 
-TEST(CheckCase, StaleJacobianSabotageIsCaught) {
+TEST(CheckCase, StuckGminSabotageIsCaught) {
   CheckOptions opts = quiet_options();
-  opts.sabotage = Sabotage::kStaleJacobian;
+  opts.sabotage = Sabotage::kStuckGmin;
   const CheckCaseResult r = check::run_check_case(1, opts);
   ASSERT_FALSE(r.ok());
-  bool reuse_flagged = false;
+  bool sparse_flagged = false;
   for (const check::Mismatch& m : r.mismatches) {
-    if (m.contract == Contract::kJacobianReuse ||
-        m.contract == Contract::kBypassAndReuse) {
-      reuse_flagged = true;
+    // The defect lives on the sparse leg of kSparseVsDense only.
+    EXPECT_EQ(m.contract, Contract::kSparseVsDense);
+    if (m.contract == Contract::kSparseVsDense) {
+      sparse_flagged = true;
       EXPECT_FALSE(m.deck.empty());
       EXPECT_NE(m.detail.find("ref="), std::string::npos);
     }
   }
-  EXPECT_TRUE(reuse_flagged);
+  EXPECT_TRUE(sparse_flagged);
 }
 
 // ------------------------------------------------------------- minimizer
 
 TEST(CheckMinimize, ShrinksASabotagedDeckAndKeepsTheMismatch) {
   CheckOptions opts = quiet_options();
-  opts.sabotage = Sabotage::kStaleJacobian;
+  opts.sabotage = Sabotage::kStuckGmin;
   const CheckCaseResult r = check::run_check_case(1, opts);
   ASSERT_FALSE(r.ok());
   const check::Mismatch* target = nullptr;
   for (const check::Mismatch& m : r.mismatches) {
-    if (m.contract == Contract::kJacobianReuse &&
+    if (m.contract == Contract::kSparseVsDense &&
         m.analysis == Analysis::kOp) {
       target = &m;
       break;
@@ -248,18 +249,14 @@ TEST(CheckMinimize, RefusesAPassingDeck) {
   spice::Circuit ckt = check::generate_circuit(1);
   const std::string deck = spice::netlist_string(ckt, "passing");
   EXPECT_THROW(check::minimize_deck(deck, Analysis::kOp,
-                                    Contract::kJacobianReuse, quiet_options()),
+                                    Contract::kSparseVsDense, quiet_options()),
                InvalidArgument);
 }
 
 // ----------------------------------------------------------- name parsing
 
 TEST(CheckNames, ToStringAndParseRoundTrip) {
-  for (Contract c :
-       {Contract::kDeterminism, Contract::kRoundTrip, Contract::kHierarchy,
-        Contract::kParallelSweep, Contract::kSparseVsDense, Contract::kBypass,
-        Contract::kJacobianReuse, Contract::kBypassAndReuse,
-        Contract::kAnalyze}) {
+  for (Contract c : check::kAllContracts) {
     EXPECT_EQ(check::parse_contract(check::to_string(c)), c);
   }
   for (Analysis a :

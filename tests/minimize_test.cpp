@@ -25,7 +25,7 @@ using check::Sabotage;
 
 CheckOptions sabotaged_options() {
   CheckOptions opts;
-  opts.sabotage = Sabotage::kStaleJacobian;
+  opts.sabotage = Sabotage::kStuckGmin;
   return opts;
 }
 
@@ -36,12 +36,12 @@ const check::Mismatch& sabotaged_mismatch() {
     const check::CheckCaseResult r =
         check::run_check_case(1, sabotaged_options());
     for (const check::Mismatch& cand : r.mismatches) {
-      if (cand.contract == Contract::kJacobianReuse &&
+      if (cand.contract == Contract::kSparseVsDense &&
           cand.analysis == Analysis::kOp) {
         return cand;
       }
     }
-    ADD_FAILURE() << "stale-jacobian sabotage produced no op/jacobian-reuse "
+    ADD_FAILURE() << "stuck-gmin sabotage produced no op/sparse-vs-dense "
                      "mismatch to minimize";
     return check::Mismatch{};
   }();
@@ -92,7 +92,7 @@ TEST(Minimize, RefusesADeckThatDoesNotMismatch) {
   spice::Circuit ckt = check::generate_circuit(2);
   const std::string deck = spice::netlist_string(ckt, "healthy");
   EXPECT_THROW(check::minimize_deck(deck, Analysis::kOp,
-                                    Contract::kJacobianReuse, CheckOptions{}),
+                                    Contract::kSparseVsDense, CheckOptions{}),
                InvalidArgument);
 }
 

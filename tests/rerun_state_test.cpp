@@ -1,8 +1,8 @@
 // Re-run statefulness regression: running the same analysis twice on one
 // MnaSystem must match a fresh build bitwise, for every engine
 // configuration.  Device state committed by a run (capacitor companion
-// history, NEMS beam position/velocity, bypass caches) must never leak
-// into the next run.
+// history, NEMS beam position/velocity, kernel-lane state) must never
+// leak into the next run.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -103,12 +103,19 @@ TEST(RerunState, TransientPlain) {
   check_transient_rerun(o);
 }
 
-TEST(RerunState, TransientWithAccelerators) {
-  spice::TransientOptions o;
-  o.tstop = 2e-9;
-  o.newton.bypass = true;
-  o.newton.jacobian_reuse = true;
-  check_transient_rerun(o);
+TEST(RerunState, TransientWithKernels) {
+  // The kernel plan (lanes, scatter maps, per-bucket counters, CSR slot
+  // epoch) lives on the MnaSystem and survives the first run; it must
+  // not leak into the second, on either Jacobian sink.
+  for (spice::JacobianSolver solver :
+       {spice::JacobianSolver::kDense, spice::JacobianSolver::kSparse}) {
+    SCOPED_TRACE(solver == spice::JacobianSolver::kDense ? "dense" : "sparse");
+    spice::TransientOptions o;
+    o.tstop = 2e-9;
+    o.newton.kernels = true;
+    o.newton.solver = solver;
+    check_transient_rerun(o);
+  }
 }
 
 TEST(RerunState, TransientForcedSparse) {

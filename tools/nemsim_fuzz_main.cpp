@@ -2,22 +2,23 @@
 //
 // Generate mode (default): for each seed in [--seed, --seed + --count),
 // builds a random circuit and runs the full configuration matrix
-// (nemsim/check/checker.h) — dense vs sparse LU, bypass / Jacobian
-// reuse on vs off, flat vs hierarchical, serial vs parallel sweep,
-// export -> parse round trip — comparing every pair under its bitwise
-// or reltol contract.  Mismatches are printed with the worst MNA row
-// named, and the offending deck plus a repro command are written to
-// --out; with --minimize the deck is first shrunk (greedy device
-// deletion + node merging) while the mismatch still reproduces.
+// (nemsim/check/checker.h) — dense vs sparse LU, kernel lanes on vs
+// off, compiled vs legacy drivers, flat vs hierarchical, serial vs
+// parallel sweep, export -> parse round trip, analyzer soundness —
+// comparing every pair under its bitwise, reltol or soundness contract.
+// Mismatches are printed with the worst MNA row named, and the offending
+// deck plus a repro command are written to --out; with --minimize the
+// deck is first shrunk (greedy device deletion + node merging) while the
+// mismatch still reproduces.
 //
 // Repro mode: --deck FILE --analysis A --contract C replays one leg on
 // an explicit deck (the file the generate mode wrote).
 //
 // Exit codes: 0 all contracts held, 1 mismatches found, 2 usage/IO.
 //
-// --break stale-jacobian injects a deliberate defect (a broken
-// modified-Newton refresh gate) to prove the harness catches and
-// minimizes what it claims to; it must make the run fail.
+// --break stuck-gmin injects a deliberate defect (a 1e-3 S homotopy
+// shunt left on the sparse leg of sparse-vs-dense) to prove the harness
+// catches and minimizes what it claims to; it must make the run fail.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -44,10 +45,14 @@ int usage(const char* argv0) {
       << "    --minimize        shrink each mismatching deck\n"
       << "    --out DIR         mismatch artifact directory (default "
          "fuzz_out)\n"
-      << "    --break stale-jacobian   inject a defect; run must fail\n"
+      << "    --break stuck-gmin   inject a defect; run must fail\n"
       << "  repro mode:\n"
       << "    --deck FILE --analysis op|tran|dcsweep --contract NAME\n"
-      << "  exit codes: 0 clean, 1 mismatch, 2 usage/IO\n";
+      << "  contracts:";
+  for (nemsim::check::Contract c : nemsim::check::kAllContracts) {
+    std::cerr << " " << nemsim::check::to_string(c);
+  }
+  std::cerr << "\n  exit codes: 0 clean, 1 mismatch, 2 usage/IO\n";
   return 2;
 }
 
@@ -126,12 +131,12 @@ int main(int argc, char** argv) {
     }
   }
   if (!break_name.empty()) {
-    if (break_name != "stale-jacobian") {
+    if (break_name != "stuck-gmin") {
       std::cerr << "nemsim-fuzz: unknown --break '" << break_name
-                << "' (have: stale-jacobian)\n";
+                << "' (have: stuck-gmin)\n";
       return 2;
     }
-    opts.sabotage = check::Sabotage::kStaleJacobian;
+    opts.sabotage = check::Sabotage::kStuckGmin;
   }
   set_log_level(LogLevel::kError);  // Newton retry chatter drowns findings
 
