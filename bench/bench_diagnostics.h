@@ -34,30 +34,6 @@ inline DiagnosticsFlag parse_diagnostics_flag(int argc, char** argv) {
   return flag;
 }
 
-/// Variant of the flag that writes next to the baseline JSON with a
-/// suffix before the extension ("..._diagnostics.json" ->
-/// "..._diagnostics<suffix>.json").
-inline DiagnosticsFlag suffix_variant(const DiagnosticsFlag& flag,
-                                      const std::string& suffix) {
-  DiagnosticsFlag out = flag;
-  if (!out.path.empty()) {
-    const std::size_t dot = out.path.rfind('.');
-    if (dot == std::string::npos) {
-      out.path += suffix;
-    } else {
-      out.path.insert(dot, suffix);
-    }
-  }
-  return out;
-}
-
-/// "_kernels": the representative instance re-run with the type-bucketed
-/// kernel lanes (NewtonOptions::kernels) enabled — the before/after pair
-/// behind the EXPERIMENTS.md stamp-throughput table.
-inline DiagnosticsFlag kernels_variant(const DiagnosticsFlag& flag) {
-  return suffix_variant(flag, "_kernels");
-}
-
 inline void emit_report(const DiagnosticsFlag& flag,
                         const spice::RunReport& report) {
   if (!flag.enabled) return;

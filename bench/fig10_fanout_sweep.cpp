@@ -85,14 +85,6 @@ int main(int argc, char** argv) {
     spice::RunReport report;
     measure_dynamic_or(gate, &report);
     bench::emit_report(diag, report);
-
-    // Same instance with the type-bucketed kernel lanes on: the
-    // before/after pair of the EXPERIMENTS stamp-throughput table.
-    c.newton.kernels = true;
-    DynamicOrGate kernel_gate = build_dynamic_or(c);
-    spice::RunReport kernel_report;
-    measure_dynamic_or(kernel_gate, &kernel_report);
-    bench::emit_report(bench::kernels_variant(diag), kernel_report);
   }
   return 0;
 }

@@ -93,13 +93,6 @@ int main(int argc, char** argv) {
     spice::RunReport report;
     measure_read_latency(c, 0.1, &report);
     bench::emit_report(diag, report);
-
-    // Kernel-lane re-run (NewtonOptions::kernels) for the EXPERIMENTS
-    // stamp-throughput table.
-    c.newton.kernels = true;
-    spice::RunReport kernel_report;
-    measure_read_latency(c, 0.1, &kernel_report);
-    bench::emit_report(bench::kernels_variant(diag), kernel_report);
   }
   return 0;
 }

@@ -168,16 +168,12 @@ void BM_MnaAssemblyDense(benchmark::State& state) {
 BENCHMARK(BM_MnaAssemblyDense);
 
 void BM_MnaAssemblySparse(benchmark::State& state) {
-  // Pattern-frozen CSR assembly of the same system; arg 1 re-runs it
-  // through the type-bucketed kernel lanes (NewtonOptions::kernels) so
-  // the virtual-dispatch vs scatter-map stamp throughput is tracked
-  // side by side.
+  // Pattern-frozen CSR assembly of the same system through the kernel
+  // lanes' frozen scatter maps.
   core::DynamicOrConfig c;
   c.fanin = 16;
   core::DynamicOrGate gate = core::build_dynamic_or(c);
   spice::MnaSystem system(gate.ckt());
-  const bool kernels = state.range(0) != 0;
-  system.configure_kernels(kernels);
   const linalg::Vector x = system.initial_guess();
   linalg::CsrMatrix j = system.make_sparse_jacobian();
   linalg::Vector f, scale;
@@ -189,11 +185,10 @@ void BM_MnaAssemblySparse(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(j);
   }
-  state.SetLabel(std::string(kernels ? "kernels" : "virtual") +
-                 " n=" + std::to_string(system.num_unknowns()) +
+  state.SetLabel("n=" + std::to_string(system.num_unknowns()) +
                  " nnz=" + std::to_string(j.nonzeros()));
 }
-BENCHMARK(BM_MnaAssemblySparse)->Arg(0)->Arg(1);
+BENCHMARK(BM_MnaAssemblySparse);
 
 void BM_DynamicOrOperatingPoint(benchmark::State& state) {
   core::DynamicOrConfig c;
@@ -277,35 +272,6 @@ BENCHMARK(BM_TransientSolverPath)
     ->Args({0, 16})
     ->Args({1, 16});
 
-void BM_TransientKernels(benchmark::State& state) {
-  // Type-bucketed kernel lanes off vs on, end to end, on the fan-in 16
-  // hybrid dynamic OR transient (the largest per-figure system).  The
-  // label carries the per-bucket lane eval totals of the last run.
-  core::DynamicOrConfig c;
-  c.fanin = 16;
-  c.fanout = 3;
-  c.hybrid = true;
-  const bool kernels = state.range(0) != 0;
-  core::DynamicOrGate gate = core::build_dynamic_or(c);
-  spice::NewtonStats ns;
-  for (auto _ : state) {
-    spice::MnaSystem system(gate.ckt());
-    spice::TransientOptions options;
-    options.tstop = 1.5e-9;
-    options.newton.kernels = kernels;
-    ns = spice::NewtonStats{};
-    options.newton_stats = &ns;
-    benchmark::DoNotOptimize(spice::transient(system, options));
-  }
-  std::ostringstream label;
-  label << (kernels ? "kernels" : "virtual");
-  for (const auto& [bucket, evals] : ns.kernel_lane_evals) {
-    label << " " << bucket << "=" << evals;
-  }
-  state.SetLabel(label.str());
-}
-BENCHMARK(BM_TransientKernels)->Arg(0)->Arg(1);
-
 void BM_FaninSweepParallel(benchmark::State& state) {
   // The Figure 11 style sweep (fan-in 4/8/12/16, CMOS + hybrid = 8
   // independent transients) on a varying worker count; near-linear
@@ -383,13 +349,6 @@ int main(int argc, char** argv) {
   benchmark::AddCustomContext("nemsim_git_sha", NEMSIM_GIT_SHA);
   benchmark::AddCustomContext("nemsim_benchmark_library",
                               NEMSIM_BENCHMARK_PROVIDER);
-  // Accelerator default of this build: every benchmark that does not
-  // say otherwise in its label ran with exactly this NewtonOptions knob.
-  // BM_TransientKernels toggles it per-arg.
-  const nemsim::spice::NewtonOptions defaults;
-  benchmark::AddCustomContext(
-      "nemsim_newton_accel_defaults",
-      std::string("kernels=") + (defaults.kernels ? "on" : "off"));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -19,10 +19,6 @@
 //  - reltol: two legs must agree to a tolerance because they perform
 //    different arithmetic on the way to the same converged solution.
 //      kSparseVsDense  JacobianSolver::kDense vs kSparse
-//      kKernels        NewtonOptions::kernels on vs off, exercised
-//                      against both the dense and the sparse Jacobian
-//                      sink (lanes accumulate in bucket order, so the
-//                      contract is reltol, not bitwise)
 //  - soundness: a static prediction must contain the dynamic result.
 //      kAnalyze        nemsim::analyze's DC node intervals must contain
 //                      the solved operating point (within a small slack
@@ -32,7 +28,7 @@
 //
 // Every leg builds its OWN circuit from the seed — device state
 // (capacitor history, NEMS beam position) must never leak between legs.
-// The baseline leg (dense LU, kernels off, flat, serial) is solved
+// The baseline leg (dense LU, flat, serial) is solved
 // once per analysis and shared as the reference for all contracts.
 #pragma once
 
@@ -56,14 +52,13 @@ enum class Contract {
   kSparseVsDense,
   kAnalyze,
   kCompiled,
-  kKernels,
 };
 
 /// Every contract, in the order the matrix runs them.
 inline constexpr Contract kAllContracts[] = {
     Contract::kDeterminism,   Contract::kRoundTrip, Contract::kHierarchy,
     Contract::kParallelSweep, Contract::kSparseVsDense, Contract::kAnalyze,
-    Contract::kCompiled,      Contract::kKernels,
+    Contract::kCompiled,
 };
 
 const char* to_string(Analysis a);

@@ -3,14 +3,14 @@
 // Two comparison regimes back the two contract classes:
 //  - bitwise (Tolerance{0, 0}): every value must be identical to the
 //    last bit (== on doubles; NaN never matches).  Used for contracts
-//    where the engine promises the exact same arithmetic: kernel lanes
-//    off, parallel determinism, hierarchy flattening, netlist round
+//    where the engine promises the exact same arithmetic: rerun
+//    determinism, parallel sweeps, hierarchy flattening, netlist round
 //    trips on exactly-representable decks.
 //  - reltol: |got - ref| <= reltol * scale + abstol, where scale is the
 //    per-signal maximum |ref| (so microvolt wiggles on a 1 V signal are
 //    judged against the signal, not against zero).  Used for contracts
 //    that promise the same converged solution through different
-//    arithmetic: dense vs sparse LU, kernel lanes vs virtual stamps.
+//    arithmetic: dense vs sparse LU.
 //
 // All comparisons name their worst row via the caller-provided display
 // names (the MNA unknown table), so a mismatch report reads

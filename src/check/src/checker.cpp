@@ -39,7 +39,6 @@ const char* to_string(Contract c) {
     case Contract::kSparseVsDense: return "sparse-vs-dense";
     case Contract::kAnalyze: return "analyze";
     case Contract::kCompiled: return "compiled";
-    case Contract::kKernels: return "kernels";
   }
   return "?";
 }
@@ -79,17 +78,15 @@ using spice::Waveform;
 /// One engine configuration of the redundant-path matrix.
 struct LegConfig {
   spice::JacobianSolver solver = spice::JacobianSolver::kDense;
-  bool kernels = false;
 };
 
 spice::NewtonOptions newton_for(const LegConfig& leg,
                                 const CheckOptions& opts) {
   spice::NewtonOptions n;
   n.solver = leg.solver;
-  n.kernels = leg.kernels;
-  // The sparse leg without kernel lanes is kSparseVsDense's variant leg.
+  // The sparse leg is kSparseVsDense's variant leg.
   if (opts.sabotage == Sabotage::kStuckGmin &&
-      leg.solver == spice::JacobianSolver::kSparse && !leg.kernels) {
+      leg.solver == spice::JacobianSolver::kSparse) {
     // A homotopy ladder that never removes its shunts: every node keeps
     // a 1e-3 S path to ground, far past the contract tolerance.
     n.gmin_final = 1e-3;
@@ -436,17 +433,6 @@ class Runner {
         return run_op_analyze();
       case Contract::kCompiled:
         return run_op_compiled();
-      case Contract::kKernels: {
-        // Lane assembly against both Jacobian sinks: dense offsets and
-        // frozen CSR scatter slots are separate code paths.
-        auto dense =
-            op_variant({spice::JacobianSolver::kDense, true}, op_tol());
-        if (!dense || !dense->ok) return dense;
-        auto sparse =
-            op_variant({spice::JacobianSolver::kSparse, true}, op_tol());
-        if (sparse) sparse->compared += dense->compared;
-        return sparse;
-      }
       case Contract::kParallelSweep:
         return std::nullopt;
     }
@@ -523,15 +509,6 @@ class Runner {
         return tran_variant({spice::JacobianSolver::kSparse}, tran_tol());
       case Contract::kCompiled:
         return run_tran_compiled();
-      case Contract::kKernels: {
-        auto dense =
-            tran_variant({spice::JacobianSolver::kDense, true}, tran_tol());
-        if (!dense || !dense->ok) return dense;
-        auto sparse =
-            tran_variant({spice::JacobianSolver::kSparse, true}, tran_tol());
-        if (sparse) sparse->compared += dense->compared;
-        return sparse;
-      }
       case Contract::kParallelSweep:
       case Contract::kAnalyze:  // DC-interval contract: OP only
         return std::nullopt;
@@ -560,13 +537,6 @@ class Runner {
       }
       case Contract::kCompiled:
         return run_sweep_compiled();
-      case Contract::kKernels: {
-        spice::Circuit ckt = make_flat_();
-        return compare_waveforms(
-            base_sweep(),
-            solve_sweep(ckt, {spice::JacobianSolver::kSparse, true}),
-            op_tol());
-      }
       default:
         return std::nullopt;
     }

@@ -7,7 +7,6 @@
 #pragma once
 
 #include "nemsim/spice/engine.h"
-#include "nemsim/spice/kernels.h"
 
 namespace nemsim::devices {
 
@@ -25,38 +24,12 @@ class CapCompanion {
   double capacitance() const { return c_; }
   void set_capacitance(double c) { c_ = c; }
 
-  /// Current through the branch at iterate voltage `v` for the context's
-  /// step, and the conductance to stamp.
-  double current(const spice::StampContext& ctx, double v) const {
-    if (ctx.mode() == spice::AnalysisMode::kDcOperatingPoint) return 0.0;
-    return geq(ctx) * (v - v0_) - (use_be_ ? 0.0 : i0_);
-  }
-
-  double geq(const spice::StampContext& ctx) const {
-    if (ctx.mode() == spice::AnalysisMode::kDcOperatingPoint) return 0.0;
-    const double dt = ctx.dt();
-    return use_be_ ? c_ / dt : 2.0 * c_ / dt;
-  }
-
-  /// Stamps KCL rows/Jacobian for the branch between nodes p and n.
-  void stamp(spice::StampContext& ctx, spice::NodeId p, spice::NodeId n) const {
-    if (ctx.mode() == spice::AnalysisMode::kDcOperatingPoint) return;
-    const double v = ctx.v(p) - ctx.v(n);
-    const double i = current(ctx, v);
-    const double g = geq(ctx);
-    ctx.add_f(p, i);
-    ctx.add_f(n, -i);
-    ctx.add_J(p, p, g);
-    ctx.add_J(p, n, -g);
-    ctx.add_J(n, p, -g);
-    ctx.add_J(n, n, g);
-  }
-
-  /// Kernel-path twin of stamp(): same arithmetic, role-indexed sink
-  /// (role -1 = grounded terminal).  Declare the 2x2 (p, n) Jacobian
-  /// block in the owner's descriptor for every non-ground role pair.
-  void kernel_stamp(const spice::KernelSink& k, int p_role,
-                    int n_role) const {
+  /// Stamps KCL rows/Jacobian for the branch between roles p and n of
+  /// the owner's role sink (role -1 = grounded terminal).  Declare the
+  /// 2x2 (p, n) Jacobian block in the owner's descriptor for every
+  /// non-ground role pair.
+  template <class Sink>
+  void eval(const Sink& k, int p_role, int n_role) const {
     if (k.dc()) return;
     const double dt = k.dt();
     const double g = use_be_ ? c_ / dt : 2.0 * c_ / dt;

@@ -1,6 +1,8 @@
 // Linear controlled sources: VCVS (E) and VCCS (G).
 #pragma once
 
+#include <array>
+
 #include "nemsim/spice/device.h"
 #include "nemsim/spice/engine.h"
 #include "nemsim/spice/kernels.h"
@@ -20,9 +22,15 @@ class Vcvs : public spice::Device {
   void stamp(spice::StampContext& ctx) const override;
   void kernel_descriptor(const spice::KernelLayout& layout,
                          spice::KernelDescriptor& out) const override;
-  /// Kernel twin of stamp(); roles: 0 = p, 1 = n, 2 = cp, 3 = cn,
-  /// 4 = branch current.
-  void kernel_eval(const spice::KernelSink& k) const;
+  /// Roles: 0 = p, 1 = n, 2 = cp, 3 = cn, 4 = branch current.
+  std::array<spice::UnknownId, 5> role_unknowns(
+      const spice::KernelLayout& layout) const {
+    return {layout.of(p_), layout.of(n_), layout.of(cp_), layout.of(cn_),
+            layout.of(branch_)};
+  }
+  /// Residual and Jacobian, written once for both role sinks.
+  template <class Sink>
+  void eval(const Sink& k) const;
   bool is_linear() const override { return true; }
   void stamp_ac(spice::AcStampContext& ctx) const override;
   bool has_ac_model() const override { return true; }
@@ -50,8 +58,14 @@ class Vccs : public spice::Device {
   void stamp(spice::StampContext& ctx) const override;
   void kernel_descriptor(const spice::KernelLayout& layout,
                          spice::KernelDescriptor& out) const override;
-  /// Kernel twin of stamp(); roles: 0 = p, 1 = n, 2 = cp, 3 = cn.
-  void kernel_eval(const spice::KernelSink& k) const;
+  /// Roles: 0 = p, 1 = n, 2 = cp, 3 = cn.
+  std::array<spice::UnknownId, 4> role_unknowns(
+      const spice::KernelLayout& layout) const {
+    return {layout.of(p_), layout.of(n_), layout.of(cp_), layout.of(cn_)};
+  }
+  /// Residual and Jacobian, written once for both role sinks.
+  template <class Sink>
+  void eval(const Sink& k) const;
   bool is_linear() const override { return true; }
   void stamp_ac(spice::AcStampContext& ctx) const override;
   bool has_ac_model() const override { return true; }

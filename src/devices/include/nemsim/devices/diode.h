@@ -1,6 +1,8 @@
 // Junction diode with exponential I-V and overflow-safe linearization.
 #pragma once
 
+#include <array>
+
 #include "nemsim/spice/device.h"
 #include "nemsim/spice/engine.h"
 #include "nemsim/spice/kernels.h"
@@ -31,8 +33,14 @@ class Diode : public spice::Device {
   void stamp(spice::StampContext& ctx) const override;
   void kernel_descriptor(const spice::KernelLayout& layout,
                          spice::KernelDescriptor& out) const override;
-  /// Kernel twin of stamp(); roles: 0 = anode, 1 = cathode.
-  void kernel_eval(const spice::KernelSink& k) const;
+  /// Roles: 0 = anode, 1 = cathode.
+  std::array<spice::UnknownId, 2> role_unknowns(
+      const spice::KernelLayout& layout) const {
+    return {layout.of(anode_), layout.of(cathode_)};
+  }
+  /// Residual and Jacobian, written once for both role sinks.
+  template <class Sink>
+  void eval(const Sink& k) const;
   void stamp_ac(spice::AcStampContext& ctx) const override;
   bool has_ac_model() const override { return true; }
   spice::DeviceTopology topology() const override;

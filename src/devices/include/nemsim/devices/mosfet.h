@@ -6,9 +6,13 @@
 // the delay/power *trends* the paper studies, and far kinder to Newton.
 #pragma once
 
+#include <array>
+
 #include "nemsim/devices/companion.h"
+#include "nemsim/devices/ekv.h"
 #include "nemsim/spice/device.h"
 #include "nemsim/spice/engine.h"
+#include "nemsim/spice/kernels.h"
 #include "nemsim/spice/parambank.h"
 
 namespace nemsim::devices {
@@ -62,8 +66,14 @@ class Mosfet : public spice::Device {
   void stamp(spice::StampContext& ctx) const override;
   void kernel_descriptor(const spice::KernelLayout& layout,
                          spice::KernelDescriptor& out) const override;
-  /// Kernel twin of stamp(); roles: 0 = drain, 1 = gate, 2 = source.
-  void kernel_eval(const spice::KernelSink& k) const;
+  /// Roles: 0 = drain, 1 = gate, 2 = source.
+  std::array<spice::UnknownId, 3> role_unknowns(
+      const spice::KernelLayout& layout) const {
+    return {layout.of(d_), layout.of(g_), layout.of(s_)};
+  }
+  /// Residual and Jacobian, written once for both role sinks.
+  template <class Sink>
+  void eval(const Sink& k) const;
   void accept_step(const spice::AcceptContext& ctx) override;
   void reset_state() override;
   void stamp_ac(spice::AcStampContext& ctx) const override;
@@ -82,6 +92,8 @@ class Mosfet : public spice::Device {
 
  private:
   void refresh_capacitances();
+  /// EKV channel parameters at the current width and threshold shift.
+  ekv::ChannelParams channel_params() const;
 
   spice::NodeId d_, g_, s_;
   MosPolarity polarity_;

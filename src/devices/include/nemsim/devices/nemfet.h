@@ -13,12 +13,14 @@
 // effective subthreshold swing and the pull-in/pull-out hysteresis.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <vector>
 
 #include "nemsim/devices/companion.h"
 #include "nemsim/spice/device.h"
 #include "nemsim/spice/engine.h"
+#include "nemsim/spice/kernels.h"
 #include "nemsim/spice/parambank.h"
 
 namespace nemsim::devices {
@@ -192,9 +194,16 @@ class Nemfet : public spice::Device {
   void stamp(spice::StampContext& ctx) const override;
   void kernel_descriptor(const spice::KernelLayout& layout,
                          spice::KernelDescriptor& out) const override;
-  /// Kernel twin of stamp(); roles: 0 = drain, 1 = gate, 2 = source,
-  /// 3 = beam displacement, 4 = beam velocity.
-  void kernel_eval(const spice::KernelSink& k) const;
+  /// Roles: 0 = drain, 1 = gate, 2 = source, 3 = beam displacement,
+  /// 4 = beam velocity.
+  std::array<spice::UnknownId, 5> role_unknowns(
+      const spice::KernelLayout& layout) const {
+    return {layout.of(d_), layout.of(g_), layout.of(s_), layout.of(ux_),
+            layout.of(uv_)};
+  }
+  /// Residual and Jacobian, written once for both role sinks.
+  template <class Sink>
+  void eval(const Sink& k) const;
   void begin_step(double time, double dt) override;
   void accept_step(const spice::AcceptContext& ctx) override;
   void reset_state() override;

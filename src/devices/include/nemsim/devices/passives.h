@@ -1,6 +1,8 @@
 // Linear passive devices: resistor, capacitor, inductor.
 #pragma once
 
+#include <array>
+
 #include "nemsim/devices/companion.h"
 #include "nemsim/spice/device.h"
 #include "nemsim/spice/engine.h"
@@ -24,8 +26,14 @@ class Resistor : public spice::Device {
   void stamp(spice::StampContext& ctx) const override;
   void kernel_descriptor(const spice::KernelLayout& layout,
                          spice::KernelDescriptor& out) const override;
-  /// Kernel twin of stamp(); roles: 0 = p, 1 = n.
-  void kernel_eval(const spice::KernelSink& k) const;
+  /// Roles: 0 = p, 1 = n.
+  std::array<spice::UnknownId, 2> role_unknowns(
+      const spice::KernelLayout& layout) const {
+    return {layout.of(p_), layout.of(n_)};
+  }
+  /// Residual and Jacobian, written once for both role sinks.
+  template <class Sink>
+  void eval(const Sink& k) const;
   void stamp_ac(spice::AcStampContext& ctx) const override;
   bool has_ac_model() const override { return true; }
   bool is_linear() const override { return true; }
@@ -65,9 +73,15 @@ class Capacitor : public spice::Device {
   void stamp(spice::StampContext& ctx) const override;
   void kernel_descriptor(const spice::KernelLayout& layout,
                          spice::KernelDescriptor& out) const override;
-  /// Kernel twin of stamp(); roles: 0 = p, 1 = n.
-  void kernel_eval(const spice::KernelSink& k) const {
-    companion_.kernel_stamp(k, 0, 1);
+  /// Roles: 0 = p, 1 = n.
+  std::array<spice::UnknownId, 2> role_unknowns(
+      const spice::KernelLayout& layout) const {
+    return {layout.of(p_), layout.of(n_)};
+  }
+  /// Residual and Jacobian, written once for both role sinks.
+  template <class Sink>
+  void eval(const Sink& k) const {
+    companion_.eval(k, 0, 1);
   }
   bool is_linear() const override { return true; }
   void accept_step(const spice::AcceptContext& ctx) override;
@@ -109,8 +123,14 @@ class Inductor : public spice::Device {
   void stamp(spice::StampContext& ctx) const override;
   void kernel_descriptor(const spice::KernelLayout& layout,
                          spice::KernelDescriptor& out) const override;
-  /// Kernel twin of stamp(); roles: 0 = p, 1 = n, 2 = branch current.
-  void kernel_eval(const spice::KernelSink& k) const;
+  /// Roles: 0 = p, 1 = n, 2 = branch current.
+  std::array<spice::UnknownId, 3> role_unknowns(
+      const spice::KernelLayout& layout) const {
+    return {layout.of(p_), layout.of(n_), layout.of(branch_)};
+  }
+  /// Residual and Jacobian, written once for both role sinks.
+  template <class Sink>
+  void eval(const Sink& k) const;
   bool is_linear() const override { return true; }
   void accept_step(const spice::AcceptContext& ctx) override;
   void reset_state() override;

@@ -1,6 +1,7 @@
 // Independent sources and their waveform descriptions.
 #pragma once
 
+#include <array>
 #include <utility>
 #include <vector>
 
@@ -108,8 +109,14 @@ class VoltageSource : public spice::Device {
   void stamp(spice::StampContext& ctx) const override;
   void kernel_descriptor(const spice::KernelLayout& layout,
                          spice::KernelDescriptor& out) const override;
-  /// Kernel twin of stamp(); roles: 0 = p, 1 = n, 2 = branch current.
-  void kernel_eval(const spice::KernelSink& k) const;
+  /// Roles: 0 = p, 1 = n, 2 = branch current.
+  std::array<spice::UnknownId, 3> role_unknowns(
+      const spice::KernelLayout& layout) const {
+    return {layout.of(p_), layout.of(n_), layout.of(branch_)};
+  }
+  /// Residual and Jacobian, written once for both role sinks.
+  template <class Sink>
+  void eval(const Sink& k) const;
   bool is_linear() const override { return true; }
   void stamp_ac(spice::AcStampContext& ctx) const override;
   bool has_ac_model() const override { return true; }
@@ -162,8 +169,14 @@ class CurrentSource : public spice::Device {
   void stamp(spice::StampContext& ctx) const override;
   void kernel_descriptor(const spice::KernelLayout& layout,
                          spice::KernelDescriptor& out) const override;
-  /// Kernel twin of stamp(); roles: 0 = p, 1 = n.
-  void kernel_eval(const spice::KernelSink& k) const;
+  /// Roles: 0 = p, 1 = n.
+  std::array<spice::UnknownId, 2> role_unknowns(
+      const spice::KernelLayout& layout) const {
+    return {layout.of(p_), layout.of(n_)};
+  }
+  /// Residual and Jacobian, written once for both role sinks.
+  template <class Sink>
+  void eval(const Sink& k) const;
   bool is_linear() const override { return true; }
   void stamp_ac(spice::AcStampContext& ctx) const override;
   bool has_ac_model() const override { return true; }

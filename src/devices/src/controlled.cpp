@@ -15,38 +15,8 @@ void Vcvs::setup(spice::SetupContext& ctx) {
   branch_ = ctx.add_branch_current(name());
 }
 
-void Vcvs::stamp(spice::StampContext& ctx) const {
-  const double i = ctx.x(branch_);
-  ctx.add_f(p_, i);
-  ctx.add_f(n_, -i);
-  ctx.add_J(p_, branch_, 1.0);
-  ctx.add_J(n_, branch_, -1.0);
-
-  ctx.add_f(branch_,
-            ctx.v(p_) - ctx.v(n_) - gain_ * (ctx.v(cp_) - ctx.v(cn_)));
-  ctx.add_J(branch_, p_, 1.0);
-  ctx.add_J(branch_, n_, -1.0);
-  ctx.add_J(branch_, cp_, -gain_);
-  ctx.add_J(branch_, cn_, gain_);
-}
-
-void Vcvs::kernel_descriptor(const spice::KernelLayout& layout,
-                             spice::KernelDescriptor& out) const {
-  out.supported = true;
-  out.bucket = "vcvs";
-  out.batch = &spice::kernel_batch_eval<Vcvs>;
-  out.roles = 5;
-  out.role_unknowns = {layout.of(p_), layout.of(n_), layout.of(cp_),
-                       layout.of(cn_), spice::KernelLayout::of(branch_)};
-  out.add_j(0, 4);
-  out.add_j(1, 4);
-  out.add_j(4, 0);
-  out.add_j(4, 1);
-  out.add_j(4, 2);
-  out.add_j(4, 3);
-}
-
-void Vcvs::kernel_eval(const spice::KernelSink& k) const {
+template <class Sink>
+void Vcvs::eval(const Sink& k) const {
   const double i = k.xr(4);
   k.f(0, i);
   k.f(1, -i);
@@ -58,6 +28,21 @@ void Vcvs::kernel_eval(const spice::KernelSink& k) const {
   k.J(4, 1, -1.0);
   k.J(4, 2, -gain_);
   k.J(4, 3, gain_);
+}
+
+void Vcvs::stamp(spice::StampContext& ctx) const {
+  spice::stamp_roles(*this, ctx);
+}
+
+void Vcvs::kernel_descriptor(const spice::KernelLayout& layout,
+                             spice::KernelDescriptor& out) const {
+  spice::describe_lanes(*this, layout, "vcvs", out);
+  out.add_j(0, 4);
+  out.add_j(1, 4);
+  out.add_j(4, 0);
+  out.add_j(4, 1);
+  out.add_j(4, 2);
+  out.add_j(4, 3);
 }
 
 void Vcvs::stamp_ac(spice::AcStampContext& ctx) const {
@@ -105,31 +90,8 @@ Vccs::Vccs(std::string name, spice::NodeId p, spice::NodeId n,
            spice::NodeId cp, spice::NodeId cn, double gm)
     : Device(std::move(name)), p_(p), n_(n), cp_(cp), cn_(cn), gm_(gm) {}
 
-void Vccs::stamp(spice::StampContext& ctx) const {
-  const double i = gm_ * (ctx.v(cp_) - ctx.v(cn_));
-  ctx.add_f(p_, i);
-  ctx.add_f(n_, -i);
-  ctx.add_J(p_, cp_, gm_);
-  ctx.add_J(p_, cn_, -gm_);
-  ctx.add_J(n_, cp_, -gm_);
-  ctx.add_J(n_, cn_, gm_);
-}
-
-void Vccs::kernel_descriptor(const spice::KernelLayout& layout,
-                             spice::KernelDescriptor& out) const {
-  out.supported = true;
-  out.bucket = "vccs";
-  out.batch = &spice::kernel_batch_eval<Vccs>;
-  out.roles = 4;
-  out.role_unknowns = {layout.of(p_), layout.of(n_), layout.of(cp_),
-                       layout.of(cn_)};
-  out.add_j(0, 2);
-  out.add_j(0, 3);
-  out.add_j(1, 2);
-  out.add_j(1, 3);
-}
-
-void Vccs::kernel_eval(const spice::KernelSink& k) const {
+template <class Sink>
+void Vccs::eval(const Sink& k) const {
   const double i = gm_ * (k.xr(2) - k.xr(3));
   k.f(0, i);
   k.f(1, -i);
@@ -137,6 +99,19 @@ void Vccs::kernel_eval(const spice::KernelSink& k) const {
   k.J(0, 3, -gm_);
   k.J(1, 2, -gm_);
   k.J(1, 3, gm_);
+}
+
+void Vccs::stamp(spice::StampContext& ctx) const {
+  spice::stamp_roles(*this, ctx);
+}
+
+void Vccs::kernel_descriptor(const spice::KernelLayout& layout,
+                             spice::KernelDescriptor& out) const {
+  spice::describe_lanes(*this, layout, "vccs", out);
+  out.add_j(0, 2);
+  out.add_j(0, 3);
+  out.add_j(1, 2);
+  out.add_j(1, 3);
 }
 
 void Vccs::stamp_ac(spice::AcStampContext& ctx) const {

@@ -36,31 +36,8 @@ void Diode::evaluate(double v, double& i, double& g) const {
   g += params_.gmin_shunt;
 }
 
-void Diode::stamp(spice::StampContext& ctx) const {
-  const double v = ctx.v(anode_) - ctx.v(cathode_);
-  double i = 0.0, g = 0.0;
-  evaluate(v, i, g);
-  ctx.add_f(anode_, i);
-  ctx.add_f(cathode_, -i);
-  ctx.add_J(anode_, anode_, g);
-  ctx.add_J(anode_, cathode_, -g);
-  ctx.add_J(cathode_, anode_, -g);
-  ctx.add_J(cathode_, cathode_, g);
-}
-
-void Diode::kernel_descriptor(const spice::KernelLayout& layout,
-                              spice::KernelDescriptor& out) const {
-  out.supported = true;
-  out.bucket = "diode";
-  out.batch = &spice::kernel_batch_eval<Diode>;
-  out.roles = 2;
-  out.role_unknowns = {layout.of(anode_), layout.of(cathode_)};
-  for (int e = 0; e < 2; ++e) {
-    for (int v = 0; v < 2; ++v) out.add_j(e, v);
-  }
-}
-
-void Diode::kernel_eval(const spice::KernelSink& k) const {
+template <class Sink>
+void Diode::eval(const Sink& k) const {
   const double v = k.xr(0) - k.xr(1);
   double i = 0.0, g = 0.0;
   evaluate(v, i, g);
@@ -70,6 +47,18 @@ void Diode::kernel_eval(const spice::KernelSink& k) const {
   k.J(0, 1, -g);
   k.J(1, 0, -g);
   k.J(1, 1, g);
+}
+
+void Diode::stamp(spice::StampContext& ctx) const {
+  spice::stamp_roles(*this, ctx);
+}
+
+void Diode::kernel_descriptor(const spice::KernelLayout& layout,
+                              spice::KernelDescriptor& out) const {
+  spice::describe_lanes(*this, layout, "diode", out);
+  for (int e = 0; e < 2; ++e) {
+    for (int v = 0; v < 2; ++v) out.add_j(e, v);
+  }
 }
 
 void Diode::stamp_ac(spice::AcStampContext& ctx) const {

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
-
-#include "nemsim/devices/ekv.h"
 #include <sstream>
+#include <utility>
 
 #include "nemsim/spice/ac.h"
 #include "nemsim/util/error.h"
@@ -41,8 +39,7 @@ void Mosfet::refresh_capacitances() {
   csb_.set_capacitance(params_.cj * w_.get());
 }
 
-double Mosfet::drain_current(double vgs, double vds) const {
-  ekv::ChannelBias bias;
+ekv::ChannelParams Mosfet::channel_params() const {
   ekv::ChannelParams cp;
   cp.vth = params_.vth0 + vth_shift_.get();
   cp.n = params_.n;
@@ -51,7 +48,11 @@ double Mosfet::drain_current(double vgs, double vds) const {
   cp.lambda = params_.lambda;
   cp.eta = params_.eta_dibl;
   cp.vt = phys::thermal_voltage(params_.temp);
+  return cp;
+}
 
+double Mosfet::drain_current(double vgs, double vds) const {
+  ekv::ChannelBias bias;
   double sign = 1.0;
   if (vds < 0.0) {
     // Symmetric device: swap source/drain roles.
@@ -62,34 +63,24 @@ double Mosfet::drain_current(double vgs, double vds) const {
     bias.vgs = vgs;
     bias.vds = vds;
   }
-  const ekv::ChannelResult r = ekv::evaluate(bias, cp);
+  const ekv::ChannelResult r = ekv::evaluate(bias, channel_params());
   return sign * (r.id + params_.goff * w_.get() * bias.vds);
 }
 
-void Mosfet::stamp(spice::StampContext& ctx) const {
+template <class Sink>
+void Mosfet::eval(const Sink& k) const {
   const double sign = polarity_ == MosPolarity::kNmos ? 1.0 : -1.0;
 
   // Canonical terminal roles: nd carries positive vds after an optional
   // source/drain swap (the model is symmetric).
-  spice::NodeId nd = d_;
-  spice::NodeId ns = s_;
-  double vds = sign * (ctx.v(nd) - ctx.v(ns));
+  int nd = 0, ns = 2;
+  double vds = sign * (k.xr(nd) - k.xr(ns));
   if (vds < 0.0) {
     std::swap(nd, ns);
     vds = -vds;
   }
-  const double vgs = sign * (ctx.v(g_) - ctx.v(ns));
-
-  ekv::ChannelBias bias{vgs, vds};
-  ekv::ChannelParams cp;
-  cp.vth = params_.vth0 + vth_shift_.get();
-  cp.n = params_.n;
-  cp.kp = params_.kp;
-  cp.w_over_l = w_.get() / l_;
-  cp.lambda = params_.lambda;
-  cp.eta = params_.eta_dibl;
-  cp.vt = phys::thermal_voltage(params_.temp);
-  const ekv::ChannelResult r = ekv::evaluate(bias, cp);
+  const double vgs = sign * (k.xr(1) - k.xr(ns));
+  const ekv::ChannelResult r = ekv::evaluate({vgs, vds}, channel_params());
 
   const double gfloor = params_.goff * w_.get();
   const double id = r.id + gfloor * vds;
@@ -98,63 +89,6 @@ void Mosfet::stamp(spice::StampContext& ctx) const {
 
   // Current of magnitude id flows nd -> ns in sign-space; as computed in
   // the header comment, the sign factors cancel in the Jacobian.
-  ctx.add_f(nd, sign * id);
-  ctx.add_f(ns, -sign * id);
-  ctx.add_J(nd, g_, gm);
-  ctx.add_J(nd, nd, gds);
-  ctx.add_J(nd, ns, -(gm + gds));
-  ctx.add_J(ns, g_, -gm);
-  ctx.add_J(ns, nd, -gds);
-  ctx.add_J(ns, ns, gm + gds);
-
-  // Parasitic capacitances (bias-independent).
-  cgs_.stamp(ctx, g_, s_);
-  cgd_.stamp(ctx, g_, d_);
-  cdb_.stamp(ctx, d_, spice::kGround);
-  csb_.stamp(ctx, s_, spice::kGround);
-}
-
-void Mosfet::kernel_descriptor(const spice::KernelLayout& layout,
-                               spice::KernelDescriptor& out) const {
-  out.supported = true;
-  out.bucket = "mosfet";
-  out.batch = &spice::kernel_batch_eval<Mosfet>;
-  out.roles = 3;
-  out.role_unknowns = {layout.of(d_), layout.of(g_), layout.of(s_)};
-  // Full 3x3: the source/drain swap plus the companion caps reach every
-  // cell across runtime orientations.
-  for (int e = 0; e < 3; ++e) {
-    for (int v = 0; v < 3; ++v) out.add_j(e, v);
-  }
-}
-
-void Mosfet::kernel_eval(const spice::KernelSink& k) const {
-  const double sign = polarity_ == MosPolarity::kNmos ? 1.0 : -1.0;
-
-  int nd = 0, ns = 2;  // drain/source roles before the symmetric swap
-  double vds = sign * (k.xr(nd) - k.xr(ns));
-  if (vds < 0.0) {
-    std::swap(nd, ns);
-    vds = -vds;
-  }
-  const double vgs = sign * (k.xr(1) - k.xr(ns));
-
-  ekv::ChannelBias bias{vgs, vds};
-  ekv::ChannelParams cp;
-  cp.vth = params_.vth0 + vth_shift_.get();
-  cp.n = params_.n;
-  cp.kp = params_.kp;
-  cp.w_over_l = w_.get() / l_;
-  cp.lambda = params_.lambda;
-  cp.eta = params_.eta_dibl;
-  cp.vt = phys::thermal_voltage(params_.temp);
-  const ekv::ChannelResult r = ekv::evaluate(bias, cp);
-
-  const double gfloor = params_.goff * w_.get();
-  const double id = r.id + gfloor * vds;
-  const double gm = r.gm;
-  const double gds = r.gds + gfloor;
-
   k.f(nd, sign * id);
   k.f(ns, -sign * id);
   k.J(nd, 1, gm);
@@ -164,10 +98,25 @@ void Mosfet::kernel_eval(const spice::KernelSink& k) const {
   k.J(ns, nd, -gds);
   k.J(ns, ns, gm + gds);
 
-  cgs_.kernel_stamp(k, 1, 2);
-  cgd_.kernel_stamp(k, 1, 0);
-  cdb_.kernel_stamp(k, 0, -1);
-  csb_.kernel_stamp(k, 2, -1);
+  // Parasitic capacitances (bias-independent).
+  cgs_.eval(k, 1, 2);
+  cgd_.eval(k, 1, 0);
+  cdb_.eval(k, 0, -1);
+  csb_.eval(k, 2, -1);
+}
+
+void Mosfet::stamp(spice::StampContext& ctx) const {
+  spice::stamp_roles(*this, ctx);
+}
+
+void Mosfet::kernel_descriptor(const spice::KernelLayout& layout,
+                               spice::KernelDescriptor& out) const {
+  spice::describe_lanes(*this, layout, "mosfet", out);
+  // Full 3x3: the source/drain swap plus the companion caps reach every
+  // cell across runtime orientations.
+  for (int e = 0; e < 3; ++e) {
+    for (int v = 0; v < 3; ++v) out.add_j(e, v);
+  }
 }
 
 void Mosfet::accept_step(const spice::AcceptContext& ctx) {
@@ -201,17 +150,7 @@ void Mosfet::stamp_ac(spice::AcStampContext& ctx) const {
     vds = -vds;
   }
   const double vgs = sign * (ctx.v(g_) - ctx.v(ns));
-
-  ekv::ChannelBias bias{vgs, vds};
-  ekv::ChannelParams cp;
-  cp.vth = params_.vth0 + vth_shift_.get();
-  cp.n = params_.n;
-  cp.kp = params_.kp;
-  cp.w_over_l = w_.get() / l_;
-  cp.lambda = params_.lambda;
-  cp.eta = params_.eta_dibl;
-  cp.vt = phys::thermal_voltage(params_.temp);
-  const ekv::ChannelResult r = ekv::evaluate(bias, cp);
+  const ekv::ChannelResult r = ekv::evaluate({vgs, vds}, channel_params());
   const double gm = r.gm;
   const double gds = r.gds + params_.goff * w_.get();
 

@@ -438,50 +438,50 @@ void Nemfet::setup(spice::SetupContext& ctx) {
                          /*initial_guess=*/0.0);
 }
 
-void Nemfet::stamp(spice::StampContext& ctx) const {
+template <class Sink>
+void Nemfet::eval(const Sink& k) const {
   const double sign = polarity_ == NemsPolarity::kN ? 1.0 : -1.0;
-  const double x = ctx.x(ux_);
-  const double vel = ctx.x(uv_);
+  const double x = k.xr(3);
+  const double vel = k.xr(4);
 
   // ---- Channel current (canonical polarity with source/drain swap) ----
-  spice::NodeId nd = d_;
-  spice::NodeId ns = s_;
-  double vds = sign * (ctx.v(nd) - ctx.v(ns));
+  int nd = 0, ns = 2;
+  double vds = sign * (k.xr(nd) - k.xr(ns));
   if (vds < 0.0) {
     std::swap(nd, ns);
     vds = -vds;
   }
-  const double vgs = sign * (ctx.v(g_) - ctx.v(ns));
+  const double vgs = sign * (k.xr(1) - k.xr(ns));
   const ChannelEval ch = eval_channel(vgs, vds, x);
 
-  ctx.add_f(nd, sign * ch.id);
-  ctx.add_f(ns, -sign * ch.id);
-  ctx.add_J(nd, g_, ch.gm);
-  ctx.add_J(nd, nd, ch.gds);
-  ctx.add_J(nd, ns, -(ch.gm + ch.gds));
-  ctx.add_J(ns, g_, -ch.gm);
-  ctx.add_J(ns, nd, -ch.gds);
-  ctx.add_J(ns, ns, ch.gm + ch.gds);
-  ctx.add_J(nd, ux_, sign * ch.did_dx);
-  ctx.add_J(ns, ux_, -sign * ch.did_dx);
+  k.f(nd, sign * ch.id);
+  k.f(ns, -sign * ch.id);
+  k.J(nd, 1, ch.gm);
+  k.J(nd, nd, ch.gds);
+  k.J(nd, ns, -(ch.gm + ch.gds));
+  k.J(ns, 1, -ch.gm);
+  k.J(ns, nd, -ch.gds);
+  k.J(ns, ns, ch.gm + ch.gds);
+  k.J(nd, 3, sign * ch.did_dx);
+  k.J(ns, 3, -sign * ch.did_dx);
 
   // ---- Mechanics (actuation voltage = beam-to-source) ----
-  const double vgf = sign * (ctx.v(g_) - ctx.v(ns));
+  const double vgf = sign * (k.xr(1) - k.xr(ns));
 
-  if (ctx.mode() == spice::AnalysisMode::kDcOperatingPoint) {
+  if (k.dc()) {
     // Velocity is zero in statics.
-    ctx.add_f(ux_, vel);
-    ctx.add_J(ux_, uv_, 1.0);
+    k.f(3, vel);
+    k.J(3, 4, 1.0);
 
     // Pin x to the stable static-equilibrium branch (see the helper's
     // comment: raw Newton cannot cross the pull-in fold).  Row:
     //   x - x_dc(|vgf|) = 0.
     const StaticEq eq = static_equilibrium(std::abs(vgf));
     const double dsign = sign * (vgf >= 0.0 ? 1.0 : -1.0);
-    ctx.add_f(uv_, x - eq.x);
-    ctx.add_J(uv_, ux_, 1.0);
-    ctx.add_J(uv_, g_, -eq.dx_dv * dsign);
-    ctx.add_J(uv_, ns, eq.dx_dv * dsign);
+    k.f(4, x - eq.x);
+    k.J(4, 3, 1.0);
+    k.J(4, 1, -eq.dx_dv * dsign);
+    k.J(4, ns, eq.dx_dv * dsign);
   } else {
     const double d_el = air_gap(x) + params_.tox / params_.eps_ox;
     const double a = params_.area * sw();
@@ -490,7 +490,7 @@ void Nemfet::stamp(spice::StampContext& ctx) const {
     const double dfe_dx = -2.0 * fe / d_el * dga_dx;
     const double dfe_dvgf = phys::kEps0 * a * vgf / (d_el * d_el);
 
-    const double k = params_.spring_k * sw();
+    const double ks = params_.spring_k * sw();
     const double fc = contact_force(x);
     const double dfc_dx =
         params_.contact_k * sw() *
@@ -498,39 +498,37 @@ void Nemfet::stamp(spice::StampContext& ctx) const {
 
     // Backward Euler on the beam ODE (numerically damped: no spurious
     // contact bounce from trapezoidal ringing).
-    const double dt = ctx.dt();
+    const double dt = k.dt();
     // Kinematics: (x - x0)/dt - v = 0.
-    ctx.add_f(ux_, (x - x_state_) / dt - vel);
-    ctx.add_J(ux_, ux_, 1.0 / dt);
-    ctx.add_J(ux_, uv_, -1.0);
+    k.f(3, (x - x_state_) / dt - vel);
+    k.J(3, 3, 1.0 / dt);
+    k.J(3, 4, -1.0);
 
     // Momentum: m (v - v0)/dt + c v + k x + Fc - Fe = 0.
     const double m = params_.mass * sw();
     const double c = params_.damping * sw();
-    ctx.add_f(uv_, m * (vel - v_state_) / dt + c * vel + k * x + fc - fe);
-    ctx.add_J(uv_, uv_, m / dt + c);
-    ctx.add_J(uv_, ux_, k + dfc_dx - dfe_dx);
-    ctx.add_J(uv_, g_, -dfe_dvgf * sign);
-    ctx.add_J(uv_, ns, dfe_dvgf * sign);
+    k.f(4, m * (vel - v_state_) / dt + c * vel + ks * x + fc - fe);
+    k.J(4, 4, m / dt + c);
+    k.J(4, 3, ks + dfc_dx - dfe_dx);
+    k.J(4, 1, -dfe_dvgf * sign);
+    k.J(4, ns, dfe_dvgf * sign);
   }
 
   // ---- Capacitances ----
-  cg_gap_.stamp(ctx, g_, s_);
-  cgs_ov_.stamp(ctx, g_, s_);
-  cgd_ov_.stamp(ctx, g_, d_);
-  cdb_.stamp(ctx, d_, spice::kGround);
-  csb_.stamp(ctx, s_, spice::kGround);
+  cg_gap_.eval(k, 1, 2);
+  cgs_ov_.eval(k, 1, 2);
+  cgd_ov_.eval(k, 1, 0);
+  cdb_.eval(k, 0, -1);
+  csb_.eval(k, 2, -1);
+}
+
+void Nemfet::stamp(spice::StampContext& ctx) const {
+  spice::stamp_roles(*this, ctx);
 }
 
 void Nemfet::kernel_descriptor(const spice::KernelLayout& layout,
                                spice::KernelDescriptor& out) const {
-  out.supported = true;
-  out.bucket = "nemfet";
-  out.batch = &spice::kernel_batch_eval<Nemfet>;
-  out.roles = 5;
-  out.role_unknowns = {layout.of(d_), layout.of(g_), layout.of(s_),
-                       spice::KernelLayout::of(ux_),
-                       spice::KernelLayout::of(uv_)};
+  spice::describe_lanes(*this, layout, "nemfet", out);
   // Channel rows (drain/source under the symmetric swap) couple to all
   // three terminals and the beam position; the gate row only carries the
   // companion caps; the mechanical rows couple to themselves and to the
@@ -548,79 +546,6 @@ void Nemfet::kernel_descriptor(const spice::KernelLayout& layout,
   out.add_j(4, 2);
   out.add_j(4, 3);
   out.add_j(4, 4);
-}
-
-void Nemfet::kernel_eval(const spice::KernelSink& kk) const {
-  const double sign = polarity_ == NemsPolarity::kN ? 1.0 : -1.0;
-  const double x = kk.xr(3);
-  const double vel = kk.xr(4);
-
-  // Channel current, mirroring stamp() with roles 0 = d, 1 = g, 2 = s.
-  int nd = 0, ns = 2;
-  double vds = sign * (kk.xr(nd) - kk.xr(ns));
-  if (vds < 0.0) {
-    std::swap(nd, ns);
-    vds = -vds;
-  }
-  const double vgs = sign * (kk.xr(1) - kk.xr(ns));
-  const ChannelEval ch = eval_channel(vgs, vds, x);
-
-  kk.f(nd, sign * ch.id);
-  kk.f(ns, -sign * ch.id);
-  kk.J(nd, 1, ch.gm);
-  kk.J(nd, nd, ch.gds);
-  kk.J(nd, ns, -(ch.gm + ch.gds));
-  kk.J(ns, 1, -ch.gm);
-  kk.J(ns, nd, -ch.gds);
-  kk.J(ns, ns, ch.gm + ch.gds);
-  kk.J(nd, 3, sign * ch.did_dx);
-  kk.J(ns, 3, -sign * ch.did_dx);
-
-  const double vgf = sign * (kk.xr(1) - kk.xr(ns));
-
-  if (kk.dc()) {
-    kk.f(3, vel);
-    kk.J(3, 4, 1.0);
-
-    const StaticEq eq = static_equilibrium(std::abs(vgf));
-    const double dsign = sign * (vgf >= 0.0 ? 1.0 : -1.0);
-    kk.f(4, x - eq.x);
-    kk.J(4, 3, 1.0);
-    kk.J(4, 1, -eq.dx_dv * dsign);
-    kk.J(4, ns, eq.dx_dv * dsign);
-  } else {
-    const double d_el = air_gap(x) + params_.tox / params_.eps_ox;
-    const double a = params_.area * sw();
-    const double fe = 0.5 * phys::kEps0 * a * vgf * vgf / (d_el * d_el);
-    const double dga_dx = -sigmoid((params_.gap0 - x) / params_.gap_softness);
-    const double dfe_dx = -2.0 * fe / d_el * dga_dx;
-    const double dfe_dvgf = phys::kEps0 * a * vgf / (d_el * d_el);
-
-    const double k = params_.spring_k * sw();
-    const double fc = contact_force(x);
-    const double dfc_dx =
-        params_.contact_k * sw() *
-        sigmoid((x - params_.gap0) / params_.contact_softness);
-
-    const double dt = kk.dt();
-    kk.f(3, (x - x_state_) / dt - vel);
-    kk.J(3, 3, 1.0 / dt);
-    kk.J(3, 4, -1.0);
-
-    const double m = params_.mass * sw();
-    const double c = params_.damping * sw();
-    kk.f(4, m * (vel - v_state_) / dt + c * vel + k * x + fc - fe);
-    kk.J(4, 4, m / dt + c);
-    kk.J(4, 3, k + dfc_dx - dfe_dx);
-    kk.J(4, 1, -dfe_dvgf * sign);
-    kk.J(4, ns, dfe_dvgf * sign);
-  }
-
-  cg_gap_.kernel_stamp(kk, 1, 2);
-  cgs_ov_.kernel_stamp(kk, 1, 2);
-  cgd_ov_.kernel_stamp(kk, 1, 0);
-  cdb_.kernel_stamp(kk, 0, -1);
-  csb_.kernel_stamp(kk, 2, -1);
 }
 
 void Nemfet::begin_step(double time, double dt) {

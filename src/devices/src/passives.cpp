@@ -69,30 +69,8 @@ void Resistor::self_check(const lint::DeviceCheckContext& ctx,
   }
 }
 
-void Resistor::stamp(spice::StampContext& ctx) const {
-  const double g = 1.0 / r_.get();
-  const double i = g * (ctx.v(p_) - ctx.v(n_));
-  ctx.add_f(p_, i);
-  ctx.add_f(n_, -i);
-  ctx.add_J(p_, p_, g);
-  ctx.add_J(p_, n_, -g);
-  ctx.add_J(n_, p_, -g);
-  ctx.add_J(n_, n_, g);
-}
-
-void Resistor::kernel_descriptor(const spice::KernelLayout& layout,
-                                 spice::KernelDescriptor& out) const {
-  out.supported = true;
-  out.bucket = "resistor";
-  out.batch = &spice::kernel_batch_eval<Resistor>;
-  out.roles = 2;
-  out.role_unknowns = {layout.of(p_), layout.of(n_)};
-  for (int e = 0; e < 2; ++e) {
-    for (int v = 0; v < 2; ++v) out.add_j(e, v);
-  }
-}
-
-void Resistor::kernel_eval(const spice::KernelSink& k) const {
+template <class Sink>
+void Resistor::eval(const Sink& k) const {
   const double g = 1.0 / r_.get();
   const double i = g * (k.xr(0) - k.xr(1));
   k.f(0, i);
@@ -101,6 +79,18 @@ void Resistor::kernel_eval(const spice::KernelSink& k) const {
   k.J(0, 1, -g);
   k.J(1, 0, -g);
   k.J(1, 1, g);
+}
+
+void Resistor::stamp(spice::StampContext& ctx) const {
+  spice::stamp_roles(*this, ctx);
+}
+
+void Resistor::kernel_descriptor(const spice::KernelLayout& layout,
+                                 spice::KernelDescriptor& out) const {
+  spice::describe_lanes(*this, layout, "resistor", out);
+  for (int e = 0; e < 2; ++e) {
+    for (int v = 0; v < 2; ++v) out.add_j(e, v);
+  }
 }
 
 // ------------------------------------------------------------- Capacitor
@@ -159,16 +149,12 @@ void Capacitor::self_check(const lint::DeviceCheckContext& ctx,
 }
 
 void Capacitor::stamp(spice::StampContext& ctx) const {
-  companion_.stamp(ctx, p_, n_);
+  spice::stamp_roles(*this, ctx);
 }
 
 void Capacitor::kernel_descriptor(const spice::KernelLayout& layout,
                                   spice::KernelDescriptor& out) const {
-  out.supported = true;
-  out.bucket = "capacitor";
-  out.batch = &spice::kernel_batch_eval<Capacitor>;
-  out.roles = 2;
-  out.role_unknowns = {layout.of(p_), layout.of(n_)};
+  spice::describe_lanes(*this, layout, "capacitor", out);
   for (int e = 0; e < 2; ++e) {
     for (int v = 0; v < 2; ++v) out.add_j(e, v);
   }
@@ -240,63 +226,19 @@ void Inductor::setup(spice::SetupContext& ctx) {
   branch_ = ctx.add_branch_current(name());
 }
 
-void Inductor::stamp(spice::StampContext& ctx) const {
-  const double i = ctx.x(branch_);
-  // KCL: branch current flows p -> n.
-  ctx.add_f(p_, i);
-  ctx.add_f(n_, -i);
-  ctx.add_J(p_, branch_, 1.0);
-  ctx.add_J(n_, branch_, -1.0);
-
-  // Branch (KVL) row.
-  const double v = ctx.v(p_) - ctx.v(n_);
-  if (ctx.mode() == AnalysisMode::kDcOperatingPoint) {
-    // Short circuit: v = 0.
-    ctx.add_f(branch_, v);
-    ctx.add_J(branch_, p_, 1.0);
-    ctx.add_J(branch_, n_, -1.0);
-    return;
-  }
-  const double dt = ctx.dt();
-  if (use_be_) {
-    // v = L (i - i0)/dt
-    ctx.add_f(branch_, v - l_ * (i - i0_) / dt);
-    ctx.add_J(branch_, p_, 1.0);
-    ctx.add_J(branch_, n_, -1.0);
-    ctx.add_J(branch_, branch_, -l_ / dt);
-  } else {
-    // (v + v0)/2 = L (i - i0)/dt
-    ctx.add_f(branch_, 0.5 * (v + vl0_) - l_ * (i - i0_) / dt);
-    ctx.add_J(branch_, p_, 0.5);
-    ctx.add_J(branch_, n_, -0.5);
-    ctx.add_J(branch_, branch_, -l_ / dt);
-  }
-}
-
-void Inductor::kernel_descriptor(const spice::KernelLayout& layout,
-                                 spice::KernelDescriptor& out) const {
-  out.supported = true;
-  out.bucket = "inductor";
-  out.batch = &spice::kernel_batch_eval<Inductor>;
-  out.roles = 3;
-  out.role_unknowns = {layout.of(p_), layout.of(n_),
-                       spice::KernelLayout::of(branch_)};
-  out.add_j(0, 2);
-  out.add_j(1, 2);
-  out.add_j(2, 0);
-  out.add_j(2, 1);
-  out.add_j(2, 2);
-}
-
-void Inductor::kernel_eval(const spice::KernelSink& k) const {
+template <class Sink>
+void Inductor::eval(const Sink& k) const {
   const double i = k.xr(2);
+  // KCL: branch current flows p -> n.
   k.f(0, i);
   k.f(1, -i);
   k.J(0, 2, 1.0);
   k.J(1, 2, -1.0);
 
+  // Branch (KVL) row.
   const double v = k.xr(0) - k.xr(1);
   if (k.dc()) {
+    // Short circuit: v = 0.
     k.f(2, v);
     k.J(2, 0, 1.0);
     k.J(2, 1, -1.0);
@@ -304,16 +246,32 @@ void Inductor::kernel_eval(const spice::KernelSink& k) const {
   }
   const double dt = k.dt();
   if (use_be_) {
+    // v = L (i - i0)/dt
     k.f(2, v - l_ * (i - i0_) / dt);
     k.J(2, 0, 1.0);
     k.J(2, 1, -1.0);
     k.J(2, 2, -l_ / dt);
   } else {
+    // (v + v0)/2 = L (i - i0)/dt
     k.f(2, 0.5 * (v + vl0_) - l_ * (i - i0_) / dt);
     k.J(2, 0, 0.5);
     k.J(2, 1, -0.5);
     k.J(2, 2, -l_ / dt);
   }
+}
+
+void Inductor::stamp(spice::StampContext& ctx) const {
+  spice::stamp_roles(*this, ctx);
+}
+
+void Inductor::kernel_descriptor(const spice::KernelLayout& layout,
+                                 spice::KernelDescriptor& out) const {
+  spice::describe_lanes(*this, layout, "inductor", out);
+  out.add_j(0, 2);
+  out.add_j(1, 2);
+  out.add_j(2, 0);
+  out.add_j(2, 1);
+  out.add_j(2, 2);
 }
 
 void Inductor::accept_step(const spice::AcceptContext& ctx) {

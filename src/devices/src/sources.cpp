@@ -215,34 +215,8 @@ void VoltageSource::setup(spice::SetupContext& ctx) {
   branch_ = ctx.add_branch_current(name());
 }
 
-void VoltageSource::stamp(spice::StampContext& ctx) const {
-  const double i = ctx.x(branch_);
-  ctx.add_f(p_, i);
-  ctx.add_f(n_, -i);
-  ctx.add_J(p_, branch_, 1.0);
-  ctx.add_J(n_, branch_, -1.0);
-
-  const double target = wave_.value(ctx.time()) * ctx.source_factor();
-  ctx.add_f(branch_, ctx.v(p_) - ctx.v(n_) - target);
-  ctx.add_J(branch_, p_, 1.0);
-  ctx.add_J(branch_, n_, -1.0);
-}
-
-void VoltageSource::kernel_descriptor(const spice::KernelLayout& layout,
-                                      spice::KernelDescriptor& out) const {
-  out.supported = true;
-  out.bucket = "vsource";
-  out.batch = &spice::kernel_batch_eval<VoltageSource>;
-  out.roles = 3;
-  out.role_unknowns = {layout.of(p_), layout.of(n_),
-                       spice::KernelLayout::of(branch_)};
-  out.add_j(0, 2);
-  out.add_j(1, 2);
-  out.add_j(2, 0);
-  out.add_j(2, 1);
-}
-
-void VoltageSource::kernel_eval(const spice::KernelSink& k) const {
+template <class Sink>
+void VoltageSource::eval(const Sink& k) const {
   const double i = k.xr(2);
   k.f(0, i);
   k.f(1, -i);
@@ -253,6 +227,19 @@ void VoltageSource::kernel_eval(const spice::KernelSink& k) const {
   k.f(2, k.xr(0) - k.xr(1) - target);
   k.J(2, 0, 1.0);
   k.J(2, 1, -1.0);
+}
+
+void VoltageSource::stamp(spice::StampContext& ctx) const {
+  spice::stamp_roles(*this, ctx);
+}
+
+void VoltageSource::kernel_descriptor(const spice::KernelLayout& layout,
+                                      spice::KernelDescriptor& out) const {
+  spice::describe_lanes(*this, layout, "vsource", out);
+  out.add_j(0, 2);
+  out.add_j(1, 2);
+  out.add_j(2, 0);
+  out.add_j(2, 1);
 }
 
 void VoltageSource::breakpoints(double tstop, std::vector<double>& out) const {
@@ -311,28 +298,23 @@ void CurrentSource::bind_params(spice::ParamBank& bank) {
   dc_level_.bind(bank, "i.dc", name());
 }
 
-void CurrentSource::stamp(spice::StampContext& ctx) const {
-  const double i = wave_.value(ctx.time()) * ctx.source_factor();
+template <class Sink>
+void CurrentSource::eval(const Sink& k) const {
+  const double i = wave_.value(k.time()) * k.source_factor();
   // Convention: the source drives current out of p (through the external
   // circuit) into n; at node p the device removes +i.
-  ctx.add_f(p_, i);
-  ctx.add_f(n_, -i);
+  k.f(0, i);
+  k.f(1, -i);
+}
+
+void CurrentSource::stamp(spice::StampContext& ctx) const {
+  spice::stamp_roles(*this, ctx);
 }
 
 void CurrentSource::kernel_descriptor(const spice::KernelLayout& layout,
                                       spice::KernelDescriptor& out) const {
-  out.supported = true;
-  out.bucket = "isource";
-  out.batch = &spice::kernel_batch_eval<CurrentSource>;
-  out.roles = 2;
-  out.role_unknowns = {layout.of(p_), layout.of(n_)};
+  spice::describe_lanes(*this, layout, "isource", out);
   // No Jacobian cells: the excitation is iterate-independent.
-}
-
-void CurrentSource::kernel_eval(const spice::KernelSink& k) const {
-  const double i = wave_.value(k.time()) * k.source_factor();
-  k.f(0, i);
-  k.f(1, -i);
 }
 
 void CurrentSource::breakpoints(double tstop, std::vector<double>& out) const {

@@ -120,7 +120,10 @@ class Device {
   virtual void on_params_changed() {}
 
   /// Adds residual and Jacobian contributions at the context's iterate.
-  /// Must be side-effect free with respect to device state.
+  /// Must be side-effect free with respect to device state.  In-tree
+  /// devices run their one role-indexed `eval` through a StampSink here
+  /// (nemsim/spice/kernels.h); for a device without a kernel descriptor
+  /// this is also how the engine assembles it.
   virtual void stamp(StampContext& ctx) const = 0;
 
   /// True when the device's Jacobian entries do not depend on the Newton
@@ -132,11 +135,11 @@ class Device {
   /// Type-bucketed kernel support (nemsim/spice/kernels.h).  A device
   /// that can be evaluated by a batch kernel fills `out` with its bucket
   /// key, batch function, role unknowns and declared Jacobian cells; the
-  /// engine then assembles it through the lane path when
-  /// NewtonOptions::kernels is on.  The declared cells must cover every
-  /// position the device can ever stamp (union over modes and runtime
-  /// orientations) — undeclared cells drop writes silently.  The default
-  /// leaves `out` unsupported: the device always stamps virtually.
+  /// engine then assembles it through the lanes.  The declared cells
+  /// must cover every position the device can ever stamp (union over
+  /// modes and runtime orientations) — undeclared cells drop writes
+  /// silently.  The default leaves `out` unsupported: the engine stamps
+  /// the device through Device::stamp.
   virtual void kernel_descriptor(const KernelLayout& layout,
                                  KernelDescriptor& out) const;
 

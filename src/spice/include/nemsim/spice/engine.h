@@ -63,10 +63,13 @@ class Solution {
 
 /// Stamping interface passed to Device::stamp.
 ///
-/// The Jacobian sink is pluggable: dense matrix (classic path), frozen
-/// CSR slots (sparse fast path), pattern recorder (symbolic pass), or
-/// none (residual-only assembly for Newton damping trials).  Devices see
-/// the same add_f/add_J interface in every case.
+/// The Jacobian sink is pluggable: dense matrix, CSR matrix (per-entry
+/// slot search; misses are reported so the pattern can grow), pattern
+/// recorder (symbolic pass), or none (residual-only assembly).  Devices
+/// see the same add_f/add_J interface in every case.  The engine's own
+/// assembly runs the kernel lanes (nemsim/spice/kernels.h) and uses a
+/// StampContext only for the sinks and for devices without a kernel
+/// descriptor.
 class StampContext {
  public:
   /// Dense Jacobian sink.
@@ -119,10 +122,12 @@ class StampContext {
                  double source_factor);
 
   // --- Kernel plumbing (engine-internal, not for devices) --------------
-  // Raw views over the attached sinks so the batched lane path
-  // (nemsim/spice/kernels.h) can scatter directly into storage.
+  // The system (role-unknown lookups for StampSink) and raw views over
+  // the attached sinks so the batched lane path (nemsim/spice/kernels.h)
+  // can scatter directly into storage.
 
-  bool pattern_recording() const { return pattern_ != nullptr; }
+  const MnaSystem& system() const { return system_; }
+
   bool wants_residual() const { return want_residual_; }
   const double* iterate_data() const { return x_.data(); }
   linalg::Matrix* dense_sink() const { return dense_jacobian_; }
@@ -272,32 +277,19 @@ class MnaSystem {
                                 double dt) const;
 
   /// Cumulative nonlinear-device model evaluations run in Newton
-  /// assembly passes (lane and per-device paths alike; symbolic and
-  /// pattern passes are not counted).
+  /// assembly passes (lanes and Device::stamp leftovers alike; symbolic
+  /// and pattern passes are not counted).
   std::int64_t nonlinear_evals() const { return nonlinear_evals_; }
 
-  // --- Type-bucketed evaluation kernels (nemsim/spice/kernels.h) -------
-  //
-  // Off by default; NewtonSolver::solve_plain configures them from
-  // NewtonOptions::kernels on every solve.  When enabled, devices with a
-  // kernel descriptor are evaluated in type-bucketed lanes that scatter
-  // f/J straight into CSR/dense storage through frozen slot maps; with
-  // kernels disabled the assembly control flow is unchanged
-  // (bitwise-identical results).
-
-  /// Enables/disables lane assembly.  The plan (lanes + scatter maps) is
-  /// built once on first enable and kept across toggles; the first
-  /// enable also pre-grows the Jacobian pattern with every declared
-  /// cell, which may bump the pattern epoch.
-  void configure_kernels(bool enabled);
-  bool kernels_enabled() const { return kernels_enabled_; }
-  /// The frozen plan (null until the first enable).  Exposed for tests
-  /// and per-bucket counters.
-  const KernelPlan* kernel_plan() const { return kernel_plan_.get(); }
-  /// Cumulative per-bucket device evaluations through the lane path
-  /// (empty when no plan exists).
-  std::vector<std::pair<std::string, std::uint64_t>> kernel_lane_evals()
-      const;
+  /// The type-bucketed evaluation plan (nemsim/spice/kernels.h) every
+  /// assembly runs through: devices with a kernel descriptor are
+  /// evaluated in lanes that scatter f/J straight into CSR/dense storage
+  /// through frozen slot maps; the rest are stamped through Device::stamp
+  /// after them.  Built on first use (the first assembly or Newton
+  /// solve), which pre-grows the Jacobian pattern with every declared
+  /// cell and may bump the pattern epoch.  Exposed for tests and the
+  /// per-bucket counters.
+  const KernelPlan& kernel_plan() const;
 
   /// Calls begin_step on every device.
   void begin_step(double time, double dt);
@@ -317,22 +309,18 @@ class MnaSystem {
 
  private:
   enum class DeviceSet { kAll, kLinear, kNonlinear };
-  /// `hot` marks the Newton assembly passes, whose nonlinear evaluations
-  /// are counted.  Symbolic and pattern passes are not (hot = false).
-  void stamp_devices(StampContext& ctx, DeviceSet set,
-                     bool hot = false) const;
-  /// The classic per-device virtual dispatch loop (always used for
-  /// pattern-recording passes and with kernels off).
-  void stamp_devices_virtual(StampContext& ctx, DeviceSet set,
-                             bool hot) const;
   /// Lane-batched assembly through the kernel plan; devices without a
-  /// descriptor fall back to stamp_one.
-  void stamp_devices_kernels(StampContext& ctx, DeviceSet set,
-                             bool hot) const;
+  /// descriptor go through stamp_one.  `hot` marks the Newton assembly
+  /// passes, whose nonlinear evaluations are counted (the linear-baseline
+  /// and linear-residual passes are not).
+  void stamp_devices(StampContext& ctx, DeviceSet set, bool hot) const;
   void stamp_one(StampContext& ctx, std::size_t device_index,
                  bool hot) const;
+  /// Records the Jacobian positions of one Device::stamp pass over every
+  /// device into `ctx`'s pattern recorder.
+  void record_devices(StampContext& ctx) const;
   /// Builds the kernel plan (lanes, rows, declared cells, dense slots).
-  void build_kernel_plan();
+  void build_kernel_plan() const;
   /// Resolves every lane's CSR slots against `csr`; on success stamps the
   /// plan with the current pattern epoch.  Unresolvable cells are
   /// appended to `missed` (pattern grows, caller retries).
@@ -342,7 +330,8 @@ class MnaSystem {
   /// Grows the pattern with whichever of `cells` it lacks; bumps the
   /// epoch only when something was genuinely new.  No-op when the
   /// pattern has not been built yet (ensure_pattern folds the kernel
-  /// plan's declared cells in at build time instead).
+  /// plan's declared cells in at build time instead, when the plan
+  /// exists by then).
   void ensure_pattern_contains(
       const std::vector<std::pair<std::size_t, std::size_t>>& cells) const;
   void ensure_pattern() const;
@@ -362,11 +351,9 @@ class MnaSystem {
   mutable std::vector<std::pair<std::size_t, std::size_t>> pattern_;
   mutable bool pattern_built_ = false;
   mutable std::uint64_t pattern_epoch_ = 0;
-  // Type-bucketed kernel plan (built on first enable, kept across
-  // toggles; lane counters and sparse-slot resolution mutate through the
-  // pointer during const assembly).
-  bool kernels_enabled_ = false;
-  std::unique_ptr<KernelPlan> kernel_plan_;
+  // Type-bucketed kernel plan, built on first use (lane counters and
+  // sparse-slot resolution mutate it during const assembly).
+  mutable std::unique_ptr<KernelPlan> kernel_plan_;
 };
 
 }  // namespace nemsim::spice

@@ -1,23 +1,24 @@
-// Type-bucketed SoA evaluation kernels with frozen scatter maps.
+// Type-bucketed SoA evaluation kernels with frozen scatter maps: the
+// engine's assembly path.
 //
-// The generic assembly path walks the device list making one virtual
-// Device::stamp call per device per Newton iteration, and every sparse
-// Jacobian write pays a per-entry binary search (CsrMatrix::slot) inside
-// StampContext::raw_J.  For the transient sweeps that dominate the
-// paper's figures this is the hot loop.  This header provides the
-// alternative: at configure time the engine buckets devices by concrete
-// type into *lanes* — contiguous arrays of unknown indices plus a
-// per-device *scatter map* of direct value-array offsets (CSR nzval
-// slots, or dense row-major offsets) — and each bucket supplies one
-// batch function that evaluates the whole lane in a tight loop, writing
-// f/J contributions straight into the sink storage.  No virtual call per
-// device, no NodeId-to-unknown hashing, no slot search per entry: those
-// are all resolved once per pattern epoch and frozen into the plan.
+// Every in-tree device writes its residual and Jacobian once, as a
+// role-indexed `template <class Sink> void eval(const Sink&) const`.  A
+// *role* is the device type's fixed terminal/unknown index (e.g. MOSFET:
+// 0 = d, 1 = g, 2 = s).  Two sinks instantiate it:
+//  - KernelSink (the lanes): on the first assembly the engine buckets
+//    devices by concrete type into lanes — contiguous arrays of unknown
+//    indices plus a per-device scatter map of direct value-array offsets
+//    (CSR nzval slots, or dense row-major offsets) — and each bucket's
+//    batch function evaluates the whole lane in a tight loop, writing
+//    f/J straight into the sink storage.  No virtual call per device, no
+//    NodeId-to-unknown hashing, no slot search per entry.
+//  - StampSink (one device over a StampContext): what the in-tree
+//    Device::stamp overrides run.  It serves pattern recording (the
+//    sparse skeleton and lint's mode-exact structural_pattern) and any
+//    caller that stamps a device by hand.
 //
-// Opt-in via NewtonOptions::kernels (default off is bitwise-identical to
-// the virtual path; on is a reltol contract because lanes accumulate in
-// bucket order, not circuit order — see DESIGN.md §7i and
-// Contract::kKernels).
+// Devices without a kernel descriptor (out-of-tree extensions) are
+// stamped through the virtual Device::stamp after the lanes.
 #pragma once
 
 #include <cmath>
@@ -28,6 +29,7 @@
 #include <vector>
 
 #include "nemsim/spice/device.h"
+#include "nemsim/spice/engine.h"
 #include "nemsim/spice/ids.h"
 
 namespace nemsim::spice {
@@ -73,11 +75,10 @@ struct KernelEvalContext {
   double source_factor = 1.0;
 };
 
-/// Role-indexed writer for one device inside a batch loop.  A *role* is
-/// the device type's fixed terminal/unknown index (e.g. MOSFET: 0 = d,
-/// 1 = g, 2 = s); role -1 addresses ground explicitly (companion models
-/// with a grounded terminal).  All guards compile down to one compare
-/// per access; with constant roles the -1 checks fold away entirely.
+/// Role-indexed writer for one device inside a batch loop.  Role -1
+/// addresses ground explicitly (companion models with a grounded
+/// terminal).  All guards compile down to one compare per access; with
+/// constant roles the -1 checks fold away entirely.
 class KernelSink {
  public:
   KernelSink(const KernelEvalContext& ctx, const std::size_t* rows,
@@ -109,6 +110,9 @@ class KernelSink {
   }
 
   /// Adds d f(eq_role) / d x(var_role) through the frozen scatter map.
+  /// Cells missing from the descriptor's j_positions have no slot and
+  /// are dropped (kernel_test checks every in-tree device declares all
+  /// the cells it writes).
   void J(int eq_role, int var_role, double value) const {
     if (eq_role < 0 || var_role < 0 || ctx_.jacobian == nullptr) return;
     const std::size_t s =
@@ -141,8 +145,8 @@ using KernelBatchFn = void (*)(const KernelLaneView&,
 
 /// The canonical batch function: a tight loop of direct (devirtualized)
 /// per-device evaluations.  Each device type T exposes
-/// `void kernel_eval(const KernelSink&) const` and registers
-/// `&kernel_batch_eval<T>` in its descriptor.
+/// `template <class Sink> void eval(const Sink&) const` and registers
+/// `&kernel_batch_eval<T>` in its descriptor (see describe_lanes).
 template <typename DeviceT>
 void kernel_batch_eval(const KernelLaneView& lane,
                        const KernelEvalContext& ctx) {
@@ -151,13 +155,13 @@ void kernel_batch_eval(const KernelLaneView& lane,
   for (std::size_t i = 0; i < lane.count; ++i) {
     const KernelSink sink(ctx, lane.rows + i * r, lane.slots + i * rr,
                           lane.roles);
-    static_cast<const DeviceT*>(lane.devices[i])->kernel_eval(sink);
+    static_cast<const DeviceT*>(lane.devices[i])->eval(sink);
   }
 }
 
 /// Filled by Device::kernel_descriptor.  Devices sharing a bucket key
 /// must share `batch` and `roles` (the plan builder verifies and demotes
-/// mismatches to the per-device fallback path).
+/// mismatches to the Device::stamp path).
 struct KernelDescriptor {
   bool supported = false;
   /// Stable bucket key ("resistor", "mosfet", ...) — also the label the
@@ -194,7 +198,10 @@ struct KernelLane {
   std::vector<std::pair<std::size_t, std::size_t>> rowcol;
   std::vector<std::size_t> dense_slots;   ///< row * n + col
   std::vector<std::size_t> sparse_slots;  ///< CSR nzval slots (per epoch)
-  std::uint64_t evals = 0;  ///< cumulative device evaluations via kernels
+  /// Cumulative device evaluations in Newton assembly passes; counted
+  /// for nonlinear lanes only (the ones NewtonStats::nonlinear_evals
+  /// counts), so linear lanes stay at 0.
+  std::uint64_t evals = 0;
 
   KernelLaneView view(const std::size_t* slot_table) const {
     return {devices.data(), devices.size(), roles, rows.data(), slot_table};
@@ -202,11 +209,11 @@ struct KernelLane {
 };
 
 /// The frozen evaluation plan for one MnaSystem: built once at the first
-/// kernels-enabled solve, CSR slots re-resolved whenever the Jacobian
-/// pattern epoch moves.
+/// assembly (never by the constructor or compile()), CSR slots
+/// re-resolved whenever the Jacobian pattern epoch moves.
 struct KernelPlan {
   std::vector<KernelLane> lanes;  ///< bucket creation order
-  /// Devices with no (usable) descriptor, stamped via the virtual path
+  /// Devices with no (usable) descriptor, stamped through Device::stamp
   /// after the lanes; split by linearity to serve DeviceSet passes.
   std::vector<std::size_t> leftover_linear;
   std::vector<std::size_t> leftover_nonlinear;
@@ -218,5 +225,64 @@ struct KernelPlan {
   static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
   std::uint64_t sparse_epoch = kNoEpoch;
 };
+
+/// Role-indexed writer for one device over a StampContext: the same
+/// interface as KernelSink, translating roles to unknowns through the
+/// device's role table and writing through add_f/add_J (ground roles
+/// read 0 and drop writes, as on the lanes).
+class StampSink {
+ public:
+  StampSink(StampContext& ctx, const UnknownId* roles)
+      : ctx_(&ctx), roles_(roles) {}
+
+  double xr(int role) const {
+    if (role < 0) return 0.0;
+    const UnknownId u = roles_[role];
+    return u.valid() ? ctx_->x(u) : 0.0;
+  }
+
+  bool dc() const { return ctx_->mode() == AnalysisMode::kDcOperatingPoint; }
+  AnalysisMode mode() const { return ctx_->mode(); }
+  double time() const { return ctx_->time(); }
+  double dt() const { return ctx_->dt(); }
+  double gmin() const { return ctx_->gmin(); }
+  double source_factor() const { return ctx_->source_factor(); }
+
+  void f(int role, double value) const {
+    if (role >= 0) ctx_->add_f(roles_[role], value);
+  }
+  void J(int eq_role, int var_role, double value) const {
+    if (eq_role >= 0 && var_role >= 0) {
+      ctx_->add_J(roles_[eq_role], roles_[var_role], value);
+    }
+  }
+
+ private:
+  StampContext* ctx_;
+  const UnknownId* roles_;
+};
+
+/// Device::stamp of every in-tree device: runs `device.eval` through a
+/// StampSink over the unknowns `DeviceT::role_unknowns` lists.
+template <typename DeviceT>
+void stamp_roles(const DeviceT& device, StampContext& ctx) {
+  const auto roles = device.role_unknowns(KernelLayout(ctx.system()));
+  device.eval(StampSink(ctx, roles.data()));
+}
+
+/// Fills the type-independent part of an in-tree device's descriptor:
+/// bucket, batch function, and the role unknowns from
+/// `DeviceT::role_unknowns`.  The caller then declares its Jacobian
+/// cells with add_j.
+template <typename DeviceT>
+void describe_lanes(const DeviceT& device, const KernelLayout& layout,
+                    const char* bucket, KernelDescriptor& out) {
+  const auto roles = device.role_unknowns(layout);
+  out.supported = true;
+  out.bucket = bucket;
+  out.batch = &kernel_batch_eval<DeviceT>;
+  out.roles = static_cast<int>(roles.size());
+  out.role_unknowns.assign(roles.begin(), roles.end());
+}
 
 }  // namespace nemsim::spice

@@ -55,16 +55,6 @@ struct NewtonOptions {
   /// dense wins at n = 25, sparse wins at n = 41 — see DESIGN.md decision
   /// #4 and bench/perf_simulator).
   std::size_t sparse_threshold = 32;
-
-  /// Type-bucketed SoA evaluation kernels (nemsim/spice/kernels.h):
-  /// devices with a kernel descriptor assemble through per-type lanes
-  /// that scatter f/J into the Jacobian through frozen slot maps instead
-  /// of per-device virtual stamps with per-entry CSR slot searches.
-  /// Off: bitwise identical to the baseline engine.  On: lanes
-  /// accumulate in bucket order rather than circuit order, so results
-  /// match the baseline to solver tolerance, not bitwise (reltol
-  /// contract, Contract::kKernels).
-  bool kernels = false;
 };
 
 struct NewtonStats {
@@ -85,9 +75,9 @@ struct NewtonStats {
   std::int64_t factorization_reuses = 0; ///< sparse numeric refactorizations
   bool used_sparse = false;              ///< sparse path taken at least once
   std::int64_t nonlinear_evals = 0;      ///< nonlinear model evaluations run
-  /// Per-bucket device evaluations through the kernel lane path
-  /// (NewtonOptions::kernels), keyed by bucket label; empty when kernels
-  /// never ran.
+  /// Per-bucket nonlinear device evaluations through the kernel lanes,
+  /// keyed by bucket label.  With only in-tree devices the counts sum to
+  /// nonlinear_evals.
   std::vector<std::pair<std::string, std::uint64_t>> kernel_lane_evals;
 
   /// Accumulates another stats block into this one (counters add,
@@ -179,6 +169,9 @@ class NewtonSolver {
   std::uint64_t sparse_epoch_ = 0;  ///< pattern epoch of sparse_jac_
   bool sparse_ready_ = false;       ///< sparse_jac_ matches current pattern
   bool lu_ready_ = false;           ///< sparse_lu_ analysis matches sparse_jac_
+  /// Per-lane eval counts at the start of the current solve (reused, so
+  /// the snapshot allocates nothing after the first solve).
+  std::vector<std::uint64_t> lane_evals_before_;
 };
 
 }  // namespace nemsim::spice

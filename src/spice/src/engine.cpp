@@ -242,46 +242,20 @@ void MnaSystem::stamp_one(StampContext& ctx, std::size_t device_index,
   circuit_.device(device_index).stamp(ctx);
 }
 
-void MnaSystem::stamp_devices(StampContext& ctx, DeviceSet set,
-                              bool hot) const {
-  // Pattern-recording passes always use the virtual path: the recorder
-  // captures exactly what the devices stamp, and the kernel plan's own
-  // declared cells are merged into the pattern separately.
-  if (kernels_enabled_ && kernel_plan_ != nullptr && !ctx.pattern_recording()) {
-    stamp_devices_kernels(ctx, set, hot);
-    return;
-  }
-  stamp_devices_virtual(ctx, set, hot);
-}
-
-void MnaSystem::stamp_devices_virtual(StampContext& ctx, DeviceSet set,
-                                      bool hot) const {
-  switch (set) {
-    case DeviceSet::kAll:
-      // Circuit order, linear and nonlinear interleaved: this
-      // floating-point accumulation order is part of the engine's bitwise
-      // contract.
-      for (std::size_t i = 0; i < circuit_.num_devices(); ++i) {
-        stamp_one(ctx, i, hot);
-      }
-      break;
-    case DeviceSet::kLinear:
-      for (std::size_t i : linear_devices_) stamp_one(ctx, i, hot);
-      break;
-    case DeviceSet::kNonlinear:
-      for (std::size_t i : nonlinear_devices_) stamp_one(ctx, i, hot);
-      break;
+void MnaSystem::record_devices(StampContext& ctx) const {
+  for (std::size_t i = 0; i < circuit_.num_devices(); ++i) {
+    circuit_.device(i).stamp(ctx);
   }
 }
 
 // ------------------------------------------- type-bucketed kernels
 
-void MnaSystem::configure_kernels(bool enabled) {
-  if (enabled && kernel_plan_ == nullptr) build_kernel_plan();
-  kernels_enabled_ = enabled && kernel_plan_ != nullptr;
+const KernelPlan& MnaSystem::kernel_plan() const {
+  if (kernel_plan_ == nullptr) build_kernel_plan();
+  return *kernel_plan_;
 }
 
-void MnaSystem::build_kernel_plan() {
+void MnaSystem::build_kernel_plan() const {
   auto plan = std::make_unique<KernelPlan>();
   const KernelLayout layout(*this);
   const std::size_t n = num_unknowns();
@@ -399,19 +373,9 @@ void MnaSystem::resolve_kernel_sparse_slots(
   plan.sparse_epoch = complete ? pattern_epoch_ : KernelPlan::kNoEpoch;
 }
 
-std::vector<std::pair<std::string, std::uint64_t>>
-MnaSystem::kernel_lane_evals() const {
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  if (kernel_plan_ == nullptr) return out;
-  out.reserve(kernel_plan_->lanes.size());
-  for (const KernelLane& lane : kernel_plan_->lanes) {
-    out.emplace_back(lane.bucket, lane.evals);
-  }
-  return out;
-}
-
-void MnaSystem::stamp_devices_kernels(StampContext& ctx, DeviceSet set,
-                                      bool hot) const {
+void MnaSystem::stamp_devices(StampContext& ctx, DeviceSet set,
+                              bool hot) const {
+  if (kernel_plan_ == nullptr) build_kernel_plan();
   KernelPlan& plan = *kernel_plan_;
   KernelEvalContext ectx;
   ectx.x = ctx.iterate_data();
@@ -427,15 +391,12 @@ void MnaSystem::stamp_devices_kernels(StampContext& ctx, DeviceSet set,
     if (plan.sparse_epoch != pattern_epoch_) {
       resolve_kernel_sparse_slots(plan, *csr, ctx.missed_sink());
     }
-    if (plan.sparse_epoch != pattern_epoch_) {
-      // Declared cells missing from this skeleton (resolution failed):
-      // the misses were reported above, the caller grows the pattern and
-      // retries.  Complete this pass through the virtual path so its
-      // (discarded) residual stays well-formed.
-      stamp_devices_virtual(ctx, set, hot);
-      return;
+    // Declared cells missing from this skeleton (resolution failed) were
+    // reported as misses above: the caller grows the pattern and retries,
+    // so this pass only completes its (discarded) residual.
+    if (plan.sparse_epoch == pattern_epoch_) {
+      ectx.jacobian = csr->values().data();
     }
-    ectx.jacobian = csr->values().data();
   }
   ectx.mode = ctx.mode();
   ectx.time = ctx.time();
@@ -448,16 +409,14 @@ void MnaSystem::stamp_devices_kernels(StampContext& ctx, DeviceSet set,
     lane.batch(lane.view(sparse ? lane.sparse_slots.data()
                                 : lane.dense_slots.data()),
                ectx);
-    lane.evals += lane.devices.size();
     if (hot && !lane.linear) {
+      lane.evals += lane.devices.size();
       nonlinear_evals_ += static_cast<std::int64_t>(lane.devices.size());
     }
   };
 
-  // Deterministic kernels-on order: linear lanes, linear leftovers,
-  // nonlinear lanes, nonlinear leftovers — each in bucket-creation /
-  // circuit order.  This differs from the virtual path's interleaved
-  // circuit order, which is why kernels are a reltol contract.
+  // Deterministic order: linear lanes, linear leftovers, nonlinear lanes,
+  // nonlinear leftovers — each in bucket-creation / circuit order.
   if (set != DeviceSet::kNonlinear) {
     for (KernelLane& lane : plan.lanes) {
       if (lane.linear) run_lane(lane);
@@ -543,9 +502,9 @@ void MnaSystem::ensure_pattern() const {
   ctx.record_pattern(pattern_);
   ctx.disable_residual();
   ctx.configure(AnalysisMode::kDcOperatingPoint, 0.0, 0.0, 0.0, 1.0);
-  stamp_devices(ctx, DeviceSet::kAll);
+  record_devices(ctx);
   ctx.configure(AnalysisMode::kTransient, kSymbolicDt, kSymbolicDt, 0.0, 1.0);
-  stamp_devices(ctx, DeviceSet::kAll);
+  record_devices(ctx);
 
   // Every diagonal: gmin shunts stamp (i, i) on node rows, and keeping
   // the full diagonal structurally present helps the LU pivot search.
@@ -553,8 +512,8 @@ void MnaSystem::ensure_pattern() const {
 
   // The kernel plan's declared scatter cells are part of the pattern by
   // construction (orientation unions the symbolic passes cannot see),
-  // folded in here so enabling kernels before the first sparse solve
-  // costs no extra epoch bump.
+  // folded in here when the plan already exists; a plan built later
+  // grows the pattern itself (ensure_pattern_contains).
   if (kernel_plan_ != nullptr) {
     pattern_.insert(pattern_.end(), kernel_plan_->declared_cells.begin(),
                     kernel_plan_->declared_cells.end());
@@ -581,7 +540,7 @@ MnaSystem::structural_pattern(AnalysisMode mode) const {
   ctx.disable_residual();
   const double dt = mode == AnalysisMode::kTransient ? kSymbolicDt : 0.0;
   ctx.configure(mode, dt, dt, /*gmin=*/0.0, /*source_factor=*/1.0);
-  stamp_devices(ctx, DeviceSet::kAll);
+  record_devices(ctx);
 
   std::sort(pattern.begin(), pattern.end());
   pattern.erase(std::unique(pattern.begin(), pattern.end()), pattern.end());
@@ -633,7 +592,7 @@ bool MnaSystem::assemble_sparse(
     StampContext rctx(*this, x, /*jacobian=*/nullptr, residual,
                       residual_scale, /*missed=*/nullptr);
     rctx.configure(mode, time, dt, gmin, source_factor);
-    stamp_devices(rctx, DeviceSet::kLinear);
+    stamp_devices(rctx, DeviceSet::kLinear, /*hot=*/false);
   } else {
     jacobian.zero_values();
     stamp_devices(ctx, DeviceSet::kAll, /*hot=*/true);
@@ -724,7 +683,7 @@ bool MnaSystem::assemble_linear_jacobian(const linalg::Vector& x,
   ctx.configure(mode, time, dt, 0.0, 1.0);
 
   jacobian.zero_values();
-  stamp_devices(ctx, DeviceSet::kLinear);
+  stamp_devices(ctx, DeviceSet::kLinear, /*hot=*/false);
 
   if (!missed.empty()) {
     grow_pattern(missed);

@@ -8,8 +8,9 @@ UnknownId KernelLayout::of(NodeId node) const {
   return system_.unknown_of(node);
 }
 
-// Default: no kernel support — the device stamps through the virtual
-// path.  Concrete devices override in their own translation units.
+// Default: no kernel support — the engine stamps the device through
+// Device::stamp after the lanes.  In-tree devices override in their own
+// translation units.
 void Device::kernel_descriptor(const KernelLayout& layout,
                                KernelDescriptor& out) const {
   (void)layout;

@@ -6,6 +6,7 @@
 
 #include "nemsim/linalg/lu.h"
 #include "nemsim/spice/diagnostics.h"
+#include "nemsim/spice/kernels.h"
 #include "nemsim/util/error.h"
 #include "nemsim/util/logging.h"
 
@@ -110,20 +111,24 @@ linalg::Vector NewtonSolver::solve_plain(const linalg::Vector& x0,
                                          NewtonStats* stats) {
   require(x0.size() == system_.num_unknowns(),
           "NewtonSolver: initial guess size mismatch");
-  system_.configure_kernels(options_.kernels);
-  // Fold the system's eval/kernel deltas into the stats block even when
+  // Fold the system's eval/lane deltas into the stats block even when
   // the solve throws — homotopy ladder retries must not lose counts.
+  // Building the plan here (on the first solve) also grows the pattern
+  // before the sparse skeleton is made.
+  const KernelPlan& plan = system_.kernel_plan();
   const std::int64_t evals_before = system_.nonlinear_evals();
-  const auto kernel_before = system_.kernel_lane_evals();
+  if (stats != nullptr) {
+    lane_evals_before_.clear();
+    for (const KernelLane& lane : plan.lanes) {
+      lane_evals_before_.push_back(lane.evals);
+    }
+  }
   auto record = [&]() {
     if (stats == nullptr) return;
     stats->nonlinear_evals += system_.nonlinear_evals() - evals_before;
-    const auto kernel_after = system_.kernel_lane_evals();
-    for (std::size_t i = 0; i < kernel_after.size(); ++i) {
-      const std::uint64_t prior =
-          i < kernel_before.size() ? kernel_before[i].second : 0;
-      stats->add_kernel_lane_evals(kernel_after[i].first,
-                                   kernel_after[i].second - prior);
+    for (std::size_t i = 0; i < plan.lanes.size(); ++i) {
+      stats->add_kernel_lane_evals(
+          plan.lanes[i].bucket, plan.lanes[i].evals - lane_evals_before_[i]);
     }
   };
   try {

@@ -162,13 +162,12 @@ CheckOptions quiet_options() {
 }
 
 TEST(CheckCase, PinnedSeedsRunCleanAcrossTheFullMatrix) {
-  // Smoke corpus: the full 18-leg matrix (7 op + 6 transient + 5 dc
-  // sweep contracts, counting the kernel-lane legs) passes on pinned
-  // seeds.  A failure here means an engine path broke a redundancy
+  // Smoke corpus: the full 15-leg matrix (6 op + 5 transient + 4 dc
+  // sweep contracts) passes on pinned seeds.  A failure here means an engine path broke a redundancy
   // contract — see the mismatch detail.
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const CheckCaseResult r = check::run_check_case(seed, quiet_options());
-    EXPECT_EQ(r.contracts_run, 18u) << "seed " << seed;
+    EXPECT_EQ(r.contracts_run, 15u) << "seed " << seed;
     EXPECT_TRUE(r.ok()) << "seed " << seed << ": "
                         << (r.mismatches.empty()
                                 ? ""

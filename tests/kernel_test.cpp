@@ -1,14 +1,24 @@
-// Type-bucketed kernel lanes: plan construction, scatter-map
-// correctness against the unknown table, pattern-epoch tracking of the
-// CSR slot tables, the off-by-default bitwise contract, and the
-// kernels-on reltol contract against the virtual-dispatch baseline.
+// Type-bucketed kernel lanes, the engine's only assembly path: plan
+// construction, scatter-map correctness against the unknown table,
+// pattern-epoch tracking of the CSR slot tables, the declared-cell
+// property every in-tree device must satisfy, and lane assembly against
+// a per-device Device::stamp reference (the StampSink instantiation of
+// the same device models).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <random>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "nemsim/check/generator.h"
+#include "nemsim/core/dynamic_or.h"
+#include "nemsim/devices/controlled.h"
+#include "nemsim/devices/diode.h"
 #include "nemsim/devices/mosfet.h"
 #include "nemsim/devices/nemfet.h"
 #include "nemsim/devices/passives.h"
@@ -31,6 +41,7 @@ using devices::NemsPolarity;
 using devices::Resistor;
 using devices::SourceWave;
 using devices::VoltageSource;
+using spice::AnalysisMode;
 using spice::Circuit;
 using spice::KernelLane;
 using spice::KernelPlan;
@@ -64,16 +75,111 @@ const KernelLane* find_lane(const KernelPlan& plan, const std::string& bucket) {
   return nullptr;
 }
 
-void expect_identical(const spice::Waveform& a, const spice::Waveform& b) {
-  ASSERT_EQ(a.num_samples(), b.num_samples());
-  ASSERT_EQ(a.num_signals(), b.num_signals());
-  for (std::size_t k = 0; k < a.num_samples(); ++k) {
-    ASSERT_EQ(a.times()[k], b.times()[k]) << "sample " << k;
-    for (std::size_t s = 0; s < a.num_signals(); ++s) {
-      ASSERT_EQ(a.sample(s, k), b.sample(s, k))
-          << a.signal_names()[s] << " sample " << k;
+// ------------------------------------------------- Device::stamp reference
+
+/// One assembly pass: Jacobian, residual and residual scale.
+struct Assembly {
+  linalg::Matrix j;
+  linalg::Vector f;
+  linalg::Vector scale;
+};
+
+/// The reference: every device's Device::stamp, in circuit order, into a
+/// dense StampContext, plus the engine's gmin shunt on node rows.
+Assembly stamp_reference(const MnaSystem& system, const linalg::Vector& x,
+                         AnalysisMode mode, double time, double dt,
+                         double gmin) {
+  const std::size_t n = system.num_unknowns();
+  Assembly ref;
+  ref.j.reset(n, n);
+  ref.f = linalg::Vector(n, 0.0);
+  ref.scale = linalg::Vector(n, 0.0);
+  spice::StampContext ctx(system, x, ref.j, ref.f, ref.scale);
+  ctx.configure(mode, time, dt, gmin, 1.0);
+  const Circuit& ckt = system.circuit();
+  for (std::size_t i = 0; i < ckt.num_devices(); ++i) {
+    ckt.device(i).stamp(ctx);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (system.unknown_info(i).kind == spice::UnknownKind::kNodeVoltage) {
+      ref.f[i] += gmin * x[i];
+      ref.j(i, i) += gmin;
     }
   }
+  return ref;
+}
+
+/// Lanes accumulate in bucket order, the reference in circuit order, so
+/// entries agree to rounding: a residual row within 1e-10 of its scale
+/// (the sum of |contributions|), a Jacobian entry within 1e-10 of its
+/// row's largest entry.  A wrong or dropped scatter slot is an O(1)
+/// error.
+void expect_assembly_matches(const Assembly& ref, const linalg::Matrix& j,
+                             const linalg::Vector* f,
+                             const std::string& where) {
+  const std::size_t n = ref.j.rows();
+  ASSERT_EQ(j.rows(), n) << where;
+  for (std::size_t r = 0; r < n; ++r) {
+    if (f != nullptr) {
+      EXPECT_NEAR((*f)[r], ref.f[r], 1e-10 * ref.scale[r] + 1e-300)
+          << where << ": residual row " << r;
+    }
+    double row_max = 0.0;
+    for (std::size_t c = 0; c < n; ++c) {
+      row_max = std::max(row_max, std::abs(ref.j(r, c)));
+    }
+    for (std::size_t c = 0; c < n; ++c) {
+      EXPECT_NEAR(j(r, c), ref.j(r, c), 1e-10 * row_max + 1e-300)
+          << where << ": J(" << r << ", " << c << ")";
+    }
+  }
+}
+
+/// Compares every lane assembly entry point at one iterate with the
+/// Device::stamp reference: dense assemble, assemble_residual, sparse
+/// assembly with and without the linear baseline, and the Jacobian-only
+/// sparse assembly.
+void expect_lanes_match_stamps(const MnaSystem& system,
+                               const linalg::Vector& x, AnalysisMode mode,
+                               double time, double dt,
+                               const std::string& where) {
+  const double gmin = 1e-12;
+  const Assembly ref = stamp_reference(system, x, mode, time, dt, gmin);
+
+  linalg::Matrix j;
+  linalg::Vector f, scale;
+  system.assemble(x, j, f, scale, mode, time, dt, gmin, 1.0);
+  expect_assembly_matches(ref, j, &f, where + " dense");
+  for (std::size_t r = 0; r < f.size(); ++r) {
+    EXPECT_NEAR(scale[r], ref.scale[r], 1e-12 * ref.scale[r])
+        << where << ": scale row " << r;
+  }
+
+  linalg::Vector fr, scale_r;
+  system.assemble_residual(x, fr, scale_r, mode, time, dt, gmin, 1.0);
+  expect_assembly_matches(ref, j, &fr, where + " residual-only");
+
+  linalg::CsrMatrix csr = system.make_sparse_jacobian();
+  int retries = 0;
+  while (!system.assemble_sparse(x, csr, f, scale, mode, time, dt, gmin,
+                                 1.0)) {
+    ASSERT_LT(++retries, 4) << where;
+    csr = system.make_sparse_jacobian();
+  }
+  expect_assembly_matches(ref, csr.to_dense(), &f, where + " sparse");
+
+  std::vector<double> baseline;
+  ASSERT_TRUE(
+      system.assemble_linear_jacobian(x, csr, baseline, mode, time, dt));
+  ASSERT_TRUE(system.assemble_sparse(x, csr, f, scale, mode, time, dt, gmin,
+                                     1.0, &baseline));
+  expect_assembly_matches(ref, csr.to_dense(), &f,
+                          where + " sparse+baseline");
+
+  ASSERT_TRUE(system.assemble_jacobian_sparse(x, csr, mode, time, dt, gmin,
+                                              1.0, &baseline));
+  expect_assembly_matches(ref, csr.to_dense(), nullptr,
+                          where + " sparse jacobian-only");
 }
 
 // ---------------------------------------------------------- lane building
@@ -81,12 +187,10 @@ void expect_identical(const spice::Waveform& a, const spice::Waveform& b) {
 TEST(KernelPlan, BucketsEveryInTreeDeviceType) {
   Circuit ckt = make_hybrid_inverter();
   MnaSystem system(ckt);
-  system.configure_kernels(true);
-  ASSERT_NE(system.kernel_plan(), nullptr);
-  const KernelPlan& plan = *system.kernel_plan();
+  const KernelPlan& plan = system.kernel_plan();
 
   // Every in-tree device type has a descriptor: nothing falls through to
-  // the per-device virtual path.
+  // the per-device Device::stamp path.
   EXPECT_TRUE(plan.leftover_linear.empty());
   EXPECT_TRUE(plan.leftover_nonlinear.empty());
 
@@ -123,8 +227,7 @@ TEST(KernelPlan, ScatterMapMatchesUnknownTable) {
   ckt.add<Resistor>("R1", in, out, 1e3);
   ckt.add<Resistor>("R2", out, ckt.gnd(), 2e3);
   MnaSystem system(ckt);
-  system.configure_kernels(true);
-  const KernelPlan& plan = *system.kernel_plan();
+  const KernelPlan& plan = system.kernel_plan();
   const std::size_t n = system.num_unknowns();
 
   const std::size_t u_in = system.unknown_of(in).index;
@@ -162,32 +265,37 @@ TEST(KernelPlan, SparseSlotsTrackThePatternEpoch) {
   Circuit ckt = make_hybrid_inverter();
   MnaSystem system(ckt);
 
-  // Build the pattern first (without kernels), then enable: the plan's
-  // declared cells may genuinely extend the recorded pattern (e.g. the
-  // MOSFET's swapped-orientation cells), which must go through a proper
-  // epoch bump, and the first kernels-on sparse solve must resolve the
-  // slot tables against the final epoch.
-  spice::OpOptions plain;
-  plain.newton.solver = spice::JacobianSolver::kSparse;
-  (void)spice::operating_point(system, plain);
+  // Build the pattern before the plan (as compile() does): the plan's
+  // declared cells genuinely extend the recorded pattern (e.g. the
+  // swapped-orientation cells), which must go through a proper epoch
+  // bump.  A sparse assembly against the stale skeleton reports the
+  // missing cells and succeeds on the retry with a fresh skeleton.
+  linalg::CsrMatrix stale = system.make_sparse_jacobian();
   const std::uint64_t epoch_before = system.jacobian_pattern_epoch();
+  const KernelPlan& plan = system.kernel_plan();
+  EXPECT_GT(system.jacobian_pattern_epoch(), epoch_before);
+  // Slots are resolved lazily at the first sparse assembly.
+  EXPECT_EQ(plan.sparse_epoch, KernelPlan::kNoEpoch);
 
-  system.configure_kernels(true);
-  ASSERT_NE(system.kernel_plan(), nullptr);
-  EXPECT_GE(system.jacobian_pattern_epoch(), epoch_before);
-  // Slots are resolved lazily at the first kernels-on sparse assembly.
-  EXPECT_EQ(system.kernel_plan()->sparse_epoch, KernelPlan::kNoEpoch);
+  const linalg::Vector x = system.initial_guess();
+  linalg::Vector f, scale;
+  EXPECT_FALSE(system.assemble_sparse(x, stale, f, scale,
+                                      AnalysisMode::kDcOperatingPoint, 0.0,
+                                      0.0, 0.0, 1.0));
+  linalg::CsrMatrix csr = system.make_sparse_jacobian();
+  EXPECT_TRUE(system.assemble_sparse(x, csr, f, scale,
+                                     AnalysisMode::kDcOperatingPoint, 0.0,
+                                     0.0, 0.0, 1.0));
+  EXPECT_EQ(plan.sparse_epoch, system.jacobian_pattern_epoch());
 
-  spice::OpOptions with;
-  with.newton.solver = spice::JacobianSolver::kSparse;
-  with.newton.kernels = true;
-  (void)spice::operating_point(system, with);
-  EXPECT_EQ(system.kernel_plan()->sparse_epoch,
-            system.jacobian_pattern_epoch());
-
-  // Resolved slots all point inside the CSR value array.
-  const linalg::CsrMatrix csr = system.make_sparse_jacobian();
-  for (const KernelLane& lane : system.kernel_plan()->lanes) {
+  // A sparse solve keeps the slot tables on the final epoch, and every
+  // resolved slot points inside the CSR value array.
+  spice::OpOptions sparse;
+  sparse.newton.solver = spice::JacobianSolver::kSparse;
+  (void)spice::operating_point(system, sparse);
+  EXPECT_EQ(plan.sparse_epoch, system.jacobian_pattern_epoch());
+  csr = system.make_sparse_jacobian();
+  for (const KernelLane& lane : plan.lanes) {
     for (std::size_t s : lane.sparse_slots) {
       if (s == kKernelAbsent) continue;
       EXPECT_LT(s, csr.values().size());
@@ -195,110 +303,275 @@ TEST(KernelPlan, SparseSlotsTrackThePatternEpoch) {
   }
 }
 
-// ------------------------------------------------------ off-path contract
+// ------------------------------------------------- declared-cell property
 
-TEST(KernelContract, OffRunsAreBitwiseUnchanged) {
-  auto run = [](const spice::NewtonOptions& newton) {
-    Circuit ckt = make_hybrid_inverter();
-    MnaSystem system(ckt);
-    spice::TransientOptions o;
-    o.newton = newton;
-    o.tstop = 1.5e-9;
-    o.dt_initial = 1e-13;
-    return spice::transient(system, o);
+/// Adds one device of the type under test across the distinct nodes
+/// a, b, c, d.
+using DeviceFactory = std::function<void(Circuit&, spice::NodeId a,
+                                         spice::NodeId b, spice::NodeId c,
+                                         spice::NodeId d)>;
+
+struct DeviceCase {
+  const char* label;
+  DeviceFactory add;
+};
+
+std::vector<DeviceCase> in_tree_device_cases() {
+  using spice::NodeId;
+  return {
+      {"resistor",
+       [](Circuit& k, NodeId a, NodeId b, NodeId, NodeId) {
+         k.add<Resistor>("R", a, b, 1e3);
+       }},
+      {"capacitor",
+       [](Circuit& k, NodeId a, NodeId b, NodeId, NodeId) {
+         k.add<Capacitor>("C", a, b, 1e-15);
+       }},
+      {"inductor",
+       [](Circuit& k, NodeId a, NodeId b, NodeId, NodeId) {
+         k.add<devices::Inductor>("L", a, b, 1e-9);
+       }},
+      {"vsource",
+       [](Circuit& k, NodeId a, NodeId b, NodeId, NodeId) {
+         k.add<VoltageSource>("V", a, b, SourceWave::dc(0.7));
+       }},
+      {"isource",
+       [](Circuit& k, NodeId a, NodeId b, NodeId, NodeId) {
+         k.add<devices::CurrentSource>("I", a, b, SourceWave::dc(1e-6));
+       }},
+      {"vcvs",
+       [](Circuit& k, NodeId a, NodeId b, NodeId c, NodeId d) {
+         k.add<devices::Vcvs>("E", a, b, c, d, 2.0);
+       }},
+      {"vccs",
+       [](Circuit& k, NodeId a, NodeId b, NodeId c, NodeId d) {
+         k.add<devices::Vccs>("G", a, b, c, d, 1e-3);
+       }},
+      {"diode",
+       [](Circuit& k, NodeId a, NodeId b, NodeId, NodeId) {
+         k.add<devices::Diode>("D", a, b, devices::DiodeParams{});
+       }},
+      {"nmos",
+       [](Circuit& k, NodeId a, NodeId b, NodeId c, NodeId) {
+         k.add<Mosfet>("M", a, b, c, MosPolarity::kNmos, tech::nmos_90nm(),
+                       0.3e-6, 1e-7);
+       }},
+      {"pmos",
+       [](Circuit& k, NodeId a, NodeId b, NodeId c, NodeId) {
+         k.add<Mosfet>("M", a, b, c, MosPolarity::kPmos, tech::pmos_90nm(),
+                       0.6e-6, 1e-7);
+       }},
+      {"nemfet-n",
+       [](Circuit& k, NodeId a, NodeId b, NodeId c, NodeId) {
+         k.add<Nemfet>("X", a, b, c, NemsPolarity::kN, tech::nems_90nm(),
+                       1e-6);
+       }},
+      {"nemfet-p",
+       [](Circuit& k, NodeId a, NodeId b, NodeId c, NodeId) {
+         k.add<Nemfet>("X", a, b, c, NemsPolarity::kP, tech::nems_90nm(),
+                       1e-6);
+       }},
   };
-  const spice::Waveform a = run(spice::NewtonOptions{});
-  spice::NewtonOptions off;
-  off.kernels = false;
-  const spice::Waveform b = run(off);
-  expect_identical(a, b);
 }
 
-TEST(KernelContract, OnThenOffLeavesNoStateBehind) {
-  // A kernels-on run followed by a default run on the SAME system must
-  // reproduce a fresh default run bitwise.
-  Circuit ckt = make_hybrid_inverter();
-  MnaSystem system(ckt);
-  spice::TransientOptions on;
-  on.tstop = 1.5e-9;
-  on.dt_initial = 1e-13;
-  on.newton.kernels = true;
-  spice::transient(system, on);
+TEST(KernelDeclaredCells, EveryWrittenCellIsDeclared) {
+  // KernelSink drops writes to cells the descriptor did not declare, so
+  // a missing add_j would be a silently wrong Jacobian.  Run each in-tree
+  // device's eval through the recording sink (Device::stamp into a
+  // pattern-recording StampContext) over sampled iterates — both
+  // source/drain orientations, both polarities, DC and transient, both
+  // companion integrators — and require every written (eq, var) cell to
+  // be among the declared ones.
+  for (const DeviceCase& dc : in_tree_device_cases()) {
+    SCOPED_TRACE(dc.label);
+    Circuit ckt;
+    dc.add(ckt, ckt.node("a"), ckt.node("b"), ckt.node("c"), ckt.node("d"));
+    MnaSystem system(ckt);
+    const spice::Device& device = ckt.device(0);
 
-  spice::TransientOptions off = on;
-  off.newton = spice::NewtonOptions{};
-  const spice::Waveform after = spice::transient(system, off);
+    spice::KernelDescriptor desc;
+    device.kernel_descriptor(spice::KernelLayout(system), desc);
+    ASSERT_TRUE(desc.supported);
+    ASSERT_EQ(desc.role_unknowns.size(), static_cast<std::size_t>(desc.roles));
+    std::set<std::pair<std::size_t, std::size_t>> declared;
+    for (const auto& [er, vr] : desc.j_positions) {
+      declared.emplace(desc.role_unknowns[er].index,
+                       desc.role_unknowns[vr].index);
+    }
 
-  Circuit fresh_ckt = make_hybrid_inverter();
-  MnaSystem fresh_system(fresh_ckt);
-  const spice::Waveform fresh = spice::transient(fresh_system, off);
-  expect_identical(after, fresh);
+    const std::size_t n = system.num_unknowns();
+    std::mt19937_64 rng(7);
+    std::uniform_real_distribution<double> volts(-1.5, 1.5);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    bool forward = false, reverse = false;
+    for (int sample = 0; sample < 48; ++sample) {
+      linalg::Vector x(n, 0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        const spice::UnknownInfo& info = system.unknown_info(i);
+        if (info.kind == spice::UnknownKind::kInternal &&
+            info.name.size() > 2 &&
+            info.name.compare(info.name.size() - 2, 2, ".x") == 0) {
+          x[i] = unit(rng) * tech::nems_90nm().gap0;  // beam position
+        } else {
+          x[i] = volts(rng);
+        }
+      }
+      // Unknowns 0 and 2 are nodes a and c: the drain and source of the
+      // FETs.
+      (x[0] > x[2] ? forward : reverse) = true;
+      if (sample == 24) {
+        // Commit a transient step so the companions switch from the
+        // backward-Euler restart to trapezoidal.
+        system.accept(x, AnalysisMode::kTransient, 1e-12, 1e-12);
+      }
+      for (AnalysisMode mode :
+           {AnalysisMode::kDcOperatingPoint, AnalysisMode::kTransient}) {
+        std::vector<std::pair<std::size_t, std::size_t>> written;
+        linalg::Vector f(n, 0.0), scale(n, 0.0);
+        spice::StampContext ctx(system, x, /*jacobian=*/nullptr, f, scale,
+                                /*missed=*/nullptr);
+        ctx.record_pattern(written);
+        const bool tran = mode == AnalysisMode::kTransient;
+        ctx.configure(mode, tran ? 2e-12 : 0.0, tran ? 1e-12 : 0.0, 0.0, 1.0);
+        device.stamp(ctx);
+        for (const auto& cell : written) {
+          EXPECT_TRUE(declared.count(cell))
+              << system.unknown_info(cell.first).name << " row, "
+              << system.unknown_info(cell.second).name << " column ("
+              << (tran ? "transient" : "dc") << ") is written but not "
+              << "declared";
+        }
+      }
+    }
+    EXPECT_TRUE(forward && reverse);
+  }
 }
 
-// ------------------------------------------------------- on-path contract
+// ------------------------------------- lanes vs the Device::stamp reference
 
-TEST(KernelContract, OperatingPointMatchesVirtualPath) {
-  for (spice::JacobianSolver solver :
-       {spice::JacobianSolver::kDense, spice::JacobianSolver::kSparse}) {
-    Circuit base_ckt = make_hybrid_inverter();
-    MnaSystem base_system(base_ckt);
-    spice::OpOptions base_opts;
-    base_opts.newton.solver = solver;
-    const spice::OpResult base = spice::operating_point(base_system, base_opts);
-
-    Circuit kern_ckt = make_hybrid_inverter();
-    MnaSystem kern_system(kern_ckt);
-    spice::OpOptions kern_opts = base_opts;
-    kern_opts.newton.kernels = true;
-    const spice::OpResult fast =
-        spice::operating_point(kern_system, kern_opts);
-
-    ASSERT_EQ(base.raw().size(), fast.raw().size());
-    for (std::size_t i = 0; i < base.raw().size(); ++i) {
-      EXPECT_NEAR(base.raw()[i], fast.raw()[i],
-                  1e-6 + 1e-6 * std::abs(base.raw()[i]))
-          << "unknown " << i << " solver " << static_cast<int>(solver);
+TEST(KernelAssembly, LanesMatchDeviceStampsOnGeneratedCircuits) {
+  // The lanes and Device::stamp run the same eval; what differs is the
+  // scatter: frozen role-to-slot maps (dense offsets, CSR slots, the
+  // linear baseline) against add_f/add_J.  Check every assembly entry
+  // point on the differential checker's generated circuits, at the OP
+  // and at a perturbed iterate, in both analysis modes.
+  int solved = 0;
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Circuit ckt = check::generate_circuit(seed);
+    MnaSystem system(ckt);
+    linalg::Vector x_op;
+    try {
+      x_op = spice::operating_point(system).raw();
+    } catch (const std::exception&) {
+      continue;
+    }
+    ++solved;
+    linalg::Vector x_pert = x_op;
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> jitter(-1.0, 1.0);
+    for (std::size_t i = 0; i < x_pert.size(); ++i) {
+      x_pert[i] += system.unknown_info(i).kind ==
+                           spice::UnknownKind::kNodeVoltage
+                       ? 0.1 * jitter(rng)
+                       : 0.01 * jitter(rng) * std::abs(x_pert[i]);
+    }
+    for (const auto& [x, label] :
+         {std::pair{&x_op, "op"}, std::pair{&x_pert, "perturbed"}}) {
+      expect_lanes_match_stamps(system, *x, AnalysisMode::kDcOperatingPoint,
+                                0.0, 0.0, std::string(label) + " dc");
+      expect_lanes_match_stamps(system, *x, AnalysisMode::kTransient, 1e-11,
+                                1e-12, std::string(label) + " transient");
     }
   }
+  EXPECT_GE(solved, 45);
 }
 
-TEST(KernelContract, TransientMatchesVirtualPathAndCountsLanes) {
-  auto run = [](bool kernels, spice::NewtonStats* stats) {
+TEST(KernelContract, OperatingPointMatchesDeviceStamps) {
+  // The lane-assembled operating point is an operating point of the
+  // Device::stamp model too: at the converged x the two assemblies agree
+  // entry by entry, on both Jacobian sinks.
+  for (spice::JacobianSolver solver :
+       {spice::JacobianSolver::kDense, spice::JacobianSolver::kSparse}) {
+    SCOPED_TRACE(solver == spice::JacobianSolver::kDense ? "dense" : "sparse");
     Circuit ckt = make_hybrid_inverter();
     MnaSystem system(ckt);
-    spice::TransientOptions o;
-    o.tstop = 1.5e-9;
-    o.dt_initial = 1e-13;
-    o.newton.kernels = kernels;
-    o.newton_stats = stats;
-    return spice::transient(system, o);
-  };
-  spice::NewtonStats base_stats, kern_stats;
-  const spice::Waveform base = run(false, &base_stats);
-  const spice::Waveform fast = run(true, &kern_stats);
-  for (double t : {0.1e-9, 0.3e-9, 0.6e-9, 1.0e-9, 1.5e-9}) {
-    EXPECT_NEAR(base.at("v(out)", t), fast.at("v(out)", t), 5e-3)
-        << "t = " << t;
+    spice::OpOptions opts;
+    opts.newton.solver = solver;
+    const spice::OpResult op = spice::operating_point(system, opts);
+    expect_lanes_match_stamps(system, op.raw(),
+                              AnalysisMode::kDcOperatingPoint, 0.0, 0.0,
+                              "op");
   }
+}
 
-  // Per-bucket counters: the kernels run evaluated every lane; the
-  // baseline run reports none.
-  EXPECT_TRUE(base_stats.kernel_lane_evals.empty());
-  ASSERT_FALSE(kern_stats.kernel_lane_evals.empty());
-  for (const char* bucket : {"mosfet", "nemfet", "capacitor", "vsource"}) {
+TEST(KernelContract, TransientMatchesDeviceStampsAndCountsLanes) {
+  spice::NewtonStats stats;
+  Circuit ckt = make_hybrid_inverter();
+  MnaSystem system(ckt);
+  spice::TransientOptions o;
+  o.tstop = 1.5e-9;
+  o.dt_initial = 1e-13;
+  o.newton_stats = &stats;
+  const spice::Waveform wave = spice::transient(system, o);
+  // The devices hold the last accepted step's history: the transient
+  // assembly after it agrees with the Device::stamp reference.
+  linalg::Vector x_end(system.num_unknowns(), 0.0);
+  for (std::size_t i = 0; i < x_end.size(); ++i) {
+    x_end[i] = wave.at(system.unknown_info(i).name, o.tstop);
+  }
+  expect_lanes_match_stamps(system, x_end, AnalysisMode::kTransient, 1.6e-9,
+                            1e-11, "transient");
+
+  // Per-bucket counters cover the nonlinear lanes only; linear lanes
+  // are not model evaluations.
+  for (const char* bucket : {"mosfet", "nemfet"}) {
     const auto it = std::find_if(
-        kern_stats.kernel_lane_evals.begin(), kern_stats.kernel_lane_evals.end(),
+        stats.kernel_lane_evals.begin(), stats.kernel_lane_evals.end(),
         [&](const auto& e) { return e.first == bucket; });
-    ASSERT_NE(it, kern_stats.kernel_lane_evals.end()) << bucket;
+    ASSERT_NE(it, stats.kernel_lane_evals.end()) << bucket;
     EXPECT_GT(it->second, 0u) << bucket;
+  }
+  for (const auto& [bucket, count] : stats.kernel_lane_evals) {
+    EXPECT_TRUE(bucket == "mosfet" || bucket == "nemfet") << bucket;
   }
 
   // nonlinear_evals counts one model evaluation per nonlinear device
-  // (MP, XN) per Newton assembly pass, full or residual-only, on either
-  // path.
-  for (const spice::NewtonStats* s : {&base_stats, &kern_stats}) {
-    EXPECT_GT(s->nonlinear_evals, 0);
-    EXPECT_EQ(s->nonlinear_evals, 2 * (s->assembles + s->residual_assembles));
+  // (MP, XN) per Newton assembly pass, full or residual-only.
+  EXPECT_GT(stats.nonlinear_evals, 0);
+  EXPECT_EQ(stats.nonlinear_evals,
+            2 * (stats.assembles + stats.residual_assembles));
+}
+
+TEST(KernelCounters, LaneEvalsSumToNonlinearEvals) {
+  // perfbench divides the lane counts by nonlinear_evals: on a circuit of
+  // in-tree devices every nonlinear evaluation is a lane evaluation, on
+  // both Jacobian sinks and through OP and transient alike.
+  for (spice::JacobianSolver solver :
+       {spice::JacobianSolver::kDense, spice::JacobianSolver::kSparse}) {
+    SCOPED_TRACE(solver == spice::JacobianSolver::kDense ? "dense" : "sparse");
+    core::DynamicOrConfig c;
+    c.fanin = 4;
+    c.hybrid = true;
+    core::DynamicOrGate gate = core::build_dynamic_or(c);
+    MnaSystem system(gate.ckt());
+    spice::NewtonStats stats;
+    spice::OpOptions op;
+    op.newton.solver = solver;
+    op.stats = &stats;
+    (void)spice::operating_point(system, op);
+    spice::TransientOptions o;
+    o.tstop = 0.5e-9;
+    o.newton.solver = solver;
+    o.newton_stats = &stats;
+    (void)spice::transient(system, o);
+
+    std::uint64_t lane_evals = 0;
+    for (const auto& [bucket, count] : stats.kernel_lane_evals) {
+      lane_evals += count;
+    }
+    EXPECT_GT(stats.nonlinear_evals, 0);
+    EXPECT_EQ(lane_evals, static_cast<std::uint64_t>(stats.nonlinear_evals));
   }
 }
 

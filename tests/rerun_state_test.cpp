@@ -97,25 +97,15 @@ void check_transient_rerun(const spice::TransientOptions& o) {
   expect_bitwise(expect, second);
 }
 
+// TransientPlain (dense: the inverter is below the sparse threshold) and
+// TransientForcedSparse run the kernel lanes on both Jacobian sinks: the
+// plan (lanes, scatter maps, per-bucket counters, CSR slot epoch) lives
+// on the MnaSystem and survives the first run, and must not leak into
+// the second.
 TEST(RerunState, TransientPlain) {
   spice::TransientOptions o;
   o.tstop = 2e-9;
   check_transient_rerun(o);
-}
-
-TEST(RerunState, TransientWithKernels) {
-  // The kernel plan (lanes, scatter maps, per-bucket counters, CSR slot
-  // epoch) lives on the MnaSystem and survives the first run; it must
-  // not leak into the second, on either Jacobian sink.
-  for (spice::JacobianSolver solver :
-       {spice::JacobianSolver::kDense, spice::JacobianSolver::kSparse}) {
-    SCOPED_TRACE(solver == spice::JacobianSolver::kDense ? "dense" : "sparse");
-    spice::TransientOptions o;
-    o.tstop = 2e-9;
-    o.newton.kernels = true;
-    o.newton.solver = solver;
-    check_transient_rerun(o);
-  }
 }
 
 TEST(RerunState, TransientForcedSparse) {

@@ -2,10 +2,10 @@
 //
 // Generate mode (default): for each seed in [--seed, --seed + --count),
 // builds a random circuit and runs the full configuration matrix
-// (nemsim/check/checker.h) — dense vs sparse LU, kernel lanes on vs
-// off, compiled vs legacy drivers, flat vs hierarchical, serial vs
-// parallel sweep, export -> parse round trip, analyzer soundness —
-// comparing every pair under its bitwise, reltol or soundness contract.
+// (nemsim/check/checker.h) — dense vs sparse LU, compiled vs legacy
+// drivers, flat vs hierarchical, serial vs parallel sweep, export ->
+// parse round trip, analyzer soundness — comparing every pair under its
+// bitwise, reltol or soundness contract.
 // Mismatches are printed with the worst MNA row named, and the offending
 // deck plus a repro command are written to --out; with --minimize the
 // deck is first shrunk (greedy device deletion + node merging) while the
