@@ -8,8 +8,9 @@
 // flattened multiply-add schedule of the elimination itself.  refactor()
 // then replays that schedule on new values — no maps, no allocation, no
 // pivot search — and solve() reuses the triangles for many right-hand
-// sides.  When a frozen pivot decays numerically (threshold test),
-// refactor() returns false and the caller re-runs factor() to re-pivot.
+// sides.  When a frozen pivot no longer dominates its column (some
+// multiplier |L(i,k)| exceeds 1/kRefactorTau), refactor() returns false
+// and the caller re-runs factor() to re-pivot.
 #pragma once
 
 #include <cstddef>
@@ -40,6 +41,19 @@ inline CsrView csr_view(const CsrMatrix& a) {
 
 class SparseLuFactorization {
  public:
+  /// factor()'s threshold pivoting accepts any candidate within this
+  /// factor of its column maximum, so every multiplier it creates obeys
+  /// |L(i,k)| <= 1/kPivotAlpha = 10.
+  static constexpr double kPivotAlpha = 0.1;
+  /// refactor() keeps the frozen order while every multiplier obeys
+  /// |L(i,k)| <= 1/kRefactorTau = 1000: the same column-wise criterion,
+  /// 100x looser.  Comparing entries of one column makes the test
+  /// invariant to how the unknowns are scaled (volts, metres, m/s), and
+  /// it bounds element growth.
+  static constexpr double kRefactorTau = 1e-3;
+  /// rejected_row() when the last refactor() rejected no pivot.
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
   SparseLuFactorization() = default;
 
   /// Full factorization: symbolic analysis (pivot order + fill pattern +
@@ -51,8 +65,9 @@ class SparseLuFactorization {
 
   /// Numeric-only refactorization reusing the cached symbolic analysis.
   /// `a` must have the same pattern factor() saw.  Returns false when a
-  /// pivot fails the threshold test (|pivot| < tau * max|row|) — the
-  /// caller should fall back to factor() for a fresh pivot order.
+  /// pivot is zero or creates a multiplier |a_ik / pivot| > 1/kRefactorTau
+  /// (rejected_row() names it), or when the pattern differs — the caller
+  /// should fall back to factor() for a fresh pivot order.
   bool refactor(const CsrView& a);
   bool refactor(const SparseMatrix& a) { return refactor(csr_view(a)); }
   bool refactor(const CsrMatrix& a) { return refactor(csr_view(a)); }
@@ -61,15 +76,15 @@ class SparseLuFactorization {
   std::size_t size() const { return n_; }
   /// Nonzeros of L+U (pattern nonzeros plus fill-in).
   std::size_t fill_nonzeros() const { return vals_.size(); }
+  /// Original row index of the pivot that made the last refactor() fail;
+  /// npos after a successful refactor() or a pattern mismatch.
+  std::size_t rejected_row() const { return rejected_row_; }
+  /// Largest |L(i,k)| of the current factorization.
+  double max_multiplier() const;
 
   /// Solves A x = b with the current numeric factorization.
   Vector solve(const Vector& b) const;
   void solve_in_place(Vector& x) const;
-
-  /// Relative pivot-decay threshold for refactor(); pivots below
-  /// tau * max|U-row| reject the cached order.
-  double pivot_threshold() const { return tau_; }
-  void set_pivot_threshold(double tau) { tau_ = tau; }
 
  private:
   bool run_schedule();
@@ -99,7 +114,7 @@ class SparseLuFactorization {
   std::vector<std::size_t> col_ptr_;  // size n_+1
   std::vector<Target> targets_;
   std::vector<std::size_t> op_tgt_;
-  double tau_ = 1e-3;
+  std::size_t rejected_row_ = npos;
 };
 
 }  // namespace nemsim::linalg

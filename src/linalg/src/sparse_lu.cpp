@@ -83,11 +83,6 @@ void SparseLuFactorization::factor(const CsrView& a) {
   std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = i;
 
-  // Relative pivot threshold for the sparsity-aware pivot choice below;
-  // any candidate within this factor of the column maximum is considered
-  // numerically acceptable.
-  constexpr double kPivotAlpha = 0.1;
-
   for (std::size_t k = 0; k < n; ++k) {
     // Threshold pivoting with a Markowitz-style tie-break: magnitude-only
     // partial pivoting fills circuit matrices badly (supply rails couple
@@ -216,23 +211,25 @@ void SparseLuFactorization::factor(const CsrView& a) {
 }
 
 bool SparseLuFactorization::run_schedule() {
+  constexpr double kMaxMultiplier = 1.0 / kRefactorTau;
   for (std::size_t k = 0; k < n_; ++k) {
     const std::size_t tail_begin = diag_[k] + 1;
     const std::size_t tail_len = row_ptr_[k + 1] - tail_begin;
     const double pivot = vals_[diag_[k]];
-    // Threshold test against the U part of the pivot row: a pivot chosen
-    // for other values may have decayed into instability.
-    double row_max = std::abs(pivot);
-    for (std::size_t s = tail_begin; s < tail_begin + tail_len; ++s) {
-      row_max = std::max(row_max, std::abs(vals_[s]));
-    }
-    if (!(std::abs(pivot) > 0.0) || std::abs(pivot) < tau_ * row_max) {
+    if (!(std::abs(pivot) > 0.0)) {
+      rejected_row_ = orig_row_[k];
       return false;
     }
     const double inv_pivot = 1.0 / pivot;
     for (std::size_t t = col_ptr_[k]; t < col_ptr_[k + 1]; ++t) {
       const Target& tgt = targets_[t];
       const double f = vals_[tgt.l_slot] * inv_pivot;
+      // Multiplier test: the frozen pivot must still dominate column k
+      // (see kRefactorTau).  The negated form also rejects NaN.
+      if (!(std::abs(f) <= kMaxMultiplier)) {
+        rejected_row_ = orig_row_[k];
+        return false;
+      }
       vals_[tgt.l_slot] = f;
       const std::size_t* out = op_tgt_.data() + tgt.op_start;
       const double* src = vals_.data() + tail_begin;
@@ -245,12 +242,23 @@ bool SparseLuFactorization::run_schedule() {
 }
 
 bool SparseLuFactorization::refactor(const CsrView& a) {
+  rejected_row_ = npos;
   if (n_ == 0 || a.n != n_ || a.row_start[n_] != input_nnz_) return false;
   std::fill(vals_.begin(), vals_.end(), 0.0);
   for (std::size_t i = 0; i < input_nnz_; ++i) {
     vals_[scatter_[i]] += a.values[i];
   }
   return run_schedule();
+}
+
+double SparseLuFactorization::max_multiplier() const {
+  double worst = 0.0;
+  for (std::size_t k = 0; k < n_; ++k) {
+    for (std::size_t s = row_ptr_[k]; s < diag_[k]; ++s) {
+      worst = std::max(worst, std::abs(vals_[s]));
+    }
+  }
+  return worst;
 }
 
 Vector SparseLuFactorization::solve(const Vector& b) const {

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "nemsim/spice/lint_types.h"
@@ -69,13 +70,15 @@ struct StepFailureRecord {
 /// parallel drivers fill it after their workers join.
 struct RunReport {
   /// Caps the per-event record vectors (lte_rejects, step_failures,
-  /// notes) so a pathological run cannot grow the report unboundedly;
-  /// counters keep counting past the cap.
-  static constexpr std::size_t kMaxRecords = 256;
+  /// notes, newton.refactor_rejects) so a pathological run cannot grow
+  /// the report unboundedly; counters keep counting past the cap.
+  static constexpr std::size_t kMaxRecords = NewtonStats::kMaxRecords;
 
   std::string analysis;  ///< "op", "transient", "dc_sweep", "monte_carlo"
 
-  /// Cumulative Newton work over the whole run (all steps/points/trials).
+  /// Cumulative Newton work over the whole run (all steps/points/trials),
+  /// including the sparse refactor rejections and where they happened
+  /// (newton.refactor_rejections / newton.refactor_rejects).
   NewtonStats newton;
   /// Homotopy ladder records, in execution order.
   std::vector<SteppingStageRecord> stages;
@@ -121,6 +124,10 @@ struct RunReport {
   std::size_t stage_count(SteppingStageRecord::Kind kind) const;
   /// Sum of iterations over all recorded stages.
   int stage_iterations_total() const;
+  /// The `k` unknowns named most often in newton.refactor_rejects, with
+  /// their counts (most frequent first, ties by first appearance).
+  std::vector<std::pair<std::string, std::size_t>> top_refactor_rejects(
+      std::size_t k = 3) const;
 
   /// Clears everything back to a freshly constructed report.
   void reset();

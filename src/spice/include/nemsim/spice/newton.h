@@ -57,7 +57,19 @@ struct NewtonOptions {
   std::size_t sparse_threshold = 32;
 };
 
+/// One sparse refactor() whose frozen pivot order was rejected, forcing a
+/// fresh factor() (see SparseLuFactorization::kRefactorTau).
+struct RefactorRejectRecord {
+  double time = 0.0;        ///< analysis time of the Newton solve
+  std::size_t unknown = 0;  ///< MNA row of the rejected pivot
+  std::string name;         ///< display name from the unknown table
+};
+
 struct NewtonStats {
+  /// Caps refactor_rejects (the same cap as RunReport::kMaxRecords);
+  /// refactor_rejections keeps counting past it.
+  static constexpr std::size_t kMaxRecords = 256;
+
   /// Iterations of the successful (final) solve only.  After a failed
   /// solve this equals total_iterations (everything that was attempted).
   int iterations = 0;
@@ -73,6 +85,10 @@ struct NewtonStats {
   std::int64_t residual_assembles = 0;   ///< residual-only damping trials
   std::int64_t factorizations = 0;       ///< full LU factorizations
   std::int64_t factorization_reuses = 0; ///< sparse numeric refactorizations
+  /// Refactorizations rejected by the pivot test; each one is followed by
+  /// a full factorization (counted in `factorizations`).
+  std::int64_t refactor_rejections = 0;
+  std::vector<RefactorRejectRecord> refactor_rejects;  ///< first kMaxRecords
   bool used_sparse = false;              ///< sparse path taken at least once
   std::int64_t nonlinear_evals = 0;      ///< nonlinear model evaluations run
   /// Per-bucket nonlinear device evaluations through the kernel lanes,
@@ -92,6 +108,11 @@ struct NewtonStats {
     residual_assembles += other.residual_assembles;
     factorizations += other.factorizations;
     factorization_reuses += other.factorization_reuses;
+    refactor_rejections += other.refactor_rejections;
+    for (const RefactorRejectRecord& r : other.refactor_rejects) {
+      if (refactor_rejects.size() >= kMaxRecords) break;
+      refactor_rejects.push_back(r);
+    }
     used_sparse = used_sparse || other.used_sparse;
     nonlinear_evals += other.nonlinear_evals;
     for (const auto& [bucket, count] : other.kernel_lane_evals) {

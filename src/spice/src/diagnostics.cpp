@@ -76,6 +76,26 @@ int RunReport::stage_iterations_total() const {
   return total;
 }
 
+std::vector<std::pair<std::string, std::size_t>>
+RunReport::top_refactor_rejects(std::size_t k) const {
+  std::vector<std::pair<std::string, std::size_t>> counts;
+  for (const RefactorRejectRecord& r : newton.refactor_rejects) {
+    auto it = std::find_if(counts.begin(), counts.end(),
+                           [&](const auto& c) { return c.first == r.name; });
+    if (it == counts.end()) {
+      counts.emplace_back(r.name, 1);
+    } else {
+      ++it->second;
+    }
+  }
+  std::stable_sort(counts.begin(), counts.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second > b.second;
+                   });
+  if (counts.size() > k) counts.resize(k);
+  return counts;
+}
+
 void RunReport::reset() {
   analysis.clear();
   newton = NewtonStats{};
@@ -104,6 +124,14 @@ std::string RunReport::summary() const {
      << " factorizations=" << newton.factorizations
      << " reuses=" << newton.factorization_reuses
      << (newton.used_sparse ? " sparse" : " dense");
+  if (newton.refactor_rejections > 0) {
+    os << " refactor_rejections=" << newton.refactor_rejections << "[";
+    const auto top = top_refactor_rejects();
+    for (std::size_t i = 0; i < top.size(); ++i) {
+      os << (i ? " " : "") << top[i].first << "=" << top[i].second;
+    }
+    os << "]";
+  }
   if (!newton.kernel_lane_evals.empty()) {
     os << " kernels[";
     for (std::size_t i = 0; i < newton.kernel_lane_evals.size(); ++i) {
@@ -168,6 +196,7 @@ void RunReport::write_json(std::ostream& os) const {
      << ", \"residual_assembles\": " << newton.residual_assembles
      << ", \"factorizations\": " << newton.factorizations
      << ", \"factorization_reuses\": " << newton.factorization_reuses
+     << ", \"refactor_rejections\": " << newton.refactor_rejections
      << ", \"nonlinear_evals\": " << newton.nonlinear_evals
      << ", \"used_sparse\": " << (newton.used_sparse ? "true" : "false")
      << ", \"kernel_lane_evals\": {";
@@ -206,6 +235,25 @@ void RunReport::write_json(std::ostream& os) const {
     os << (i ? ", " : "") << "{\"time\": " << r.time << ", \"dt\": " << r.dt
        << ", \"ratio\": " << r.ratio << ", \"worst\": ";
     json_escape(os, r.worst_name);
+    os << "}";
+  }
+  os << "]";
+
+  os << ",\n  \"refactor_reject_top\": [";
+  const auto top = top_refactor_rejects();
+  for (std::size_t i = 0; i < top.size(); ++i) {
+    os << (i ? ", " : "") << "{\"name\": ";
+    json_escape(os, top[i].first);
+    os << ", \"count\": " << top[i].second << "}";
+  }
+  os << "]";
+
+  os << ",\n  \"refactor_reject_locations\": [";
+  for (std::size_t i = 0; i < newton.refactor_rejects.size(); ++i) {
+    const RefactorRejectRecord& r = newton.refactor_rejects[i];
+    os << (i ? ", " : "") << "{\"time\": " << r.time
+       << ", \"unknown\": " << r.unknown << ", \"name\": ";
+    json_escape(os, r.name);
     os << "}";
   }
   os << "]";

@@ -307,14 +307,22 @@ linalg::Vector NewtonSolver::solve_plain_sparse(const linalg::Vector& x0,
 
     // Newton direction: J dx = -f.  The symbolic analysis (pivot order +
     // fill pattern) is reused across iterations; only the numeric sweep
-    // runs, unless a pivot decayed past the threshold or the pattern
-    // changed — then a full factorization recovers.
+    // runs, unless a frozen pivot no longer dominates its column or the
+    // pattern changed — then a full factorization recovers.
     linalg::Vector dx;
     try {
       const linalg::CsrView view = linalg::csr_view(sparse_jac_);
       if (lu_ready_ && sparse_lu_.refactor(view)) {
         if (stats) ++stats->factorization_reuses;
       } else {
+        const std::size_t row = sparse_lu_.rejected_row();
+        if (stats && lu_ready_ && row != linalg::SparseLuFactorization::npos) {
+          ++stats->refactor_rejections;
+          if (stats->refactor_rejects.size() < NewtonStats::kMaxRecords) {
+            stats->refactor_rejects.push_back(
+                {time, row, system_.unknown_info(row).name});
+          }
+        }
         sparse_lu_.factor(view);
         lu_ready_ = true;
         if (stats) ++stats->factorizations;

@@ -209,6 +209,20 @@ TEST(RunReportTransient, Fanin16CountsAndBitwiseIdenticalWaveform) {
     EXPECT_GT(reject.dt, 0.0);
     EXPECT_FALSE(reject.worst_name.empty());
   }
+  // This gate re-pivots its sparse LU once, in the operating point, at a
+  // pull-down leg's internal node; every rejection is recorded and
+  // named, and is followed by a full factorization.
+  EXPECT_GE(report.newton.refactor_rejections, 1);
+  EXPECT_EQ(report.newton.refactor_rejections,
+            static_cast<std::int64_t>(report.newton.refactor_rejects.size()));
+  EXPECT_LT(report.newton.refactor_rejections, report.newton.factorizations);
+  for (const auto& reject : report.newton.refactor_rejects) {
+    EXPECT_GE(reject.time, 0.0);
+    EXPECT_EQ(reject.name.rfind("v(Xleg", 0), 0u) << reject.name;
+  }
+  const auto top = report.top_refactor_rejects();
+  ASSERT_FALSE(top.empty());
+  EXPECT_EQ(top.front().first, report.newton.refactor_rejects.front().name);
   // Histogram covers at least every accepted transient step.
   std::uint64_t histogram_solves = 0;
   for (std::uint64_t count : report.newton_iteration_histogram) {
@@ -218,9 +232,17 @@ TEST(RunReportTransient, Fanin16CountsAndBitwiseIdenticalWaveform) {
 
   // The report renders without throwing and mentions the analysis.
   EXPECT_NE(report.summary().find("transient"), std::string::npos);
+  EXPECT_NE(report.summary().find("refactor_rejections=" +
+                                  std::to_string(
+                                      report.newton.refactor_rejections) +
+                                  "[" + top.front().first + "="),
+            std::string::npos);
   std::ostringstream json;
   report.write_json(json);
   EXPECT_NE(json.str().find("\"accepted_steps\""), std::string::npos);
+  EXPECT_NE(json.str().find("\"refactor_reject_top\": [{\"name\": \"" +
+                            top.front().first + "\""),
+            std::string::npos);
 }
 
 TEST(RunReport, ResetClearsEverything) {

@@ -20,6 +20,7 @@
 #include "nemsim/linalg/sparse_lu.h"
 #include "nemsim/spice/circuit.h"
 #include "nemsim/spice/dcsweep.h"
+#include "nemsim/spice/diagnostics.h"
 #include "nemsim/spice/op.h"
 #include "nemsim/spice/transient.h"
 #include "nemsim/tech/cards.h"
@@ -131,6 +132,110 @@ TEST(SparseLu, RefactorRejectsDecayedPivot) {
   const linalg::Vector x_ref = dense.solve(b);
   EXPECT_NEAR(x[0], x_ref[0], 1e-9 * (1.0 + std::abs(x_ref[0])));
   EXPECT_NEAR(x[1], x_ref[1], 1e-9 * (1.0 + std::abs(x_ref[1])));
+}
+
+TEST(SparseLu, RefactorKeepsPivotTinyAgainstItsRowButDominantInItsColumn) {
+  // The structural hybrid column read: a KCL pivot (amperes per volt)
+  // sits in a row whose largest entry belongs to another unknown (a
+  // NEMFET beam velocity), yet it dominates its own column.  Comparing
+  // entries of different columns mixes units; the multiplier test does
+  // not, so the frozen order stays.
+  linalg::CsrMatrix a(2, {{0, 0}, {0, 1}, {1, 0}, {1, 1}});
+  a.values()[a.slot(0, 0)] = 1.0;
+  a.values()[a.slot(0, 1)] = 1.0;
+  a.values()[a.slot(1, 0)] = 1e-3;
+  a.values()[a.slot(1, 1)] = 1.0;
+  linalg::SparseLuFactorization lu;
+  lu.factor(a);
+
+  a.values()[a.slot(0, 0)] = 1e-6;
+  a.values()[a.slot(0, 1)] = 100.0;  // |pivot| / row max = 1e-8
+  a.values()[a.slot(1, 0)] = 1e-9;   // multiplier 1e-3
+  ASSERT_TRUE(lu.refactor(a));
+  EXPECT_EQ(lu.rejected_row(), linalg::SparseLuFactorization::npos);
+
+  const linalg::Vector b{1.0, 2.0};
+  const linalg::Vector x = lu.solve(b);
+  linalg::LuDecomposition dense(a.to_dense());
+  const linalg::Vector x_ref = dense.solve(b);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_NEAR(x[i], x_ref[i], 1e-9 * std::abs(x_ref[i]));
+  }
+}
+
+TEST(SparseLu, RefactorRejectsElementGrowth) {
+  // The pivot row [1e-6, 1e-6] is its own row maximum, but eliminating
+  // the 1.0 below it takes a 1e6 multiplier and swamps the (1,1) entry.
+  linalg::CsrMatrix a(2, {{0, 0}, {0, 1}, {1, 0}, {1, 1}});
+  a.values()[a.slot(0, 0)] = 1.0;
+  a.values()[a.slot(0, 1)] = 1.0;
+  a.values()[a.slot(1, 0)] = 1e-3;
+  a.values()[a.slot(1, 1)] = 2.0;
+  linalg::SparseLuFactorization lu;
+  lu.factor(a);
+
+  a.values()[a.slot(0, 0)] = 1e-6;
+  a.values()[a.slot(0, 1)] = 1e-6;
+  a.values()[a.slot(1, 0)] = 1.0;
+  EXPECT_FALSE(lu.refactor(a));
+  EXPECT_EQ(lu.rejected_row(), 0u);
+}
+
+/// `a` with column `col` multiplied by `s`.
+linalg::CsrMatrix scale_column(linalg::CsrMatrix a, std::size_t col,
+                               double s) {
+  for (std::size_t r = 0; r < a.size(); ++r) {
+    for (std::size_t k = a.row_start()[r]; k < a.row_start()[r + 1]; ++k) {
+      if (a.col_index()[k] == col) a.values()[k] *= s;
+    }
+  }
+  return a;
+}
+
+TEST(SparseLu, RefactorDecisionIsInvariantToColumnScaling) {
+  // Factor a random matrix, then refactor it with one diagonal entry
+  // decayed by up to six decades.  Scaling a column by a power of two is
+  // exact in binary floating point and changes only that unknown's unit,
+  // so neither factor()'s pivot order nor refactor()'s verdict may move.
+  // Every factorization keeps |L| <= 1/kPivotAlpha and every accepted
+  // refactorization |L| <= 1/kRefactorTau.
+  using Lu = linalg::SparseLuFactorization;
+  const std::size_t n = 24;
+  std::size_t accepted = 0, rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    const linalg::CsrMatrix a0 = random_csr(n, seed);
+    linalg::CsrMatrix a1 = a0;
+    Rng rng(1000 + seed);
+    const std::size_t decayed = rng.index(n);
+    a1.values()[a1.slot(decayed, decayed)] *=
+        std::pow(10.0, -rng.uniform(0.0, 6.0));
+
+    Lu lu;
+    lu.factor(a0);
+    EXPECT_LE(lu.max_multiplier(), 1.0 / Lu::kPivotAlpha);
+    const bool verdict = lu.refactor(a1);
+    const std::size_t row = lu.rejected_row();
+    if (verdict) {
+      ++accepted;
+      EXPECT_LE(lu.max_multiplier(), 1.0 / Lu::kRefactorTau);
+    } else {
+      ++rejected;
+      EXPECT_LT(row, n);
+    }
+
+    for (std::size_t col = 0; col < n; ++col) {
+      for (double s : {std::ldexp(1.0, 30), std::ldexp(1.0, -30)}) {
+        Lu scaled;
+        scaled.factor(scale_column(a0, col, s));
+        ASSERT_EQ(scaled.refactor(scale_column(a1, col, s)), verdict)
+            << "seed " << seed << " column " << col << " scale " << s;
+        EXPECT_EQ(scaled.rejected_row(), row);
+      }
+    }
+  }
+  // Both verdicts occur, so the invariance is not vacuous.
+  EXPECT_GT(accepted, 5u);
+  EXPECT_GT(rejected, 5u);
 }
 
 TEST(SparseLu, SingularMatrixThrows) {
@@ -338,6 +443,24 @@ TEST(SolverEquivalence, SleepTransistorNetwork) {
     return ckt;
   };
   expect_solver_equivalence(make, {"v(vgnd)"}, 1.0e-9);
+}
+
+TEST(SparseNewton, HybridColumnReadKeepsItsFrozenPivotOrder) {
+  // The structural hybrid SRAM column read (ablation_sram_column and the
+  // column_read benchmark), at the smallest column on the sparse path.
+  // Its v(vdd) KCL pivot is tiny next to a NEMFET beam-velocity entry of
+  // the same row but dominates its column.  A row-wise decay test
+  // re-pivoted this read 1053 times; the multiplier test never does.
+  core::SramColumnConfig config;
+  config.cell.kind = core::SramKind::kHybrid;
+  config.n_cells = 4;
+  spice::RunReport report;
+  core::measure_column_read_latency_structural(config, 0.1, &report);
+  ASSERT_TRUE(report.newton.used_sparse);
+  EXPECT_EQ(report.newton.refactor_rejections, 0);
+  EXPECT_TRUE(report.newton.refactor_rejects.empty());
+  EXPECT_LE(report.newton.factorizations, 4);
+  EXPECT_GT(report.newton.factorization_reuses, 1000);
 }
 
 // ------------------------------------------------ parallel determinism
