@@ -232,11 +232,10 @@ BENCHMARK(BM_DynamicOrSwitchingCycle)->Arg(0)->Arg(1);
 
 void BM_TransientSolverPath(benchmark::State& state) {
   // End-to-end transient on a dynamic OR gate (system size grows with
-  // fan-in) with the linear solver forced dense vs sparse; the label
-  // carries the Newton work counters of the last run (assembles a /
-  // residual-only r / factorizations f / numeric refactor reuses u).
-  // The dense/sparse crossover read off this sweep sets
-  // NewtonOptions::sparse_threshold.
+  // fan-in): the dense oracle (Arg 0, JacobianSolver::kDense) against the
+  // production sparse path (Arg 1, the default).  The label carries the
+  // Newton work counters of the last run (assembles a / residual-only r /
+  // factorizations f / numeric refactor reuses u).
   core::DynamicOrConfig c;
   c.fanin = static_cast<int>(state.range(1));
   c.fanout = 3;
@@ -256,7 +255,7 @@ void BM_TransientSolverPath(benchmark::State& state) {
   }
   std::ostringstream label;
   spice::MnaSystem sized(gate.ckt());
-  label << (sparse ? "sparse" : "dense") << " fanin=" << c.fanin
+  label << (sparse ? "sparse" : "dense-oracle") << " fanin=" << c.fanin
         << " n=" << sized.num_unknowns() << " a=" << ns.assembles
         << " r=" << ns.residual_assembles
         << " f=" << ns.factorizations << " u=" << ns.factorization_reuses;

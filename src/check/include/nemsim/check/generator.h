@@ -16,8 +16,8 @@
 // (Vin: DC, PULSE, or PWL) feed a seeded sequence of stages — RC
 // dividers, RLC branches, diode clamps, CMOS inverters, NEMFET
 // pull-downs, VCVS buffers, VCCS loads, and resistive bridges — each
-// anchored to a previously created node.  Stage counts span the n = 32
-// dense/sparse crossover, so both linear-solver paths are exercised.
+// anchored to a previously created node.  The sparse-vs-dense leg runs
+// both linear solvers at every stage count.
 // NEMFET gates are tied to a rail (vdd or ground): the beam sits on a
 // unique equilibrium branch, keeping every redundant-path comparison
 // away from the bistable pull-in boundary where roundoff legitimately
@@ -33,7 +33,7 @@ namespace nemsim::check {
 
 struct GeneratorOptions {
   std::size_t min_stages = 3;
-  std::size_t max_stages = 14;  ///< spans the n = 32 dense/sparse crossover
+  std::size_t max_stages = 14;
   bool allow_inductors = true;
   bool allow_diodes = true;
   bool allow_mosfets = true;

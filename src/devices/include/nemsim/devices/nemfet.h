@@ -230,9 +230,14 @@ class Nemfet : public spice::Device {
   };
   ChannelEval eval_channel(double vgs, double vds, double x) const;
 
-  /// Force balance r(x) = k x + Fc - Fe at actuation |v| and its slope.
+  /// Force balance r(x) = k x + Fc - Fe at actuation |v|.
   double static_residual(double v_abs, double x) const;
-  double static_residual_slope(double v_abs, double x) const;
+  /// r (bitwise equal to static_residual) and dr/dx from one air gap
+  /// and one Fe.
+  struct ResidualAndSlope {
+    double r, slope;
+  };
+  ResidualAndSlope static_residual_and_slope(double v_abs, double x) const;
   /// Root of r on one branch that brackets it, or false.
   bool branch_root(const NemsBranchTable::Branch& b, double v_abs,
                    double& root) const;

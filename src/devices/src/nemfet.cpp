@@ -295,15 +295,22 @@ double Nemfet::static_residual(double v_abs, double x) const {
          electrostatic_force(v_abs, x);
 }
 
-double Nemfet::static_residual_slope(double v_abs, double x) const {
+Nemfet::ResidualAndSlope Nemfet::static_residual_and_slope(double v_abs,
+                                                           double x) const {
+  // The residual term for term as static_residual computes it, so both
+  // agree bitwise; the slope reuses its air gap and Fe.
   const double k = params_.spring_k * sw();
+  const double wc = params_.contact_softness;
+  const double fc = params_.contact_k * sw() * wc *
+                    softplus((x - params_.gap0) / wc);
   const double d = air_gap(x) + params_.tox / params_.eps_ox;
-  const double fe = electrostatic_force(v_abs, x);
+  const double a = params_.area * sw();
+  const double fe = 0.5 * phys::kEps0 * a * v_abs * v_abs / (d * d);
   const double dga = -sigmoid((params_.gap0 - x) / params_.gap_softness);
   const double dfe = -2.0 * fe / d * dga;
   const double dfc = params_.contact_k * sw() *
-                     sigmoid((x - params_.gap0) / params_.contact_softness);
-  return k + dfc - dfe;
+                     sigmoid((x - params_.gap0) / wc);
+  return {k * x + fc - fe, k + dfc - dfe};
 }
 
 bool Nemfet::branch_root(const NemsBranchTable::Branch& b, double v_abs,
@@ -342,9 +349,9 @@ bool Nemfet::branch_root(const NemsBranchTable::Branch& b, double v_abs,
   constexpr double kEps = std::numeric_limits<double>::epsilon();
   for (int iter = 0; iter < 50; ++iter) {
     if (!(x > lo && x < hi)) x = 0.5 * (lo + hi);
-    const double rx = r(x);
+    const auto [rx, slope] = static_residual_and_slope(v_abs, x);
     if (rx < 0.0) lo = x; else hi = x;
-    const double step = rx / static_residual_slope(v_abs, x);
+    const double step = rx / slope;
     if (!(std::abs(step) > 4.0 * kEps * std::abs(x))) break;  // converged
     x -= step;
   }
@@ -418,7 +425,7 @@ Nemfet::StaticEq Nemfet::static_equilibrium(double v_abs) const {
   const double d = air_gap(eq.x) + params_.tox / params_.eps_ox;
   const double a = params_.area * sw();
   const double dfe_dv = phys::kEps0 * a * v_abs / (d * d);
-  const double slope = std::max(static_residual_slope(v_abs, eq.x),
+  const double slope = std::max(static_residual_and_slope(v_abs, eq.x).slope,
                                 1e-3 * params_.spring_k * sw());
   eq.dx_dv = dfe_dv / slope;
   return eq;

@@ -1,9 +1,9 @@
 // Dense vector and matrix types for the MNA engine.
 //
-// The circuits in this project are tiny (tens of unknowns), so a dense
-// row-major matrix with partial-pivot LU beats any sparse machinery; the
-// perf bench quantifies this.  Bounds are checked in debug via assert and
-// on the public at() accessors unconditionally.
+// Newton solves run on the sparse LU (sparse_lu.h); the dense row-major
+// matrix and its partial-pivot LU are the reference that path is tested
+// against.  Bounds are checked in debug via assert and on the public at()
+// accessors unconditionally.
 #pragma once
 
 #include <cassert>

@@ -3,10 +3,9 @@
 // Two flavours: the immutable triplet-built SparseMatrix (exports, ad-hoc
 // solves, Gauss-Seidel for diagonally-dominant systems) and CsrMatrix, a
 // square pattern-frozen matrix with mutable values — the MNA engine's
-// reusable Jacobian storage.  Above the sparse-selection threshold the
-// engine assembles into a CsrMatrix and factors it with
-// SparseLuFactorization (sparse_lu.h); below it the dense path of
-// DESIGN.md decision #4 still wins.
+// reusable Jacobian storage.  The engine assembles every Newton
+// Jacobian into a CsrMatrix and factors it with SparseLuFactorization
+// (sparse_lu.h, DESIGN.md decision #4).
 #pragma once
 
 #include <cstddef>
@@ -49,10 +48,10 @@ class SparseMatrix {
                       int max_iterations = 10000) const;
 
   /// Direct sparse LU solve (row-map Gaussian elimination with partial
-  /// pivoting; fill-in tracked per row).  For the tiny, fairly dense MNA
-  /// systems of this project the dense path wins (DESIGN.md decision #4,
-  /// quantified in perf_simulator) - this exists to make that ablation
-  /// honest and to serve genuinely sparse systems (e.g. ladder networks).
+  /// pivoting; fill-in tracked per row), analysing the pattern on every
+  /// call.  One-off solves only: repeated solves on one pattern belong to
+  /// SparseLuFactorization, which caches the analysis (perf_simulator's
+  /// BM_SparseLuSolve vs BM_SparseLuRefactor).
   Vector lu_solve(const Vector& b) const;
 
   // Raw CSR access (read-only), e.g. for SparseLuFactorization.

@@ -85,6 +85,9 @@ class SparseLuFactorization {
   /// Solves A x = b with the current numeric factorization.
   Vector solve(const Vector& b) const;
   void solve_in_place(Vector& x) const;
+  /// Same, with the pivot-order intermediate in caller-owned `scratch`
+  /// (resized to size(); no allocation once it has that size).
+  void solve_in_place(Vector& x, Vector& scratch) const;
 
  private:
   bool run_schedule();

@@ -268,12 +268,17 @@ Vector SparseLuFactorization::solve(const Vector& b) const {
 }
 
 void SparseLuFactorization::solve_in_place(Vector& x) const {
+  Vector y;
+  solve_in_place(x, y);
+}
+
+void SparseLuFactorization::solve_in_place(Vector& x, Vector& y) const {
   require(analyzed(), "SparseLuFactorization::solve: not factored");
   require(x.size() == n_, "SparseLuFactorization::solve: size mismatch");
 
-  // Forward substitution, L has unit diagonal; y overwrites x permuted
-  // into pivot order.
-  Vector y(n_, 0.0);
+  // Forward substitution, L has unit diagonal; y holds x permuted into
+  // pivot order.  Every y[k] is written before it is read.
+  if (y.size() != n_) y = Vector(n_);
   for (std::size_t k = 0; k < n_; ++k) {
     double sum = x[orig_row_[k]];
     for (std::size_t s = row_ptr_[k]; s < diag_[k]; ++s) {

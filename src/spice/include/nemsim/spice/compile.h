@@ -15,8 +15,8 @@
 // constructs its own NewtonSolver and is bitwise identical to the
 // legacy drivers on a freshly built circuit.  Opting into
 // `reuse_newton_workspace` shares one solver across runs (cached sparse
-// symbolic factorization, persistent dense workspace); that changes
-// pivot-order history and is NOT bitwise against the legacy path.
+// symbolic factorization); that changes pivot-order history and is NOT
+// bitwise against the legacy path.
 #pragma once
 
 #include <functional>
@@ -53,10 +53,10 @@ struct CompileOptions {
   /// Optional diagnostics sink for the compile-time passes.
   RunReport* report = nullptr;
   /// Share one NewtonSolver across every run of this compiled circuit.
-  /// Keeps the cached sparse symbolic factorization and dense workspace
-  /// warm between variants (numeric-only refactorization when the
-  /// pattern holds), but pivot-order history then carries across runs:
-  /// results are NOT bitwise against the legacy per-run-solver path.
+  /// Keeps the cached sparse symbolic factorization warm between
+  /// variants (numeric-only refactorization when the pattern holds), but
+  /// pivot-order history then carries across runs: results are NOT
+  /// bitwise against the legacy per-run-solver path.
   bool reuse_newton_workspace = false;
 };
 

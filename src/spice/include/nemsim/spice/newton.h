@@ -2,14 +2,15 @@
 // source stepping fallbacks for hard DC problems (classic SPICE homotopy
 // ladder).
 //
-// Two linear-solver paths share the outer loop:
-//  - dense: LU of a dense Jacobian, re-factored every iteration (wins for
-//    small systems, DESIGN.md decision #4);
-//  - sparse: pattern-frozen CSR assembly plus SparseLuFactorization,
-//    whose symbolic analysis (pivot order + fill pattern) is computed
-//    once and reused across iterations and transient steps with a cheap
-//    numeric-only refactorization.
-// kAuto picks by system size against NewtonOptions::sparse_threshold.
+// Every production solve runs on the sparse path: pattern-frozen CSR
+// assembly plus SparseLuFactorization, whose symbolic analysis (pivot
+// order + fill pattern) is computed once and reused across iterations,
+// sweep points and transient steps with a numeric-only refactorization.
+// On the paper circuits that beats a dense LU at every size, down to the
+// 19-unknown SRAM half-cell: refactor + solve about 0.6 us against about
+// 2 us for dense LU + solve (DESIGN.md decision #4).  The dense path
+// (JacobianSolver::kDense) is kept only as the oracle the sparse path is
+// tested against.
 #pragma once
 
 #include <cstdint>
@@ -28,9 +29,8 @@ struct RunReport;  // spice/diagnostics.h
 
 /// Which linear solver backs the Newton iteration.
 enum class JacobianSolver {
-  kAuto,    ///< sparse at/above NewtonOptions::sparse_threshold unknowns
-  kDense,   ///< dense LU, re-factored every iteration
-  kSparse,  ///< CSR assembly + cached-symbolic sparse LU
+  kDense,   ///< dense LU re-factored every iteration: test oracle only
+  kSparse,  ///< CSR assembly + cached-symbolic sparse LU (production)
 };
 
 struct NewtonOptions {
@@ -49,12 +49,7 @@ struct NewtonOptions {
   /// Enables the source-ramp fallback when gmin stepping also fails.
   bool source_stepping = true;
   /// Linear-solver selection (see JacobianSolver).
-  JacobianSolver solver = JacobianSolver::kAuto;
-  /// kAuto switches to the sparse path at this many unknowns.  Measured
-  /// dense/sparse crossover on the paper circuits (BM_TransientSolverPath:
-  /// dense wins at n = 25, sparse wins at n = 41 — see DESIGN.md decision
-  /// #4 and bench/perf_simulator).
-  std::size_t sparse_threshold = 32;
+  JacobianSolver solver = JacobianSolver::kSparse;
 };
 
 /// One sparse refactor() whose frozen pivot order was rejected, forcing a
@@ -136,10 +131,12 @@ struct NewtonStats {
 
 /// Solves f(x) = 0 for the configured analysis point.
 ///
-/// Keep one NewtonSolver alive across transient steps: the sparse
+/// Keep one NewtonSolver alive for a whole analysis (every point of a DC
+/// sweep, the bias point and every step of a transient): the sparse
 /// workspace (CSR skeleton, symbolic LU, linear-device baseline) persists
 /// between solve calls and is rebuilt only when the Jacobian pattern
-/// grows.
+/// grows, and the iteration vectors are reused, so after the first solve
+/// the Newton loop allocates nothing.
 class NewtonSolver {
  public:
   NewtonSolver(MnaSystem& system, NewtonOptions options)
@@ -163,18 +160,23 @@ class NewtonSolver {
 
   const NewtonOptions& options() const { return options_; }
 
-  /// True when solve_plain would take the sparse path for this system.
+  /// True when solve_plain takes the sparse path (every solver but the
+  /// kDense oracle).
   bool uses_sparse() const;
 
  private:
-  linalg::Vector solve_plain_dense(const linalg::Vector& x0,
-                                   AnalysisMode mode, double time, double dt,
-                                   double gmin, double source_factor,
-                                   NewtonStats* stats);
-  linalg::Vector solve_plain_sparse(const linalg::Vector& x0,
-                                    AnalysisMode mode, double time, double dt,
-                                    double gmin, double source_factor,
-                                    NewtonStats* stats);
+  /// One analysis point: what every assembly of a solve shares.
+  struct Point {
+    AnalysisMode mode;
+    double time, dt, gmin, source_factor;
+  };
+  /// Linear-solver backends of the damped loop (newton.cpp): the sparse
+  /// production path and the dense oracle.
+  class SparseBackend;
+  class DenseBackend;
+  template <class Backend>
+  linalg::Vector damped_newton(Backend& backend, const linalg::Vector& x0,
+                               const Point& at, NewtonStats* stats);
   /// (Re)builds the CSR skeleton when the system's pattern epoch moved;
   /// invalidates the cached symbolic LU on rebuild.
   void ensure_sparse_skeleton();
@@ -182,10 +184,17 @@ class NewtonSolver {
   MnaSystem& system_;
   NewtonOptions options_;
 
-  // Sparse fast-path workspace, persistent across solves so the symbolic
-  // LU analysis amortizes over iterations and transient steps.
+  // Iteration vectors, reused across iterations and solves: an accepted
+  // trial is swapped in, never copied.
+  linalg::Vector residual_, scale_;
+  linalg::Vector x_trial_, residual_trial_, scale_trial_;
+  linalg::Vector dx_;
+
+  // Sparse workspace, persistent across solves so the symbolic LU
+  // analysis amortizes over iterations, sweep points and transient steps.
   linalg::CsrMatrix sparse_jac_;
   linalg::SparseLuFactorization sparse_lu_;
+  linalg::Vector lu_scratch_;  ///< solve_in_place's pivot-order vector
   std::vector<double> linear_baseline_;
   std::uint64_t sparse_epoch_ = 0;  ///< pattern epoch of sparse_jac_
   bool sparse_ready_ = false;       ///< sparse_jac_ matches current pattern

@@ -57,4 +57,11 @@ OpResult operating_point(MnaSystem& system, const OpOptions& options = {});
 OpResult operating_point_from(MnaSystem& system, const linalg::Vector& x0,
                               const OpOptions& options = {});
 
+/// operating_point_from without the OpResult name tables: returns the
+/// raw solution (unknown order), already committed to device state.  The
+/// per-point solve of dc_sweep and the bias point of a transient.
+linalg::Vector solve_operating_point(MnaSystem& system,
+                                     const linalg::Vector& x0,
+                                     const OpOptions& options = {});
+
 }  // namespace nemsim::spice

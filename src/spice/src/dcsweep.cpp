@@ -1,5 +1,7 @@
 #include "nemsim/spice/dcsweep.h"
 
+#include <optional>
+
 #include "nemsim/spice/analyze.h"
 #include "nemsim/spice/op.h"
 #include "nemsim/util/error.h"
@@ -27,28 +29,33 @@ Waveform dc_sweep(MnaSystem& system,
   lint::lint_gate(system, options.lint, report);
   analyze::analyze_gate(system.circuit(), options.analyze, report);
 
+  // One Newton solver for every point: its symbolic LU, CSR skeleton and
+  // iteration vectors carry from point to point, so a point costs a
+  // numeric refactor, not a fresh factorization.  A caller's shared
+  // solver takes its place.
+  std::optional<NewtonSolver> local_newton;
   OpOptions op_options;
   op_options.newton = options.newton;
   op_options.report = report;
   op_options.forensics = options.forensics;
   op_options.lint = lint::LintMode::kOff;
-  // Per-point embedded ops may reuse one Newton workspace: the sweep is
-  // sequential, so the cached factorization hand-off is safe here
-  // (dc_sweep_parallel deliberately leaves this null per task).
-  op_options.shared_solver = options.shared_solver;
+  op_options.shared_solver = options.shared_solver
+                                 ? options.shared_solver
+                                 : &local_newton.emplace(system, options.newton);
 
-  linalg::Vector previous = system.initial_guess();
+  linalg::Vector start;
   bool have_previous = false;
   for (double value : points) {
     set_param(value);
     if (report) ++report->points;
     try {
-      OpResult op = (options.continuation && have_previous)
-                        ? operating_point_from(system, previous, op_options)
-                        : operating_point(system, op_options);
-      previous = op.raw();
+      if (!(options.continuation && have_previous)) {
+        start = system.initial_guess();
+      }
+      linalg::Vector x = solve_operating_point(system, start, op_options);
+      wave.append(value, x);
+      start = std::move(x);
       have_previous = true;
-      wave.append(value, op.raw());
     } catch (const ConvergenceError& e) {
       if (report) {
         ++report->failed_points;
@@ -110,7 +117,8 @@ Waveform dc_sweep_parallel(
           OpOptions task_options = op_options;
           task_options.report = nullptr;
           task_options.stats = report ? &result.newton : nullptr;
-          result.x = operating_point(system, task_options).raw();
+          result.x = solve_operating_point(system, system.initial_guess(),
+                                           task_options);
           return result;
         },
         num_threads);
@@ -129,23 +137,22 @@ Waveform dc_sweep_parallel(
         [&](std::size_t c) {
           const std::size_t begin = c * chunk;
           const std::size_t end = std::min(begin + chunk, points.size());
+          // A chunk is a sequential sweep: one solver for its points.
           Circuit circuit = make_circuit();
           MnaSystem system(circuit);
+          NewtonSolver newton(system, op_options.newton);
           std::vector<PointResult> out;
           out.reserve(end - begin);
-          linalg::Vector previous;
           for (std::size_t i = begin; i < end; ++i) {
             set_param(circuit, points[i]);
             PointResult result;
             OpOptions task_options = op_options;
             task_options.report = nullptr;
             task_options.stats = report ? &result.newton : nullptr;
-            OpResult op = i == begin
-                              ? operating_point(system, task_options)
-                              : operating_point_from(system, previous,
-                                                     task_options);
-            previous = op.raw();
-            result.x = op.raw();
+            task_options.shared_solver = &newton;
+            result.x = solve_operating_point(
+                system, i == begin ? system.initial_guess() : out.back().x,
+                task_options);
             out.push_back(std::move(result));
           }
           return out;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <optional>
 
 #include "nemsim/linalg/lu.h"
 #include "nemsim/spice/diagnostics.h"
@@ -14,6 +16,19 @@ namespace nemsim::spice {
 
 namespace {
 
+/// |value| / tol for one row, with a non-finite value counted as failing
+/// (+inf): folding rows with std::max would skip a NaN row and let a NaN
+/// iterate pass as converged.
+double row_ratio(double value, double tol) {
+  if (!std::isfinite(value)) return std::numeric_limits<double>::infinity();
+  return std::abs(value) / tol;
+}
+
+bool all_finite(const linalg::Vector& v) {
+  return std::all_of(v.begin(), v.end(),
+                     [](double e) { return std::isfinite(e); });
+}
+
 /// Residual norm weighted per-row by reltol*scale + row_abstol; a value
 /// <= 1 means every row satisfies its convergence criterion.
 double weighted_residual_norm(const MnaSystem& system,
@@ -23,7 +38,7 @@ double weighted_residual_norm(const MnaSystem& system,
   for (std::size_t i = 0; i < residual.size(); ++i) {
     const double tol =
         reltol * scale[i] + system.unknown_info(i).row_abstol;
-    worst = std::max(worst, std::abs(residual[i]) / tol);
+    worst = std::max(worst, row_ratio(residual[i], tol));
   }
   return worst;
 }
@@ -35,7 +50,7 @@ double weighted_update_norm(const MnaSystem& system, const linalg::Vector& x,
   for (std::size_t i = 0; i < x.size(); ++i) {
     const double tol = reltol * std::max(std::abs(x[i]), std::abs(x_new[i])) +
                        system.unknown_info(i).abstol;
-    worst = std::max(worst, std::abs(x_new[i] - x[i]) / tol);
+    worst = std::max(worst, row_ratio(x_new[i] - x[i], tol));
   }
   return worst;
 }
@@ -61,7 +76,7 @@ ConvergenceDiagnostics failure_diagnostics(
   std::iota(order.begin(), order.end(), std::size_t{0});
   auto weighted = [&](std::size_t i) {
     const double tol = reltol * scale[i] + system.unknown_info(i).row_abstol;
-    return std::abs(residual[i]) / tol;
+    return row_ratio(residual[i], tol);
   };
   const std::size_t k = std::min(top_k, n);
   std::partial_sort(order.begin(), order.begin() + k, order.end(),
@@ -92,16 +107,98 @@ double step_clamp(const MnaSystem& system, const linalg::Vector& dx) {
 
 }  // namespace
 
-bool NewtonSolver::uses_sparse() const {
-  switch (options_.solver) {
-    case JacobianSolver::kDense:
-      return false;
-    case JacobianSolver::kSparse:
-      return true;
-    case JacobianSolver::kAuto:
-      return system_.num_unknowns() >= options_.sparse_threshold;
+/// Production backend: CSR assembly on the frozen pattern, linear devices
+/// from a per-solve baseline, and the cached-symbolic sparse LU.
+class NewtonSolver::SparseBackend {
+ public:
+  SparseBackend(NewtonSolver& solver, const Point& at, NewtonStats* stats,
+                const linalg::Vector& x0)
+      : s_(solver), at_(at), stats_(stats) {
+    s_.ensure_sparse_skeleton();
+    refresh_baseline(x0);
   }
-  return false;
+
+  /// Residual + Jacobian at `x`.  On a pattern miss the system grows its
+  /// pattern; rebuild the skeleton and baseline and assemble again.
+  void assemble(const linalg::Vector& x, linalg::Vector& f,
+                linalg::Vector& scale) {
+    while (!s_.system_.assemble_sparse(x, s_.sparse_jac_, f, scale, at_.mode,
+                                       at_.time, at_.dt, at_.gmin,
+                                       at_.source_factor,
+                                       &s_.linear_baseline_)) {
+      s_.ensure_sparse_skeleton();
+      refresh_baseline(x);
+    }
+  }
+
+  /// Solves J dx = rhs in place.  The symbolic analysis (pivot order +
+  /// fill pattern) is reused; only the numeric sweep runs, unless a frozen
+  /// pivot no longer dominates its column or the pattern changed — then a
+  /// full factorization recovers.
+  void solve(linalg::Vector& dx) {
+    const linalg::CsrView view = linalg::csr_view(s_.sparse_jac_);
+    if (s_.lu_ready_ && s_.sparse_lu_.refactor(view)) {
+      if (stats_) ++stats_->factorization_reuses;
+    } else {
+      const std::size_t row = s_.sparse_lu_.rejected_row();
+      if (stats_ && s_.lu_ready_ &&
+          row != linalg::SparseLuFactorization::npos) {
+        ++stats_->refactor_rejections;
+        if (stats_->refactor_rejects.size() < NewtonStats::kMaxRecords) {
+          stats_->refactor_rejects.push_back(
+              {at_.time, row, s_.system_.unknown_info(row).name});
+        }
+      }
+      s_.sparse_lu_.factor(view);
+      s_.lu_ready_ = true;
+      if (stats_) ++stats_->factorizations;
+    }
+    s_.sparse_lu_.solve_in_place(dx, s_.lu_scratch_);
+  }
+
+ private:
+  // Linear devices' Jacobian values are constant for the whole solve
+  // (fixed mode/time/dt and committed device state): stamp them once.
+  void refresh_baseline(const linalg::Vector& x) {
+    while (!s_.system_.assemble_linear_jacobian(
+        x, s_.sparse_jac_, s_.linear_baseline_, at_.mode, at_.time, at_.dt)) {
+      s_.ensure_sparse_skeleton();
+    }
+  }
+
+  NewtonSolver& s_;
+  const Point& at_;
+  NewtonStats* stats_;
+};
+
+/// Reference backend: dense assembly and a fresh dense LU every
+/// iteration.  The oracle the sparse path is tested against.
+class NewtonSolver::DenseBackend {
+ public:
+  DenseBackend(NewtonSolver& solver, const Point& at, NewtonStats* stats)
+      : s_(solver), at_(at), stats_(stats) {}
+
+  void assemble(const linalg::Vector& x, linalg::Vector& f,
+                linalg::Vector& scale) {
+    s_.system_.assemble(x, jacobian_, f, scale, at_.mode, at_.time, at_.dt,
+                        at_.gmin, at_.source_factor);
+  }
+
+  void solve(linalg::Vector& dx) {
+    const linalg::LuDecomposition lu(jacobian_);
+    if (stats_) ++stats_->factorizations;
+    dx = lu.solve(dx);
+  }
+
+ private:
+  NewtonSolver& s_;
+  const Point& at_;
+  NewtonStats* stats_;
+  linalg::Matrix jacobian_;
+};
+
+bool NewtonSolver::uses_sparse() const {
+  return options_.solver == JacobianSolver::kSparse;
 }
 
 linalg::Vector NewtonSolver::solve_plain(const linalg::Vector& x0,
@@ -131,13 +228,16 @@ linalg::Vector NewtonSolver::solve_plain(const linalg::Vector& x0,
           plan.lanes[i].bucket, plan.lanes[i].evals - lane_evals_before_[i]);
     }
   };
+  const Point at{mode, time, dt, gmin, source_factor};
   try {
     linalg::Vector x;
     if (uses_sparse()) {
       if (stats) stats->used_sparse = true;
-      x = solve_plain_sparse(x0, mode, time, dt, gmin, source_factor, stats);
+      SparseBackend backend(*this, at, stats, x0);
+      x = damped_newton(backend, x0, at, stats);
     } else {
-      x = solve_plain_dense(x0, mode, time, dt, gmin, source_factor, stats);
+      DenseBackend backend(*this, at, stats);
+      x = damped_newton(backend, x0, at, stats);
     }
     record();
     return x;
@@ -147,22 +247,18 @@ linalg::Vector NewtonSolver::solve_plain(const linalg::Vector& x0,
   }
 }
 
-linalg::Vector NewtonSolver::solve_plain_dense(const linalg::Vector& x0,
-                                               AnalysisMode mode, double time,
-                                               double dt, double gmin,
-                                               double source_factor,
-                                               NewtonStats* stats) {
+template <class Backend>
+linalg::Vector NewtonSolver::damped_newton(Backend& backend,
+                                           const linalg::Vector& x0,
+                                           const Point& at,
+                                           NewtonStats* stats) {
   const std::size_t n = system_.num_unknowns();
+  const double reltol = options_.reltol;
   linalg::Vector x = x0;
-  linalg::Matrix jacobian;
-  linalg::Vector residual, scale;
-  linalg::Vector x_trial, residual_trial, scale_trial;
 
-  system_.assemble(x, jacobian, residual, scale, mode, time, dt, gmin,
-                   source_factor);
+  backend.assemble(x, residual_, scale_);
   if (stats) ++stats->assembles;
-  double res_norm =
-      weighted_residual_norm(system_, residual, scale, options_.reltol);
+  double res_norm = weighted_residual_norm(system_, residual_, scale_, reltol);
   double last_update_norm = 0.0;
 
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
@@ -172,22 +268,19 @@ linalg::Vector NewtonSolver::solve_plain_dense(const linalg::Vector& x0,
     }
 
     // Newton direction: J dx = -f.
-    linalg::Vector dx;
+    dx_ = residual_;
+    for (std::size_t i = 0; i < n; ++i) dx_[i] = -dx_[i];
     try {
-      const linalg::LuDecomposition lu(jacobian);
-      if (stats) ++stats->factorizations;
-      linalg::Vector rhs = residual;
-      rhs *= -1.0;
-      dx = lu.solve(rhs);
+      backend.solve(dx_);
     } catch (const SingularMatrixError&) {
       throw ConvergenceError(
           "Newton: singular Jacobian (floating node or unstable device?)",
-          failure_diagnostics(system_, residual, scale, options_.reltol,
-                              time, dt, iter, res_norm, last_update_norm,
+          failure_diagnostics(system_, residual_, scale_, reltol, at.time,
+                              at.dt, iter, res_norm, last_update_norm,
                               "singular-jacobian"));
     }
 
-    const double clamp = step_clamp(system_, dx);
+    const double clamp = step_clamp(system_, dx_);
 
     // Damped accept: halve the step while the weighted residual norm
     // increases badly.  The first (undamped) trial assembles residual AND
@@ -199,21 +292,21 @@ linalg::Vector NewtonSolver::solve_plain_dense(const linalg::Vector& x0,
     bool jacobian_at_trial = false;
     for (int halving = 0; halving <= options_.max_damping_halvings;
          ++halving) {
-      x_trial = x;
-      for (std::size_t i = 0; i < n; ++i) x_trial[i] += alpha * dx[i];
+      x_trial_ = x;
+      for (std::size_t i = 0; i < n; ++i) x_trial_[i] += alpha * dx_[i];
       if (halving == 0) {
-        system_.assemble(x_trial, jacobian, residual_trial, scale_trial,
-                         mode, time, dt, gmin, source_factor);
+        backend.assemble(x_trial_, residual_trial_, scale_trial_);
         jacobian_at_trial = true;
         if (stats) ++stats->assembles;
       } else {
-        system_.assemble_residual(x_trial, residual_trial, scale_trial, mode,
-                                  time, dt, gmin, source_factor);
+        system_.assemble_residual(x_trial_, residual_trial_, scale_trial_,
+                                  at.mode, at.time, at.dt, at.gmin,
+                                  at.source_factor);
         jacobian_at_trial = false;
         if (stats) ++stats->residual_assembles;
       }
-      trial_norm = weighted_residual_norm(system_, residual_trial, scale_trial,
-                                          options_.reltol);
+      trial_norm = weighted_residual_norm(system_, residual_trial_,
+                                          scale_trial_, reltol);
       // Accept descent, any sub-tolerance point, or a mild increase when
       // the step was clamped (the model may need to traverse a barrier).
       if (trial_norm <= std::max(1.0, res_norm) ||
@@ -222,31 +315,37 @@ linalg::Vector NewtonSolver::solve_plain_dense(const linalg::Vector& x0,
       }
       alpha *= 0.5;
     }
+    if (std::isinf(trial_norm) && !all_finite(residual_trial_)) {
+      // Even the shortest step leaves a non-finite row: stop and name it
+      // rather than carry a NaN into every unknown.
+      throw ConvergenceError(
+          "Newton: non-finite residual at every damped step",
+          failure_diagnostics(system_, residual_trial_, scale_trial_, reltol,
+                              at.time, at.dt, iter + 1, trial_norm,
+                              last_update_norm, "non-finite-residual"));
+    }
 
-    const double update_norm =
-        weighted_update_norm(system_, x, x_trial, options_.reltol);
-    last_update_norm = update_norm;
-
-    x = x_trial;
-    residual = residual_trial;
-    scale = scale_trial;
+    last_update_norm = weighted_update_norm(system_, x, x_trial_, reltol);
+    std::swap(x, x_trial_);
+    std::swap(residual_, residual_trial_);
+    std::swap(scale_, scale_trial_);
     res_norm = trial_norm;
 
-    if (res_norm <= 1.0 && update_norm <= 1.0) return x;
+    if (res_norm <= 1.0 && last_update_norm <= 1.0) return x;
 
     if (!jacobian_at_trial) {
       // A damped trial was accepted: refresh the Jacobian at the new x.
-      system_.assemble(x, jacobian, residual, scale, mode, time, dt, gmin,
-                       source_factor);
+      backend.assemble(x, residual_, scale_);
       if (stats) ++stats->assembles;
+      res_norm = weighted_residual_norm(system_, residual_, scale_, reltol);
     }
   }
   throw ConvergenceError(
       "Newton: no convergence after " +
           std::to_string(options_.max_iterations) +
           " iterations (weighted residual " + std::to_string(res_norm) + ")",
-      failure_diagnostics(system_, residual, scale, options_.reltol, time,
-                          dt, options_.max_iterations, res_norm,
+      failure_diagnostics(system_, residual_, scale_, reltol, at.time, at.dt,
+                          options_.max_iterations, res_norm,
                           last_update_norm, "plain"));
 }
 
@@ -260,144 +359,13 @@ void NewtonSolver::ensure_sparse_skeleton() {
   }
 }
 
-linalg::Vector NewtonSolver::solve_plain_sparse(const linalg::Vector& x0,
-                                                AnalysisMode mode, double time,
-                                                double dt, double gmin,
-                                                double source_factor,
-                                                NewtonStats* stats) {
-  const std::size_t n = system_.num_unknowns();
-  linalg::Vector x = x0;
-  linalg::Vector residual, scale;
-  linalg::Vector x_trial, residual_trial, scale_trial;
-
-  ensure_sparse_skeleton();
-
-  // Linear devices' Jacobian values are constant for the whole solve
-  // (fixed mode/time/dt and committed device state): stamp them once.
-  auto refresh_baseline = [&]() {
-    while (!system_.assemble_linear_jacobian(x, sparse_jac_, linear_baseline_,
-                                             mode, time, dt)) {
-      ensure_sparse_skeleton();
-    }
-  };
-  refresh_baseline();
-
-  // Full assembly with pattern-growth retry: on a miss the system grows
-  // its pattern, we rebuild the skeleton + baseline and assemble again.
-  auto assemble_full = [&](const linalg::Vector& xi, linalg::Vector& f,
-                           linalg::Vector& s) {
-    while (!system_.assemble_sparse(xi, sparse_jac_, f, s, mode, time, dt,
-                                    gmin, source_factor, &linear_baseline_)) {
-      ensure_sparse_skeleton();
-      refresh_baseline();
-    }
-    if (stats) ++stats->assembles;
-  };
-
-  assemble_full(x, residual, scale);
-  double res_norm =
-      weighted_residual_norm(system_, residual, scale, options_.reltol);
-  double last_update_norm = 0.0;
-
-  for (int iter = 0; iter < options_.max_iterations; ++iter) {
-    if (stats) {
-      ++stats->iterations;
-      ++stats->total_iterations;
-    }
-
-    // Newton direction: J dx = -f.  The symbolic analysis (pivot order +
-    // fill pattern) is reused across iterations; only the numeric sweep
-    // runs, unless a frozen pivot no longer dominates its column or the
-    // pattern changed — then a full factorization recovers.
-    linalg::Vector dx;
-    try {
-      const linalg::CsrView view = linalg::csr_view(sparse_jac_);
-      if (lu_ready_ && sparse_lu_.refactor(view)) {
-        if (stats) ++stats->factorization_reuses;
-      } else {
-        const std::size_t row = sparse_lu_.rejected_row();
-        if (stats && lu_ready_ && row != linalg::SparseLuFactorization::npos) {
-          ++stats->refactor_rejections;
-          if (stats->refactor_rejects.size() < NewtonStats::kMaxRecords) {
-            stats->refactor_rejects.push_back(
-                {time, row, system_.unknown_info(row).name});
-          }
-        }
-        sparse_lu_.factor(view);
-        lu_ready_ = true;
-        if (stats) ++stats->factorizations;
-      }
-      dx = residual;
-      for (std::size_t i = 0; i < n; ++i) dx[i] = -dx[i];
-      sparse_lu_.solve_in_place(dx);
-    } catch (const SingularMatrixError&) {
-      throw ConvergenceError(
-          "Newton: singular Jacobian (floating node or unstable device?)",
-          failure_diagnostics(system_, residual, scale, options_.reltol,
-                              time, dt, iter, res_norm, last_update_norm,
-                              "singular-jacobian"));
-    }
-
-    const double clamp = step_clamp(system_, dx);
-
-    // Damped accept, as on the dense path: the undamped trial assembles
-    // residual and Jacobian, halved trials the residual only.
-    double alpha = clamp;
-    double trial_norm = 0.0;
-    bool jacobian_at_trial = false;
-    for (int halving = 0; halving <= options_.max_damping_halvings;
-         ++halving) {
-      x_trial = x;
-      for (std::size_t i = 0; i < n; ++i) x_trial[i] += alpha * dx[i];
-      if (halving == 0) {
-        assemble_full(x_trial, residual_trial, scale_trial);
-        jacobian_at_trial = true;
-      } else {
-        system_.assemble_residual(x_trial, residual_trial, scale_trial, mode,
-                                  time, dt, gmin, source_factor);
-        jacobian_at_trial = false;
-        if (stats) ++stats->residual_assembles;
-      }
-      trial_norm = weighted_residual_norm(system_, residual_trial, scale_trial,
-                                          options_.reltol);
-      if (trial_norm <= std::max(1.0, res_norm) ||
-          (halving == options_.max_damping_halvings)) {
-        break;
-      }
-      alpha *= 0.5;
-    }
-
-    const double update_norm =
-        weighted_update_norm(system_, x, x_trial, options_.reltol);
-    last_update_norm = update_norm;
-
-    x = x_trial;
-    residual = residual_trial;
-    scale = scale_trial;
-    res_norm = trial_norm;
-
-    if (res_norm <= 1.0 && update_norm <= 1.0) return x;
-
-    if (!jacobian_at_trial) {
-      assemble_full(x, residual, scale);
-      res_norm =
-          weighted_residual_norm(system_, residual, scale, options_.reltol);
-    }
-  }
-  throw ConvergenceError(
-      "Newton: no convergence after " +
-          std::to_string(options_.max_iterations) +
-          " iterations (weighted residual " + std::to_string(res_norm) + ")",
-      failure_diagnostics(system_, residual, scale, options_.reltol, time,
-                          dt, options_.max_iterations, res_norm,
-                          last_update_norm, "plain"));
-}
-
 linalg::Vector NewtonSolver::solve(const linalg::Vector& x0, AnalysisMode mode,
                                    double time, double dt,
                                    NewtonStats* stats, RunReport* report) {
+  // The stage records need the iteration counters; with neither a report
+  // nor a caller's stats block nothing reads them, so nothing is tallied.
   NewtonStats local;
-  NewtonStats* st = stats ? stats : &local;
+  NewtonStats* st = stats ? stats : report ? &local : nullptr;
 
   // Runs one ladder stage, recording its iteration cost (the delta of the
   // cumulative counter — stages accumulate into the total instead of
@@ -405,30 +373,34 @@ linalg::Vector NewtonSolver::solve(const linalg::Vector& x0, AnalysisMode mode,
   auto run_stage = [&](SteppingStageRecord::Kind kind, double value,
                        const linalg::Vector& start, double gmin,
                        double source_factor) {
-    const int before = st->total_iterations;
+    const int before = st ? st->total_iterations : 0;
     try {
       linalg::Vector x =
           solve_plain(start, mode, time, dt, gmin, source_factor, st);
-      const int spent = st->total_iterations - before;
-      if (report) report->stages.push_back({kind, value, spent, true});
-      // Documented NewtonStats semantics: `iterations` is the cost of the
-      // final (successful) solve; the ladder total lives in
-      // total_iterations.
-      st->iterations = spent;
+      if (st) {
+        const int spent = st->total_iterations - before;
+        if (report) report->stages.push_back({kind, value, spent, true});
+        // Documented NewtonStats semantics: `iterations` is the cost of
+        // the final (successful) solve; the ladder total lives in
+        // total_iterations.
+        st->iterations = spent;
+      }
       return x;
     } catch (const ConvergenceError&) {
-      if (report) {
-        report->stages.push_back(
-            {kind, value, st->total_iterations - before, false});
+      if (st) {
+        if (report) {
+          report->stages.push_back(
+              {kind, value, st->total_iterations - before, false});
+        }
+        st->iterations = st->total_iterations;
       }
-      st->iterations = st->total_iterations;
       throw;
     }
   };
 
   // Keeps the most informative failure so the final error can carry its
   // structured payload even after later strategies also fail.
-  ConvergenceError last_error("Newton: no strategy attempted");
+  std::optional<ConvergenceError> last_error;
 
   try {
     return run_stage(SteppingStageRecord::Kind::kPlain, options_.gmin_final,
@@ -446,7 +418,7 @@ linalg::Vector NewtonSolver::solve(const linalg::Vector& x0, AnalysisMode mode,
       for (double gmin = 1e-3; gmin >= options_.gmin_final * 0.99 &&
                                gmin >= 1e-15;
            gmin *= 0.1) {
-        ++st->gmin_steps;
+        if (st) ++st->gmin_steps;
         x = run_stage(SteppingStageRecord::Kind::kGminStep, gmin, x, gmin,
                       1.0);
       }
@@ -467,7 +439,7 @@ linalg::Vector NewtonSolver::solve(const linalg::Vector& x0, AnalysisMode mode,
     while (factor < 1.0) {
       const double next = std::min(1.0, factor + step);
       try {
-        ++st->source_steps;
+        if (st) ++st->source_steps;
         x = run_stage(SteppingStageRecord::Kind::kSourceStep, next, x,
                       options_.gmin_final, next);
         factor = next;
@@ -478,8 +450,8 @@ linalg::Vector NewtonSolver::solve(const linalg::Vector& x0, AnalysisMode mode,
         if (step < 1e-4) {
           const std::string msg = "Newton: source stepping stalled at factor " +
                                   std::to_string(factor);
-          if (last_error.has_diagnostics()) {
-            ConvergenceDiagnostics diag = *last_error.diagnostics();
+          if (last_error->has_diagnostics()) {
+            ConvergenceDiagnostics diag = *last_error->diagnostics();
             diag.strategy = "source";
             throw ConvergenceError(msg, std::move(diag));
           }
@@ -492,9 +464,9 @@ linalg::Vector NewtonSolver::solve(const linalg::Vector& x0, AnalysisMode mode,
 
   const std::string msg =
       std::string("Newton: all strategies failed (last: ") +
-      last_error.what() + ")";
-  if (last_error.has_diagnostics()) {
-    ConvergenceDiagnostics diag = *last_error.diagnostics();
+      last_error->what() + ")";
+  if (last_error->has_diagnostics()) {
+    ConvergenceDiagnostics diag = *last_error->diagnostics();
     diag.strategy = options_.gmin_stepping ? "gmin" : "plain";
     throw ConvergenceError(msg, std::move(diag));
   }

@@ -57,6 +57,12 @@ OpResult operating_point(MnaSystem& system, const OpOptions& options) {
 
 OpResult operating_point_from(MnaSystem& system, const linalg::Vector& x0,
                               const OpOptions& options) {
+  return OpResult(system, solve_operating_point(system, x0, options));
+}
+
+linalg::Vector solve_operating_point(MnaSystem& system,
+                                     const linalg::Vector& x0,
+                                     const OpOptions& options) {
   RunReport* report = options.report;
   // Strict mode throws LintError here — before the solver is even
   // constructed, so a structurally singular circuit never enters the
@@ -107,7 +113,7 @@ OpResult operating_point_from(MnaSystem& system, const linalg::Vector& x0,
     throw;
   }
   system.accept(x, AnalysisMode::kDcOperatingPoint, 0.0, 0.0);
-  return OpResult(system, std::move(x));
+  return x;
 }
 
 }  // namespace nemsim::spice

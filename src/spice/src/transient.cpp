@@ -1,7 +1,9 @@
 #include "nemsim/spice/transient.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 #include <optional>
 
 #include "nemsim/spice/analyze.h"
@@ -13,31 +15,29 @@ namespace nemsim::spice {
 
 namespace {
 
-/// Quadratic extrapolation of each unknown through the last three accepted
-/// points, evaluated at `t`.  Used both as the Newton predictor and as the
-/// reference for the LTE estimate.
-linalg::Vector extrapolate(const std::vector<double>& ts,
-                           const std::vector<linalg::Vector>& xs, double t) {
-  const std::size_t m = ts.size();
-  if (m == 1) return xs.back();
+/// Quadratic extrapolation of each unknown through the last `m` (1-3)
+/// accepted points, evaluated at `t` into `out`.  Used both as the Newton
+/// predictor and as the reference for the LTE estimate.
+void extrapolate(const std::array<double, 3>& ts,
+                 const std::array<linalg::Vector, 3>& xs, std::size_t m,
+                 double t, linalg::Vector& out) {
+  out = xs[m - 1];
+  if (m == 1) return;
   if (m == 2) {
     const double w = (t - ts[0]) / (ts[1] - ts[0]);
-    linalg::Vector out = xs[1];
     for (std::size_t i = 0; i < out.size(); ++i) {
       out[i] = xs[0][i] + w * (xs[1][i] - xs[0][i]);
     }
-    return out;
+    return;
   }
   // Lagrange through the last three points.
-  const double t0 = ts[m - 3], t1 = ts[m - 2], t2 = ts[m - 1];
+  const double t0 = ts[0], t1 = ts[1], t2 = ts[2];
   const double l0 = (t - t1) * (t - t2) / ((t0 - t1) * (t0 - t2));
   const double l1 = (t - t0) * (t - t2) / ((t1 - t0) * (t1 - t2));
   const double l2 = (t - t0) * (t - t1) / ((t2 - t0) * (t2 - t1));
-  linalg::Vector out(xs.back().size());
   for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = l0 * xs[m - 3][i] + l1 * xs[m - 2][i] + l2 * xs[m - 1][i];
+    out[i] = l0 * xs[0][i] + l1 * xs[1][i] + l2 * xs[2][i];
   }
-  return out;
 }
 
 }  // namespace
@@ -71,6 +71,14 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
                           analyze_options);
   }
 
+  // One Newton solver for the bias point and every step, so the
+  // stepping inherits the bias point's symbolic LU.  A caller's shared
+  // solver takes its place.
+  std::optional<NewtonSolver> local_newton;
+  NewtonSolver& newton = options.shared_solver
+                             ? *options.shared_solver
+                             : local_newton.emplace(system, options.newton);
+
   // Bias point at t = 0 (commits device state).  The report is shared so
   // the op phase lands in the same sink ("phase.op" timing, op stage
   // records); op also honors the forensics hook if the bias point fails.
@@ -80,7 +88,9 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
   op_options.report = report;
   op_options.forensics = options.forensics;
   op_options.lint = lint::LintMode::kOff;
-  OpResult op = operating_point(system, op_options);
+  op_options.shared_solver = &newton;
+  linalg::Vector x =
+      solve_operating_point(system, system.initial_guess(), op_options);
 
   // Column layout: every unknown by default, or the opt-in subset from
   // record_signals (resolved up front so a typo fails before stepping).
@@ -122,37 +132,39 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
     }
     wave.append(tt, record_row);
   };
-  record(0.0, op.raw());
+  record(0.0, x);
 
   std::vector<double> breakpoints = options.precomputed_breakpoints
                                         ? *options.precomputed_breakpoints
                                         : system.breakpoints(options.tstop);
   std::size_t next_bp = 0;
 
-  std::optional<NewtonSolver> local_newton;
-  if (!options.shared_solver) local_newton.emplace(system, options.newton);
-  NewtonSolver& newton =
-      options.shared_solver ? *options.shared_solver : *local_newton;
-
-  // Rolling history of the last few accepted points for the predictor.
-  std::vector<double> hist_t{0.0};
-  std::vector<linalg::Vector> hist_x{op.raw()};
+  // Rolling history of the last few accepted points for the predictor:
+  // the oldest of hist_n (1-3) points first.  Its vectors, the predictor
+  // and the solution are reused from step to step.
+  std::array<double, 3> hist_t{0.0, 0.0, 0.0};
+  std::array<linalg::Vector, 3> hist_x{x, x, x};
+  std::size_t hist_n = 1;
   auto push_history = [&](double t, const linalg::Vector& x) {
-    hist_t.push_back(t);
-    hist_x.push_back(x);
-    if (hist_t.size() > 3) {
-      hist_t.erase(hist_t.begin());
-      hist_x.erase(hist_x.begin());
+    if (hist_n == 3) {
+      std::rotate(hist_t.begin(), hist_t.begin() + 1, hist_t.end());
+      std::rotate(hist_x.begin(), hist_x.begin() + 1, hist_x.end());
+    } else {
+      ++hist_n;
     }
+    hist_t[hist_n - 1] = t;
+    hist_x[hist_n - 1] = x;
   };
   auto clear_history_to = [&](double t, const linalg::Vector& x) {
-    hist_t.assign(1, t);
-    hist_x.assign(1, x);
+    hist_n = 1;
+    hist_t[0] = t;
+    hist_x[0] = x;
   };
 
   double t = 0.0;
   double dt = options.dt_initial;
-  linalg::Vector x = op.raw();
+  linalg::Vector guess;
+  linalg::Vector x_new;
 
   TransientStats local_stats;
   TransientStats& stats = options.stats ? *options.stats : local_stats;
@@ -195,8 +207,7 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
     const double t_new = t + dt_eff;
     system.begin_step(t_new, dt_eff);
 
-    linalg::Vector guess = extrapolate(hist_t, hist_x, t_new);
-    linalg::Vector x_new;
+    extrapolate(hist_t, hist_x, hist_n, t_new, guess);
     bool solved = false;
     // With a report attached, solve into a local stats block and fold it
     // into every sink afterwards; without one, keep the legacy direct
@@ -226,7 +237,7 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
 
     // LTE control needs the full three-point history for its quadratic
     // predictor.
-    if (solved && hist_t.size() == 3) {
+    if (solved && hist_n == 3) {
       // LTE control: distance between the converged point and the
       // predictor, relative to per-unknown tolerance.
       double ratio = 0.0;
@@ -242,7 +253,12 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
         const double tol =
             options.lte_reltol * std::max(std::abs(x_new[i]), std::abs(x[i])) +
             10.0 * system.unknown_info(i).abstol;
-        const double r = std::abs(x_new[i] - guess[i]) / tol;
+        // A non-finite distance counts as failing: `r > ratio` would skip
+        // a NaN.
+        const double diff = x_new[i] - guess[i];
+        const double r = std::isfinite(diff)
+                             ? std::abs(diff) / tol
+                             : std::numeric_limits<double>::infinity();
         if (r > ratio) {
           ratio = r;
           worst_unknown = i;
@@ -314,7 +330,7 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
     system.accept(x_new, AnalysisMode::kTransient, t_new, dt_eff);
     record(t_new, x_new);
     t = t_new;
-    x = x_new;
+    std::swap(x, x_new);
 
     if (lands_on_bp) {
       ++next_bp;

@@ -109,4 +109,10 @@ inline void require(bool cond, const std::string& msg) {
   if (!cond) throw InvalidArgument(msg);
 }
 
+/// Same, for a literal message: builds the std::string only on failure,
+/// so a passing check on a hot path allocates nothing.
+inline void require(bool cond, const char* msg) {
+  if (!cond) throw InvalidArgument(msg);
+}
+
 }  // namespace nemsim

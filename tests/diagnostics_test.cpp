@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 
 #include "nemsim/core/dynamic_or.h"
@@ -126,6 +127,52 @@ TEST(ConvergencePayload, NamesWorstRowsOnOpFailure) {
   }
 }
 
+// Out-of-tree conductance to ground whose current is NaN above 0.3 V.
+class NanAboveThreshold final : public spice::Device {
+ public:
+  NanAboveThreshold(std::string name, spice::NodeId node)
+      : Device(std::move(name)), node_(node) {}
+  void stamp(spice::StampContext& ctx) const override {
+    constexpr double kG = 1e-3;
+    const double v = ctx.v(node_);
+    ctx.add_f(node_, v > 0.3 ? std::numeric_limits<double>::quiet_NaN()
+                             : kG * v);
+    ctx.add_J(node_, node_, kG);
+  }
+
+ private:
+  spice::NodeId node_;
+};
+
+TEST(ConvergencePayload, NanResidualIsNeverConverged) {
+  // 1 V through 1 kOhm into node a: every iterate the Newton step aims at
+  // (v(a) = 0.5 V) has a NaN row.  The norms must count it as failing
+  // instead of folding it away, so the solve fails and names v(a).
+  for (const spice::JacobianSolver solver :
+       {spice::JacobianSolver::kDense, spice::JacobianSolver::kSparse}) {
+    SCOPED_TRACE(solver == spice::JacobianSolver::kDense ? "dense" : "sparse");
+    Circuit ckt;
+    spice::NodeId in = ckt.node("in");
+    spice::NodeId a = ckt.node("a");
+    ckt.add<VoltageSource>("V1", in, ckt.gnd(), SourceWave::dc(1.0));
+    ckt.add<Resistor>("R1", in, a, 1e3);
+    ckt.add<NanAboveThreshold>("N1", a);
+    MnaSystem system(ckt);
+    spice::OpOptions options;
+    options.newton.solver = solver;
+    options.lint = lint::LintMode::kOff;  // N1 declares no topology
+    try {
+      const spice::OpResult op = spice::operating_point(system, options);
+      FAIL() << "converged to v(a) = " << op.v("a");
+    } catch (const ConvergenceError& e) {
+      ASSERT_TRUE(e.has_diagnostics());
+      const ConvergenceDiagnostics& diag = *e.diagnostics();
+      ASSERT_FALSE(diag.worst_rows.empty());
+      EXPECT_EQ(diag.worst_rows.front().name, "v(a)");
+    }
+  }
+}
+
 TEST(ConvergencePayload, SurvivesCopy) {
   ConvergenceDiagnostics diag;
   diag.strategy = "plain";
@@ -209,16 +256,26 @@ TEST(RunReportTransient, Fanin16CountsAndBitwiseIdenticalWaveform) {
     EXPECT_GT(reject.dt, 0.0);
     EXPECT_FALSE(reject.worst_name.empty());
   }
-  // This gate re-pivots its sparse LU once, in the operating point, at a
-  // pull-down leg's internal node; every rejection is recorded and
-  // named, and is followed by a full factorization.
+  // This gate re-pivots its sparse LU in the operating point, at a
+  // pull-down leg's internal node, and at the first transient step, where
+  // the bias point's pivot order (the stepping shares its solver) meets
+  // the transient equation of a leg NEMFET's beam velocity.  Every
+  // rejection is recorded and named, and is followed by a full
+  // factorization.
   EXPECT_GE(report.newton.refactor_rejections, 1);
   EXPECT_EQ(report.newton.refactor_rejections,
             static_cast<std::int64_t>(report.newton.refactor_rejects.size()));
   EXPECT_LT(report.newton.refactor_rejections, report.newton.factorizations);
   for (const auto& reject : report.newton.refactor_rejects) {
     EXPECT_GE(reject.time, 0.0);
-    EXPECT_EQ(reject.name.rfind("v(Xleg", 0), 0u) << reject.name;
+    if (reject.time == 0.0) {
+      EXPECT_EQ(reject.name.rfind("v(Xleg", 0), 0u) << reject.name;
+    } else {
+      EXPECT_EQ(reject.time, 1e-13);  // the first step (dt_initial)
+      EXPECT_EQ(reject.name.rfind("Xleg", 0), 0u) << reject.name;
+      EXPECT_EQ(reject.name.substr(reject.name.size() - 2), ".v")
+          << reject.name;
+    }
   }
   const auto top = report.top_refactor_rejects();
   ASSERT_FALSE(top.empty());

@@ -122,21 +122,33 @@ TEST(NemfetCharacterize, OnOffRatioBeatsCmosBy500x) {
 // scan up to a walked upper bound, with an 80-step bisection in every
 // bracket where the residual turns from negative to non-negative, and the
 // same branch-memory rule and dx/d|v| formula.
+// The force balance r(x) = k x + Fc - Fe at |v| and its slope, as two
+// separate functions of the model's public helpers.
+double force_residual(const Nemfet& dev, double v_abs, double x) {
+  const NemsParams& p = dev.params();
+  const double k = p.spring_k * (dev.width() / p.w_ref);
+  return k * x + dev.contact_force(x) - dev.electrostatic_force(v_abs, x);
+}
+
+double force_residual_slope(const Nemfet& dev, double v_abs, double x) {
+  const NemsParams& p = dev.params();
+  const double k = p.spring_k * (dev.width() / p.w_ref);
+  const double d = dev.air_gap(x) + p.tox / p.eps_ox;
+  const double fe = dev.electrostatic_force(v_abs, x);
+  const double dga = -devices::ekv::sigmoid((p.gap0 - x) / p.gap_softness);
+  const double dfe = -2.0 * fe / d * dga;
+  const double dfc = p.contact_k * (dev.width() / p.w_ref) *
+                     devices::ekv::sigmoid((x - p.gap0) / p.contact_softness);
+  return k + dfc - dfe;
+}
+
 Nemfet::StaticEq scan_equilibrium(const Nemfet& dev, double v_abs,
                                   double x_state) {
   const NemsParams& p = dev.params();
   const double k = p.spring_k * (dev.width() / p.w_ref);
-  auto residual = [&](double x) {
-    return k * x + dev.contact_force(x) - dev.electrostatic_force(v_abs, x);
-  };
+  auto residual = [&](double x) { return force_residual(dev, v_abs, x); };
   auto residual_slope = [&](double x) {
-    const double d = dev.air_gap(x) + p.tox / p.eps_ox;
-    const double fe = dev.electrostatic_force(v_abs, x);
-    const double dga = -devices::ekv::sigmoid((p.gap0 - x) / p.gap_softness);
-    const double dfe = -2.0 * fe / d * dga;
-    const double dfc = p.contact_k * (dev.width() / p.w_ref) *
-                       devices::ekv::sigmoid((x - p.gap0) / p.contact_softness);
-    return k + dfc - dfe;
+    return force_residual_slope(dev, v_abs, x);
   };
   double x_hi = p.gap0;
   for (int i = 0; i < 200 && residual(x_hi) <= 0.0; ++i) {
@@ -309,6 +321,100 @@ TEST(NemfetEquilibrium, DefaultCardFoldsBoundTheHysteresisWindow) {
   dev.set_initial_position(p.gap0);
   EXPECT_GE(dev.static_equilibrium(vpo * (1.0 + 1e-9)).x, x_po);
   EXPECT_LE(dev.static_equilibrium(vpo * (1.0 - 1e-9)).x, x_pi);
+}
+
+// Nemfet::static_equilibrium's root search (safeguarded Newton on each
+// branch, adjacent-doubles finish, branch memory), with the residual and
+// its slope evaluated by the two separate functions above.  The model
+// computes both in one pass over the air gap and Fe.
+bool two_function_branch_root(const Nemfet& dev,
+                              const devices::NemsBranchTable::Branch& b,
+                              double v_abs, double& root) {
+  auto r = [&](double x) { return force_residual(dev, v_abs, x); };
+  double lo = b.x.front();
+  const double r_lo = r(lo);
+  if (r_lo >= 0.0) {
+    root = 0.0;
+    return r_lo == 0.0 && lo == 0.0;
+  }
+  double hi = b.x.back();
+  bool bracketed = r(hi) >= 0.0;
+  for (int i = 0; !bracketed && b.unbounded && i < 64; ++i) {
+    lo = hi;
+    hi = b.x.front() + 2.0 * (hi - b.x.front());
+    bracketed = r(hi) >= 0.0;
+  }
+  if (!bracketed) return false;
+  const double target = v_abs * v_abs * dev.params().area;
+  const auto it = std::upper_bound(b.w.begin(), b.w.end(), target);
+  double x = 0.5 * (lo + hi);
+  if (it != b.w.begin() && it != b.w.end()) {
+    const std::size_t j = static_cast<std::size_t>(it - b.w.begin());
+    const double t = (target - b.w[j - 1]) / (b.w[j] - b.w[j - 1]);
+    x = b.x[j - 1] + t * (b.x[j] - b.x[j - 1]);
+  }
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  for (int iter = 0; iter < 50; ++iter) {
+    if (!(x > lo && x < hi)) x = 0.5 * (lo + hi);
+    const double rx = r(x);
+    if (rx < 0.0) lo = x; else hi = x;
+    const double step = rx / force_residual_slope(dev, v_abs, x);
+    if (!(std::abs(step) > 4.0 * kEps * std::abs(x))) break;
+    x -= step;
+  }
+  if (x == lo || x == hi) {
+    const bool from_above = x == hi;
+    for (double s = std::max(std::abs(x) * kEps,
+                             std::numeric_limits<double>::min());
+         ; s *= 2.0) {
+      const double probe = from_above ? hi - s : lo + s;
+      if (!(probe > lo && probe < hi)) break;
+      const bool below = r(probe) < 0.0;
+      if (below) lo = probe; else hi = probe;
+      if (below == from_above) break;
+    }
+  }
+  for (double mid = 0.5 * (lo + hi); mid > lo && mid < hi;
+       mid = 0.5 * (lo + hi)) {
+    if (r(mid) < 0.0) lo = mid; else hi = mid;
+  }
+  root = 0.5 * (lo + hi);
+  return true;
+}
+
+double two_function_equilibrium(const Nemfet& dev, double v_abs,
+                                double x_state) {
+  double x = 0.0;
+  double best = std::numeric_limits<double>::infinity();
+  for (const auto& b : dev.branch_table().branches) {
+    double root = 0.0;
+    if (!two_function_branch_root(dev, b, v_abs, root)) continue;
+    const double dist = std::abs(root - x_state);
+    if (dist < best || (dist == best && root < x)) {
+      x = root;
+      best = dist;
+    }
+  }
+  return x;
+}
+
+TEST(NemfetEquilibrium, OnePassResidualAndSlopeKeepTheRootsBitwise) {
+  for (const NemsParams& p :
+       {tech::nems_90nm(), soft_contact_card(), monostable_card()}) {
+    for (double width : {1.0_um, 0.3_um}) {
+      for (double x_state : {0.0, p.gap0}) {
+        Nemfet dev("X", spice::NodeId{1}, spice::NodeId{2}, spice::NodeId{0},
+                   NemsPolarity::kN, p, width);
+        dev.set_initial_position(x_state);
+        for (double v : equilibrium_sweep(p)) {
+          EXPECT_EQ(dev.static_equilibrium(v).x,
+                    two_function_equilibrium(dev, v, x_state))
+              << "v=" << v << " W=" << width << " x_state=" << x_state
+              << " tox=" << p.tox << " contact_k=" << p.contact_k;
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------ DC operating point

@@ -450,17 +450,99 @@ TEST(SparseNewton, HybridColumnReadKeepsItsFrozenPivotOrder) {
   // column_read benchmark), at the smallest column on the sparse path.
   // Its v(vdd) KCL pivot is tiny next to a NEMFET beam-velocity entry of
   // the same row but dominates its column.  A row-wise decay test
-  // re-pivoted this read 1053 times; the multiplier test never does.
+  // re-pivoted this read 1053 times; the multiplier test re-pivots it
+  // once, at the first step, where the bias point's pivot order (the
+  // transient shares the bias point's solver) meets the transient
+  // equation of a NEMFET beam-velocity row.
   core::SramColumnConfig config;
   config.cell.kind = core::SramKind::kHybrid;
   config.n_cells = 4;
   spice::RunReport report;
   core::measure_column_read_latency_structural(config, 0.1, &report);
   ASSERT_TRUE(report.newton.used_sparse);
-  EXPECT_EQ(report.newton.refactor_rejections, 0);
-  EXPECT_TRUE(report.newton.refactor_rejects.empty());
-  EXPECT_LE(report.newton.factorizations, 4);
+  EXPECT_EQ(report.newton.refactor_rejections, 1);
+  ASSERT_EQ(report.newton.refactor_rejects.size(), 1u);
+  const spice::RefactorRejectRecord& reject =
+      report.newton.refactor_rejects.front();
+  EXPECT_EQ(reject.time, 1e-13);  // the first step (dt_initial)
+  EXPECT_EQ(reject.name.substr(reject.name.size() - 2), ".v") << reject.name;
+  EXPECT_EQ(report.newton.factorizations, 2);
   EXPECT_GT(report.newton.factorization_reuses, 1000);
+}
+
+// ------------------------------------------- one solver per analysis
+
+/// One hybrid butterfly half-cell as core::measure_butterfly sweeps it:
+/// read condition, QL driven by "Vsweep", 121 points over 0..Vdd.
+spice::Waveform half_cell_sweep(spice::JacobianSolver solver,
+                                spice::RunReport* report) {
+  core::SramConfig config;
+  config.kind = core::SramKind::kHybrid;
+  core::SramBenchMode mode;
+  mode.drive_bitlines = true;
+  mode.wordline = config.vdd;
+  core::SramCell cell = core::build_sram_cell(config, mode);
+  Circuit& ckt = cell.ckt();
+  auto& sweep = ckt.add<VoltageSource>(
+      "Vsweep", ckt.find_node(core::SramCell::kQl), ckt.gnd(),
+      SourceWave::dc(0.0));
+  MnaSystem system(ckt);
+  spice::DcSweepOptions options;
+  options.newton = forced(solver);
+  options.report = report;
+  const std::vector<double> points = spice::linspace(0.0, config.vdd, 121);
+  return spice::dc_sweep(
+      system, [&](double v) { sweep.set_dc(v); }, points, options);
+}
+
+TEST(OneSolverPerAnalysis, DcSweepFactorsOnceAndMatchesTheDenseOracle) {
+  spice::RunReport report;
+  const spice::Waveform sparse =
+      half_cell_sweep(spice::JacobianSolver::kSparse, &report);
+  const spice::Waveform dense =
+      half_cell_sweep(spice::JacobianSolver::kDense, nullptr);
+  // Every point after the first reuses the sweep's symbolic LU: a full
+  // factorization happens once, plus once per rejected refactor.
+  ASSERT_TRUE(report.newton.used_sparse);
+  EXPECT_EQ(report.points, 121u);
+  EXPECT_EQ(report.newton.factorizations,
+            1 + report.newton.refactor_rejections);
+  EXPECT_GT(report.newton.factorization_reuses, 121);
+  ASSERT_EQ(sparse.num_samples(), dense.num_samples());
+  for (std::size_t s = 0; s < dense.num_signals(); ++s) {
+    if (dense.signal_names()[s].rfind("v(", 0) != 0) continue;
+    for (std::size_t k = 0; k < dense.num_samples(); ++k) {
+      EXPECT_NEAR(sparse.sample(s, k), dense.sample(s, k), 1e-9)
+          << dense.signal_names()[s] << " at point " << k;
+    }
+  }
+}
+
+TEST(OneSolverPerAnalysis, TransientSharesTheBiasPointFactorization) {
+  // The CMOS 8-input dynamic OR at fan-out 3 (25 unknowns) through one
+  // evaluate phase: the stepping refactors on the bias point's pivot
+  // order.
+  DynamicOrConfig config;
+  config.fanin = 8;
+  config.fanout = 3;
+  DynamicOrGate gate = core::build_dynamic_or(config);
+  gate.ckt()
+      .find<VoltageSource>(gate.input_source(0))
+      .set_wave(SourceWave::pulse(0.0, config.vdd, 1.2e-9, 20e-12, 20e-12,
+                                  0.5e-9));
+  MnaSystem system(gate.ckt());
+  EXPECT_EQ(system.num_unknowns(), 25u);
+  spice::RunReport report;
+  spice::TransientOptions options;
+  options.tstop = 2e-9;
+  options.dt_initial = 1e-13;
+  options.report = &report;
+  spice::transient(system, options);
+  EXPECT_TRUE(report.newton.used_sparse);
+  EXPECT_GT(report.accepted_steps, 0u);
+  EXPECT_EQ(report.newton.refactor_rejections, 0);
+  EXPECT_EQ(report.newton.factorizations, 1);
+  EXPECT_GT(report.newton.factorization_reuses, 100);
 }
 
 // ------------------------------------------------ parallel determinism
