@@ -2,8 +2,7 @@
 //
 // With the bare flag the bench re-runs one representative instance with a
 // RunReport attached and prints its one-line summary; with =path it also
-// writes the full JSON report there (run_benchmarks.sh collects these as
-// BENCH_<fig>_diagnostics.json).
+// writes the full JSON report there.
 #pragma once
 
 #include <fstream>

@@ -1,5 +1,5 @@
 // Batched Monte-Carlo benchmark: SNM spread of the Figure 14 hybrid
-// butterfly under threshold variation, 64 trials, three drivers:
+// butterfly under threshold variation, 64 trials, two drivers:
 //
 //   rebuild_per_trial    the pre-compile workflow — every trial builds
 //                        both half-cell testbench circuits and their
@@ -7,16 +7,13 @@
 //   compile_once_batch   compile() both testbenches once, per trial
 //                        install the variation draw as a parameter-bank
 //                        overlay (bitwise-identical samples by contract)
-//   compile_once_reuse   same, plus reuse_newton_workspace (persistent
-//                        solver arrays; close but not bitwise)
 //
-// Emits BENCH_mc_batch.json (path overridable as argv[1]) with honest
-// wall-clock for each arm plus the setup-work ledger: the batched arms
-// build 2 circuits + 2 systems total where the rebuild arm builds
-// 2 * trials of each.
+// Prints wall-clock for each arm plus the setup-work ledger: the batched
+// arm builds 2 circuits + 2 systems total where the rebuild arm builds
+// 2 * trials of each.  Exits 0 only when the two arms' samples match
+// bitwise (a ctest runs it as that self-check).
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -119,16 +116,13 @@ ArmResult run_rebuild_arm(const std::vector<double>& points) {
 /// Compile-once arm: both testbenches compiled up front, per-trial draws
 /// installed as bank overlays.  Setup (the two compiles) is inside the
 /// timed region — the comparison is end-to-end.
-ArmResult run_batch_arm(const std::vector<double>& points,
-                        bool reuse_workspace) {
+ArmResult run_batch_arm(const std::vector<double>& points) {
   ArmResult arm;
-  arm.name =
-      reuse_workspace ? "compile_once_reuse_workspace" : "compile_once_batch";
+  arm.name = "compile_once_batch";
   const Rng root(kSeed);
   const auto t0 = std::chrono::steady_clock::now();
   spice::CompileOptions co;
   co.lint = lint::LintMode::kOff;
-  co.reuse_newton_workspace = reuse_workspace;
   CompiledCircuit fwd = spice::compile(make_half_cell(true), co);
   CompiledCircuit rev = spice::compile(make_half_cell(false), co);
   arm.circuits_built = 2;
@@ -155,39 +149,9 @@ ArmResult run_batch_arm(const std::vector<double>& points,
   return arm;
 }
 
-void write_json(const std::string& path, const std::vector<ArmResult>& arms,
-                bool bitwise_match, double speedup, double setup_reduction) {
-  std::ofstream os(path);
-  os << "{\n"
-     << "  \"benchmark\": \"mc_batch_butterfly\",\n"
-     << "  \"cell\": \"hybrid\",\n"
-     << "  \"trials\": " << kTrials << ",\n"
-     << "  \"sweep_points\": " << kPoints << ",\n"
-     << "  \"sigma_fraction\": " << kSigma << ",\n"
-     << "  \"seed\": " << kSeed << ",\n"
-     << "  \"arms\": [\n";
-  for (std::size_t i = 0; i < arms.size(); ++i) {
-    const ArmResult& a = arms[i];
-    os << "    {\"name\": \"" << a.name << "\", \"wall_s\": " << a.wall_s
-       << ", \"circuits_built\": " << a.circuits_built
-       << ", \"mna_systems_built\": " << a.systems_built
-       << ", \"snm_mean_mV\": " << a.mean() * 1e3
-       << ", \"snm_std_mV\": " << a.stddev() * 1e3 << "}"
-       << (i + 1 < arms.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n"
-     << "  \"bitwise_match_rebuild_vs_batch\": "
-     << (bitwise_match ? "true" : "false") << ",\n"
-     << "  \"wall_speedup_batch_vs_rebuild\": " << speedup << ",\n"
-     << "  \"setup_work_reduction\": " << setup_reduction << "\n"
-     << "}\n";
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string out =
-      argc > 1 ? argv[1] : std::string("BENCH_mc_batch.json");
+int main() {
   std::cout << "Batched Monte-Carlo: hybrid SRAM butterfly SNM under "
             << kSigma * 100 << " % Vth variation, " << kTrials
             << " trials\n\n";
@@ -196,8 +160,7 @@ int main(int argc, char** argv) {
       spice::linspace(0.0, SramConfig{}.vdd, kPoints);
   std::vector<ArmResult> arms;
   arms.push_back(run_rebuild_arm(points));
-  arms.push_back(run_batch_arm(points, /*reuse_workspace=*/false));
-  arms.push_back(run_batch_arm(points, /*reuse_workspace=*/true));
+  arms.push_back(run_batch_arm(points));
 
   bool bitwise = arms[0].samples.size() == arms[1].samples.size();
   for (std::size_t i = 0; bitwise && i < arms[0].samples.size(); ++i) {
@@ -222,8 +185,5 @@ int main(int argc, char** argv) {
             << (bitwise ? "MATCH" : "MISMATCH") << ", wall speedup "
             << Table::format(speedup, 2) << "x, setup-work reduction "
             << static_cast<int>(setup_reduction) << "x\n";
-
-  write_json(out, arms, bitwise, speedup, setup_reduction);
-  std::cout << "Wrote " << out << "\n";
   return bitwise ? 0 : 1;
 }

@@ -50,8 +50,7 @@ class SparseMatrix {
   /// Direct sparse LU solve (row-map Gaussian elimination with partial
   /// pivoting; fill-in tracked per row), analysing the pattern on every
   /// call.  One-off solves only: repeated solves on one pattern belong to
-  /// SparseLuFactorization, which caches the analysis (perf_simulator's
-  /// BM_SparseLuSolve vs BM_SparseLuRefactor).
+  /// SparseLuFactorization, which caches the analysis.
   Vector lu_solve(const Vector& b) const;
 
   // Raw CSR access (read-only), e.g. for SparseLuFactorization.

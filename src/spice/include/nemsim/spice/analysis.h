@@ -36,15 +36,6 @@ struct AnalysisCommon {
   /// every device per fixpoint sweep, and the per-analysis drivers are
   /// on hot paths (Monte-Carlo trials, sweep points).
   lint::LintMode analyze = lint::LintMode::kOff;
-  /// Opt-in persistent Newton workspace (compiled batched execution).
-  /// Null (default): the driver constructs one solver per analysis and
-  /// keeps it for every point of a sweep, or the bias point and every
-  /// step of a transient.  Non-null: the driver solves through this
-  /// instance, so its cached sparse symbolic factorization and iteration
-  /// vectors survive across runs.  The instance must wrap the same
-  /// MnaSystem the analysis runs on; `newton` above is ignored in favor
-  /// of the solver's own options.  Not shared across threads.
-  NewtonSolver* shared_solver = nullptr;
 };
 
 }  // namespace nemsim::spice

@@ -11,12 +11,9 @@
 //
 // Execution contract: every run_* entry point resets committed device
 // state first, so runs are order-independent — run A then B produces
-// the same B as running B alone.  With default options each run
-// constructs its own NewtonSolver and is bitwise identical to the
-// legacy drivers on a freshly built circuit.  Opting into
-// `reuse_newton_workspace` shares one solver across runs (cached sparse
-// symbolic factorization); that changes pivot-order history and is NOT
-// bitwise against the legacy path.
+// the same B as running B alone.  Each run constructs its own
+// NewtonSolver and is bitwise identical to the legacy drivers on a
+// freshly built circuit.
 #pragma once
 
 #include <functional>
@@ -52,12 +49,6 @@ struct CompileOptions {
   lint::LintMode analyze = lint::LintMode::kOff;
   /// Optional diagnostics sink for the compile-time passes.
   RunReport* report = nullptr;
-  /// Share one NewtonSolver across every run of this compiled circuit.
-  /// Keeps the cached sparse symbolic factorization warm between
-  /// variants (numeric-only refactorization when the pattern holds), but
-  /// pivot-order history then carries across runs: results are NOT
-  /// bitwise against the legacy per-run-solver path.
-  bool reuse_newton_workspace = false;
 };
 
 /// An immutable compiled simulation program.  Move-only; owns the
@@ -125,8 +116,6 @@ class CompiledCircuit {
 
   std::unique_ptr<Circuit> circuit_;
   std::unique_ptr<MnaSystem> system_;
-  /// Present only under reuse_newton_workspace.
-  std::unique_ptr<NewtonSolver> shared_solver_;
   NewtonOptions newton_;
   lint::LintReport lint_findings_;
   lint::LintReport analyze_findings_;

@@ -24,15 +24,6 @@ struct DcSweepOptions : AnalysisCommon {
   /// When true (default), each point starts from the previous solution;
   /// when false, every point is solved cold (branch-independent).
   bool continuation = true;
-  /// dc_sweep_parallel only: warm-start chunking.  0 (default) keeps
-  /// today's behavior — every point solved cold, one task per point.
-  /// k > 0 groups k consecutive points into one task that solves its
-  /// first point cold and seeds each later point from the previous
-  /// solution (continuation within the chunk).  Chunk boundaries depend
-  /// only on the point index, so the result is identical for any thread
-  /// count — but differs from the cold-per-point result whenever
-  /// warm-starting lands Newton on a different solution branch.
-  std::size_t parallel_chunk = 0;
 };
 
 /// Applies `set_param(value)` then solves an operating point, for each

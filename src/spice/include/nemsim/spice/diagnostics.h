@@ -134,7 +134,7 @@ struct RunReport {
 
   /// Compact human-readable rendering (for bench output and logs).
   std::string summary() const;
-  /// Stable JSON rendering (consumed by bench/run_benchmarks.sh).
+  /// Stable JSON rendering (the figure benches' --diagnostics=path file).
   void write_json(std::ostream& os) const;
 };
 

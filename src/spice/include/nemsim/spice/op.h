@@ -12,9 +12,7 @@
 
 namespace nemsim::spice {
 
-struct OpOptions : AnalysisCommon {
-  NewtonStats* stats = nullptr;  ///< optional Newton work counters
-};
+struct OpOptions : AnalysisCommon {};
 
 /// Result of an operating-point solve; values accessible by node/unknown
 /// or by display name ("out" for node voltage, "i(Vdd)" for a branch).
@@ -56,12 +54,5 @@ OpResult operating_point(MnaSystem& system, const OpOptions& options = {});
 /// Same, but starting Newton from `x0` (continuation use).
 OpResult operating_point_from(MnaSystem& system, const linalg::Vector& x0,
                               const OpOptions& options = {});
-
-/// operating_point_from without the OpResult name tables: returns the
-/// raw solution (unknown order), already committed to device state.  The
-/// per-point solve of dc_sweep and the bias point of a transient.
-linalg::Vector solve_operating_point(MnaSystem& system,
-                                     const linalg::Vector& x0,
-                                     const OpOptions& options = {});
 
 }  // namespace nemsim::spice

@@ -13,29 +13,15 @@
 
 namespace nemsim::spice {
 
-/// Diagnostic counters filled in by the transient driver.
-struct TransientStats {
-  std::size_t accepted_steps = 0;
-  std::size_t newton_failures = 0;  ///< step retries due to non-convergence
-  std::size_t lte_rejects = 0;      ///< step retries due to truncation error
-  double min_dt = 0.0;
-  double max_dt = 0.0;
-};
-
 /// Newton settings, report sink, forensics, and lint gate live in the
 /// shared AnalysisCommon base (nemsim/spice/analysis.h).
 struct TransientOptions : AnalysisCommon {
   double tstop = 0.0;          ///< required: end time (seconds)
   double dt_initial = 1e-12;   ///< first step and post-breakpoint restart
-  double dt_min = 1e-18;       ///< give up below this step
+  double dt_min = 1e-18;       ///< give up below this; in (0, dt_initial]
   double dt_max = 0.0;         ///< 0 → tstop / 50
   double lte_reltol = 2e-3;    ///< LTE target relative to signal magnitude
   double reject_factor = 8.0;  ///< reject a step when LTE ratio exceeds this
-  TransientStats* stats = nullptr;  ///< optional diagnostics sink
-  /// Optional cumulative Newton work counters (assembles, factorizations,
-  /// sparse refactorization reuses) summed over every accepted and
-  /// rejected step of the run.
-  NewtonStats* newton_stats = nullptr;
   /// Opt-in signal subset: when non-empty, only these unknowns (by
   /// display name, e.g. "v(out)") are recorded into the waveform, so big
   /// structural circuits stop copying every unknown on every accepted

@@ -24,11 +24,6 @@ CompiledCircuit compile(Circuit&& circuit, const CompileOptions& options) {
   // From here on the device list and unknown table must stay valid.
   compiled.circuit_->freeze_structure();
   compiled.base_params_ = compiled.circuit_->param_bank().snapshot();
-
-  if (options.reuse_newton_workspace) {
-    compiled.shared_solver_ =
-        std::make_unique<NewtonSolver>(*compiled.system_, options.newton);
-  }
   return compiled;
 }
 
@@ -48,7 +43,6 @@ void CompiledCircuit::prepare_run(AnalysisCommon& common) {
   common.newton = newton_;
   common.lint = lint::LintMode::kOff;
   common.analyze = lint::LintMode::kOff;
-  common.shared_solver = shared_solver_.get();
   // Per-run state ownership: committed device state (companion history,
   // NEMS branch memory) never leaks from one run into the next.
   system_->reset_devices();

@@ -1,11 +1,9 @@
 #include "nemsim/spice/dcsweep.h"
 
-#include <optional>
-
 #include "nemsim/spice/analyze.h"
-#include "nemsim/spice/op.h"
 #include "nemsim/util/error.h"
 #include "nemsim/util/parallel.h"
+#include "op_internal.h"
 
 namespace nemsim::spice {
 
@@ -31,17 +29,12 @@ Waveform dc_sweep(MnaSystem& system,
 
   // One Newton solver for every point: its symbolic LU, CSR skeleton and
   // iteration vectors carry from point to point, so a point costs a
-  // numeric refactor, not a fresh factorization.  A caller's shared
-  // solver takes its place.
-  std::optional<NewtonSolver> local_newton;
+  // numeric refactor, not a fresh factorization.
+  NewtonSolver newton(system, options.newton);
   OpOptions op_options;
-  op_options.newton = options.newton;
   op_options.report = report;
   op_options.forensics = options.forensics;
   op_options.lint = lint::LintMode::kOff;
-  op_options.shared_solver = options.shared_solver
-                                 ? options.shared_solver
-                                 : &local_newton.emplace(system, options.newton);
 
   linalg::Vector start;
   bool have_previous = false;
@@ -52,7 +45,8 @@ Waveform dc_sweep(MnaSystem& system,
       if (!(options.continuation && have_previous)) {
         start = system.initial_guess();
       }
-      linalg::Vector x = solve_operating_point(system, start, op_options);
+      linalg::Vector x =
+          solve_operating_point(system, start, op_options, newton, nullptr);
       wave.append(value, x);
       start = std::move(x);
       have_previous = true;
@@ -79,7 +73,6 @@ Waveform dc_sweep_parallel(
   if (report && report->analysis.empty()) report->analysis = "dc_sweep";
 
   OpOptions op_options;
-  op_options.newton = options.newton;
   // The gate below lints the reference instance once, before any worker
   // starts; per-point worker ops must not lint (or log) again.
   op_options.lint = lint::LintMode::kOff;
@@ -105,64 +98,20 @@ Waveform dc_sweep_parallel(
     linalg::Vector x;
     NewtonStats newton;
   };
-  std::vector<PointResult> solutions;
-  if (options.parallel_chunk == 0) {
-    solutions = util::parallel_map(
-        points.size(),
-        [&](std::size_t i) {
-          Circuit circuit = make_circuit();
-          set_param(circuit, points[i]);
-          MnaSystem system(circuit);
-          PointResult result;
-          OpOptions task_options = op_options;
-          task_options.report = nullptr;
-          task_options.stats = report ? &result.newton : nullptr;
-          result.x = solve_operating_point(system, system.initial_guess(),
-                                           task_options);
-          return result;
-        },
-        num_threads);
-  } else {
-    // Warm-start chunking: one task per run of `parallel_chunk`
-    // consecutive points.  The chunk's first point is solved cold; each
-    // later point is seeded from the previous solution on the *same*
-    // circuit instance (set_param mutates device values only, never the
-    // topology — the same contract the sequential dc_sweep relies on).
-    // Chunk boundaries are a pure function of the point index, so the
-    // result is bitwise identical for any thread count.
-    const std::size_t chunk = options.parallel_chunk;
-    const std::size_t num_chunks = (points.size() + chunk - 1) / chunk;
-    std::vector<std::vector<PointResult>> chunks = util::parallel_map(
-        num_chunks,
-        [&](std::size_t c) {
-          const std::size_t begin = c * chunk;
-          const std::size_t end = std::min(begin + chunk, points.size());
-          // A chunk is a sequential sweep: one solver for its points.
-          Circuit circuit = make_circuit();
-          MnaSystem system(circuit);
-          NewtonSolver newton(system, op_options.newton);
-          std::vector<PointResult> out;
-          out.reserve(end - begin);
-          for (std::size_t i = begin; i < end; ++i) {
-            set_param(circuit, points[i]);
-            PointResult result;
-            OpOptions task_options = op_options;
-            task_options.report = nullptr;
-            task_options.stats = report ? &result.newton : nullptr;
-            task_options.shared_solver = &newton;
-            result.x = solve_operating_point(
-                system, i == begin ? system.initial_guess() : out.back().x,
-                task_options);
-            out.push_back(std::move(result));
-          }
-          return out;
-        },
-        num_threads);
-    solutions.reserve(points.size());
-    for (std::vector<PointResult>& c : chunks) {
-      for (PointResult& r : c) solutions.push_back(std::move(r));
-    }
-  }
+  const std::vector<PointResult> solutions = util::parallel_map(
+      points.size(),
+      [&](std::size_t i) {
+        Circuit circuit = make_circuit();
+        set_param(circuit, points[i]);
+        MnaSystem system(circuit);
+        NewtonSolver newton(system, options.newton);
+        PointResult result;
+        result.x = solve_operating_point(system, system.initial_guess(),
+                                         op_options, newton,
+                                         report ? &result.newton : nullptr);
+        return result;
+      },
+      num_threads);
 
   Waveform wave(std::move(names));
   for (std::size_t i = 0; i < points.size(); ++i) {

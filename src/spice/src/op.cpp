@@ -1,8 +1,7 @@
 #include "nemsim/spice/op.h"
 
-#include <optional>
-
 #include "nemsim/spice/analyze.h"
+#include "op_internal.h"
 
 namespace nemsim::spice {
 
@@ -57,25 +56,25 @@ OpResult operating_point(MnaSystem& system, const OpOptions& options) {
 
 OpResult operating_point_from(MnaSystem& system, const linalg::Vector& x0,
                               const OpOptions& options) {
-  return OpResult(system, solve_operating_point(system, x0, options));
+  NewtonSolver newton(system, options.newton);
+  return OpResult(system,
+                  solve_operating_point(system, x0, options, newton, nullptr));
 }
 
 linalg::Vector solve_operating_point(MnaSystem& system,
                                      const linalg::Vector& x0,
-                                     const OpOptions& options) {
+                                     const OpOptions& options,
+                                     NewtonSolver& newton,
+                                     NewtonStats* stats) {
   RunReport* report = options.report;
-  // Strict mode throws LintError here — before the solver is even
-  // constructed, so a structurally singular circuit never enters the
-  // gmin/source homotopy ladder.
+  // Strict mode throws LintError here — before the solver runs, so a
+  // structurally singular circuit never enters the gmin/source homotopy
+  // ladder.
   const lint::LintReport lint_report =
       lint::lint_gate(system, options.lint, report);
   // Semantic gate (interval reachability, operating regions); strict
   // mode rejects on warnings here for the same fail-before-Newton reason.
   analyze::analyze_gate(system.circuit(), options.analyze, report);
-  std::optional<NewtonSolver> local_newton;
-  if (!options.shared_solver) local_newton.emplace(system, options.newton);
-  NewtonSolver& newton =
-      options.shared_solver ? *options.shared_solver : *local_newton;
   linalg::Vector x;
   try {
     util::ScopedTimer timer(report ? &report->metrics : nullptr, "phase.op");
@@ -88,10 +87,10 @@ linalg::Vector solve_operating_point(MnaSystem& system,
                        /*dt=*/0.0, &local, report);
       report->newton.merge(local);
       report->record_newton_iterations(local.iterations);
-      if (options.stats) options.stats->merge(local);
+      if (stats) stats->merge(local);
     } else {
       x = newton.solve(x0, AnalysisMode::kDcOperatingPoint, /*time=*/0.0,
-                       /*dt=*/0.0, options.stats);
+                       /*dt=*/0.0, stats);
     }
   } catch (const ConvergenceError& e) {
     if (report) ++report->newton_failures;

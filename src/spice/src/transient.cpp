@@ -4,12 +4,11 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <optional>
 
 #include "nemsim/spice/analyze.h"
-#include "nemsim/spice/op.h"
 #include "nemsim/util/error.h"
 #include "nemsim/util/logging.h"
+#include "op_internal.h"
 
 namespace nemsim::spice {
 
@@ -48,6 +47,15 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
       options.dt_max > 0.0 ? options.dt_max : options.tstop / 50.0;
   require(options.dt_initial > 0.0 && options.dt_initial <= dt_max,
           "transient: dt_initial must be in (0, dt_max]");
+  // A non-positive or NaN dt_min never trips the retry floor below, so a
+  // step that keeps failing would shrink dt toward zero without end.
+  require(std::isfinite(options.dt_min) && options.dt_min > 0.0 &&
+              options.dt_min <= options.dt_initial,
+          "transient: dt_min must be finite and in (0, dt_initial]");
+  require(std::isfinite(options.lte_reltol) && options.lte_reltol > 0.0,
+          "transient: lte_reltol must be finite and positive");
+  require(std::isfinite(options.reject_factor) && options.reject_factor > 0.0,
+          "transient: reject_factor must be finite and positive");
 
   system.reset_devices();
 
@@ -72,25 +80,19 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
   }
 
   // One Newton solver for the bias point and every step, so the
-  // stepping inherits the bias point's symbolic LU.  A caller's shared
-  // solver takes its place.
-  std::optional<NewtonSolver> local_newton;
-  NewtonSolver& newton = options.shared_solver
-                             ? *options.shared_solver
-                             : local_newton.emplace(system, options.newton);
+  // stepping inherits the bias point's symbolic LU.
+  NewtonSolver newton(system, options.newton);
 
   // Bias point at t = 0 (commits device state).  The report is shared so
   // the op phase lands in the same sink ("phase.op" timing, op stage
   // records); op also honors the forensics hook if the bias point fails.
   // The gate above already ran, so the embedded op must not lint again.
   OpOptions op_options;
-  op_options.newton = options.newton;
   op_options.report = report;
   op_options.forensics = options.forensics;
   op_options.lint = lint::LintMode::kOff;
-  op_options.shared_solver = &newton;
-  linalg::Vector x =
-      solve_operating_point(system, system.initial_guess(), op_options);
+  linalg::Vector x = solve_operating_point(system, system.initial_guess(),
+                                           op_options, newton, nullptr);
 
   // Column layout: every unknown by default, or the opt-in subset from
   // record_signals (resolved up front so a typo fails before stepping).
@@ -166,10 +168,6 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
   linalg::Vector guess;
   linalg::Vector x_new;
 
-  TransientStats local_stats;
-  TransientStats& stats = options.stats ? *options.stats : local_stats;
-  stats = TransientStats{};
-
   // Last inner Newton failure, preserved so the terminal "dt below
   // dt_min" error can name the unknowns that refused to converge.
   ConvergenceDiagnostics last_diag;
@@ -210,14 +208,12 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
     extrapolate(hist_t, hist_x, hist_n, t_new, guess);
     bool solved = false;
     // With a report attached, solve into a local stats block and fold it
-    // into every sink afterwards; without one, keep the legacy direct
-    // pass-through (bitwise-identical run, no extra work).
+    // into the report afterwards; without one, count nothing.
     NewtonStats step_newton;
-    NewtonStats* step_stats = report ? &step_newton : options.newton_stats;
     try {
       x_new = newton.solve_plain(guess, AnalysisMode::kTransient, t_new,
                                  dt_eff, options.newton.gmin_final, 1.0,
-                                 step_stats);
+                                 report ? &step_newton : nullptr);
       solved = true;
     } catch (const ConvergenceError& e) {
       solved = false;
@@ -232,7 +228,6 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
     if (report) {
       report->newton.merge(step_newton);
       if (solved) report->record_newton_iterations(step_newton.iterations);
-      if (options.newton_stats) options.newton_stats->merge(step_newton);
     }
 
     // LTE control needs the full three-point history for its quadratic
@@ -265,7 +260,6 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
         }
       }
       if (ratio > options.reject_factor && dt_eff > options.dt_min) {
-        ++stats.lte_rejects;
         if (report) {
           ++report->lte_reject_count;
           if (report->lte_rejects.size() < RunReport::kMaxRecords) {
@@ -285,7 +279,6 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
       // Not enough history for LTE yet: grow gently.
       dt = dt_eff * 1.5;
     } else {
-      ++stats.newton_failures;
       if (report) ++report->newton_failures;
       const double dt_retry = dt_eff * 0.125;
       if (dt_retry < options.dt_min) {
@@ -317,9 +310,6 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
     dt = std::min(dt, dt_max);
     dt = std::max(dt, options.dt_min);
 
-    ++stats.accepted_steps;
-    stats.min_dt = stats.min_dt == 0.0 ? dt_eff : std::min(stats.min_dt, dt_eff);
-    stats.max_dt = std::max(stats.max_dt, dt_eff);
     if (report) {
       ++report->accepted_steps;
       report->min_dt =

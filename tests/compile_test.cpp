@@ -253,22 +253,6 @@ TEST(ParamBank, NotifyResyncsOnlyDevicesOnDirtyColumns) {
   EXPECT_EQ(untouched.resyncs, 1);
 }
 
-TEST(Compile, ReuseNewtonWorkspaceConvergesClose) {
-  // Shared-solver mode is a perf feature, not a bitwise one: assert the
-  // answers agree to solver tolerance across repeated variant runs.
-  CompileOptions co;
-  co.reuse_newton_workspace = true;
-  CompiledCircuit compiled = spice::compile(make_hybrid_inverter(), co);
-  const spice::OpResult base = compiled.run_op();
-  CompiledCircuit reference = spice::compile(make_hybrid_inverter());
-  const spice::OpResult expect = reference.run_op();
-  ASSERT_EQ(expect.raw().size(), base.raw().size());
-  for (std::size_t i = 0; i < expect.raw().size(); ++i) {
-    EXPECT_NEAR(base.raw()[i], expect.raw()[i],
-                1e-6 * std::max(1.0, std::abs(expect.raw()[i])));
-  }
-}
-
 TEST(MonteCarloBatch, MatchesSequentialDriverBitwise) {
   variation::MonteCarloOptions options;
   options.trials = 8;

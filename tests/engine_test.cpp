@@ -1,9 +1,11 @@
 // Engine-internals breadth tests: Newton options/statistics and homotopy
-// paths, MNA unknown bookkeeping, nodesets, transient statistics, CSV
-// export, and a ring oscillator as a many-cycle transient stress test.
+// paths, MNA unknown bookkeeping, nodesets, transient step counters and
+// option validation, CSV export, and a ring oscillator as a many-cycle
+// transient stress test.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <sstream>
 
@@ -13,6 +15,7 @@
 #include "nemsim/devices/passives.h"
 #include "nemsim/devices/sources.h"
 #include "nemsim/spice/circuit.h"
+#include "nemsim/spice/diagnostics.h"
 #include "nemsim/spice/measure.h"
 #include "nemsim/spice/newton.h"
 #include "nemsim/spice/op.h"
@@ -142,7 +145,8 @@ TEST(Newton, TinyIterationBudgetFailsCleanly) {
 
 // ------------------------------------------------------------ transient
 
-TEST(TransientStats, CountsAcceptedSteps) {
+/// RC low-pass driven by a single rising edge.
+Circuit make_rc_step() {
   Circuit ckt;
   spice::NodeId in = ckt.node("in");
   spice::NodeId out = ckt.node("out");
@@ -151,18 +155,23 @@ TEST(TransientStats, CountsAcceptedSteps) {
       SourceWave::pulse(0.0, 1.0, 0.1_ns, 10.0_ps, 10.0_ps, 1.0));
   ckt.add<Resistor>("R1", in, out, 1e3);
   ckt.add<Capacitor>("C1", out, ckt.gnd(), 1.0_pF);
-  MnaSystem system(ckt);
-  spice::TransientStats stats;
-  spice::TransientOptions options;
-  options.tstop = 5.0_ns;
-  options.stats = &stats;
-  spice::Waveform wave = spice::transient(system, options);
-  EXPECT_EQ(stats.accepted_steps + 1, wave.num_samples());  // +1 for t=0
-  EXPECT_GT(stats.max_dt, stats.min_dt);
-  EXPECT_EQ(stats.newton_failures, 0u);
+  return ckt;
 }
 
-TEST(TransientStats, TighterLteMeansMoreSteps) {
+TEST(TransientReport, CountsAcceptedSteps) {
+  Circuit ckt = make_rc_step();
+  MnaSystem system(ckt);
+  spice::RunReport report;
+  spice::TransientOptions options;
+  options.tstop = 5.0_ns;
+  options.report = &report;
+  spice::Waveform wave = spice::transient(system, options);
+  EXPECT_EQ(report.accepted_steps + 1, wave.num_samples());  // +1 for t=0
+  EXPECT_GT(report.max_dt, report.min_dt);
+  EXPECT_EQ(report.newton_failures, 0u);
+}
+
+TEST(TransientReport, TighterLteMeansMoreSteps) {
   auto run_with = [](double lte) {
     Circuit ckt;
     spice::NodeId in = ckt.node("in");
@@ -172,15 +181,45 @@ TEST(TransientStats, TighterLteMeansMoreSteps) {
     ckt.add<Resistor>("R1", in, out, 1e3);
     ckt.add<Capacitor>("C1", out, ckt.gnd(), 0.2_pF);
     MnaSystem system(ckt);
-    spice::TransientStats stats;
+    spice::RunReport report;
     spice::TransientOptions options;
     options.tstop = 3.0_ns;
     options.lte_reltol = lte;
-    options.stats = &stats;
+    options.report = &report;
     spice::transient(system, options);
-    return stats.accepted_steps;
+    return report.accepted_steps;
   };
   EXPECT_GT(run_with(2e-4), run_with(2e-2));
+}
+
+TEST(TransientValidation, RejectsStepControlThatCannotTerminate) {
+  // A dt_min of zero, below zero or NaN never trips the retry floor, so a
+  // step that keeps failing would retry without bound; a zero LTE target
+  // or a NaN reject factor leaves the step control undefined.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const spice::TransientOptions defaults;
+  struct Case {
+    const char* label;
+    double dt_min, lte_reltol, reject_factor;
+  };
+  const Case cases[] = {
+      {"dt_min = 0", 0.0, defaults.lte_reltol, defaults.reject_factor},
+      {"dt_min = -1", -1.0, defaults.lte_reltol, defaults.reject_factor},
+      {"dt_min = NaN", nan, defaults.lte_reltol, defaults.reject_factor},
+      {"lte_reltol = 0", defaults.dt_min, 0.0, defaults.reject_factor},
+      {"reject_factor = NaN", defaults.dt_min, defaults.lte_reltol, nan},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    Circuit ckt = make_rc_step();
+    MnaSystem system(ckt);
+    spice::TransientOptions options;
+    options.tstop = 1.0_ns;
+    options.dt_min = c.dt_min;
+    options.lte_reltol = c.lte_reltol;
+    options.reject_factor = c.reject_factor;
+    EXPECT_THROW(spice::transient(system, options), InvalidArgument);
+  }
 }
 
 // -------------------------------------------------------------- CSV dump

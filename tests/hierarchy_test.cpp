@@ -111,12 +111,12 @@ TEST(ColumnHierarchy, SixtyFourCellOpBitwiseMatchesHandFlattened) {
 
   // A 64-cell column is far past the sparse fast-path threshold; the
   // elaborated hierarchy must ride it like any flat circuit.
-  spice::NewtonStats stats;
+  spice::RunReport report;
   spice::OpOptions options;
-  options.stats = &stats;
+  options.report = &report;
   spice::OpResult hier_op = spice::operating_point(hier_sys, options);
   spice::OpResult flat_op = spice::operating_point(flat_sys, options);
-  EXPECT_TRUE(stats.used_sparse);
+  EXPECT_TRUE(report.newton.used_sparse);
 
   for (std::size_t i = 0; i < hier_sys.num_unknowns(); ++i) {
     EXPECT_EQ(hier_op.raw()[i], flat_op.raw()[i]) << "unknown " << i;

@@ -506,14 +506,15 @@ TEST(KernelContract, OperatingPointMatchesDeviceStamps) {
 }
 
 TEST(KernelContract, TransientMatchesDeviceStampsAndCountsLanes) {
-  spice::NewtonStats stats;
+  spice::RunReport report;
   Circuit ckt = make_hybrid_inverter();
   MnaSystem system(ckt);
   spice::TransientOptions o;
   o.tstop = 1.5e-9;
   o.dt_initial = 1e-13;
-  o.newton_stats = &stats;
+  o.report = &report;
   const spice::Waveform wave = spice::transient(system, o);
+  const spice::NewtonStats& stats = report.newton;
   // The devices hold the last accepted step's history: the transient
   // assembly after it agrees with the Device::stamp reference.
   linalg::Vector x_end(system.num_unknowns(), 0.0);
@@ -523,8 +524,8 @@ TEST(KernelContract, TransientMatchesDeviceStampsAndCountsLanes) {
   expect_lanes_match_stamps(system, x_end, AnalysisMode::kTransient, 1.6e-9,
                             1e-11, "transient");
 
-  // Per-bucket counters cover the nonlinear lanes only; linear lanes
-  // are not model evaluations.
+  // Per-bucket counters (bias point and stepping) cover the nonlinear
+  // lanes only; linear lanes are not model evaluations.
   for (const char* bucket : {"mosfet", "nemfet"}) {
     const auto it = std::find_if(
         stats.kernel_lane_evals.begin(), stats.kernel_lane_evals.end(),
@@ -546,7 +547,8 @@ TEST(KernelContract, TransientMatchesDeviceStampsAndCountsLanes) {
 TEST(KernelCounters, LaneEvalsSumToNonlinearEvals) {
   // perfbench divides the lane counts by nonlinear_evals: on a circuit of
   // in-tree devices every nonlinear evaluation is a lane evaluation, on
-  // both Jacobian sinks and through OP and transient alike.
+  // both Jacobian sinks and through the transient's bias point and its
+  // steps alike.
   for (spice::JacobianSolver solver :
        {spice::JacobianSolver::kDense, spice::JacobianSolver::kSparse}) {
     SCOPED_TRACE(solver == spice::JacobianSolver::kDense ? "dense" : "sparse");
@@ -555,16 +557,13 @@ TEST(KernelCounters, LaneEvalsSumToNonlinearEvals) {
     c.hybrid = true;
     core::DynamicOrGate gate = core::build_dynamic_or(c);
     MnaSystem system(gate.ckt());
-    spice::NewtonStats stats;
-    spice::OpOptions op;
-    op.newton.solver = solver;
-    op.stats = &stats;
-    (void)spice::operating_point(system, op);
+    spice::RunReport report;
     spice::TransientOptions o;
     o.tstop = 0.5e-9;
     o.newton.solver = solver;
-    o.newton_stats = &stats;
+    o.report = &report;
     (void)spice::transient(system, o);
+    const spice::NewtonStats& stats = report.newton;
 
     std::uint64_t lane_evals = 0;
     for (const auto& [bucket, count] : stats.kernel_lane_evals) {

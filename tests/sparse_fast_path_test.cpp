@@ -1,8 +1,7 @@
 // Sparse MNA fast path: reusable sparse LU (symbolic analysis cached,
 // numeric-only refactorization), pattern-frozen CSR assembly equivalence
 // against the dense reference, dense-vs-sparse Newton equivalence on the
-// paper circuits, and determinism of the parallel sweep runners
-// (including the chunked warm-start dc_sweep_parallel mode).
+// paper circuits, and determinism of the parallel sweep runners.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -43,8 +42,7 @@ using spice::MnaSystem;
 
 // ------------------------------------------------------------ sparse LU
 
-/// Random diagonally-weighted CSR test matrix (same recipe as the
-/// perf_simulator sparse benchmarks).
+/// Random diagonally-weighted CSR test matrix.
 linalg::CsrMatrix random_csr(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<std::pair<std::size_t, std::size_t>> entries;
@@ -681,56 +679,6 @@ TEST(ParallelDeterminism, NemfetBranchTableSharedAcrossWorkers) {
   }
   EXPECT_GT(par.front(), 1.1);  // input low: pull-up closed
   EXPECT_LT(par.back(), 0.1);   // input high: pull-down closed
-}
-
-// --------------------------------------------- chunked warm-start dc sweep
-
-TEST(DcSweepChunked, ThreadCountIndependent) {
-  auto make = []() { return make_divider_inverter(); };
-  auto set_vin = [](Circuit& ckt, double v) {
-    ckt.find<VoltageSource>("Vin").set_dc(v);
-  };
-  const std::vector<double> points = spice::linspace(0.0, 1.2, 13);
-
-  spice::DcSweepOptions options;
-  options.parallel_chunk = 5;  // 3 chunks: 5 + 5 + 3 points
-  const spice::Waveform w1 =
-      spice::dc_sweep_parallel(make, set_vin, points, options, 1);
-  const spice::Waveform w4 =
-      spice::dc_sweep_parallel(make, set_vin, points, options, 4);
-
-  ASSERT_EQ(w1.num_samples(), points.size());
-  ASSERT_EQ(w4.num_samples(), points.size());
-  for (std::size_t k = 0; k < points.size(); ++k) {
-    for (std::size_t s = 0; s < w1.num_signals(); ++s) {
-      EXPECT_DOUBLE_EQ(w1.sample(s, k), w4.sample(s, k))
-          << w1.signal_names()[s] << " point " << k;
-    }
-  }
-}
-
-TEST(DcSweepChunked, WarmStartMatchesColdWithinTolerance) {
-  // The inverter VTC has a unique solution per input, so warm-started
-  // chunks must land on the same curve as cold per-point solves.
-  auto make = []() { return make_divider_inverter(); };
-  auto set_vin = [](Circuit& ckt, double v) {
-    ckt.find<VoltageSource>("Vin").set_dc(v);
-  };
-  const std::vector<double> points = spice::linspace(0.0, 1.2, 13);
-
-  spice::DcSweepOptions cold;
-  const spice::Waveform wc =
-      spice::dc_sweep_parallel(make, set_vin, points, cold, 2);
-  spice::DcSweepOptions warm;
-  warm.parallel_chunk = 4;
-  const spice::Waveform ww =
-      spice::dc_sweep_parallel(make, set_vin, points, warm, 2);
-
-  for (std::size_t k = 0; k < points.size(); ++k) {
-    EXPECT_NEAR(wc.sample(wc.signal_index("v(out)"), k),
-                ww.sample(ww.signal_index("v(out)"), k), 1e-6)
-        << "point " << k;
-  }
 }
 
 }  // namespace
