@@ -220,8 +220,12 @@ struct KernelPlan {
   /// Union of all lanes' declared (row, col) cells, deduplicated — the
   /// positions the Jacobian pattern is pre-grown to contain.
   std::vector<std::pair<std::size_t, std::size_t>> declared_cells;
-  /// Pattern epoch `sparse_slots` were resolved against; kNoEpoch when
-  /// never resolved (or resolution failed and must be retried).
+  /// CSR slot of every diagonal (i, i) for the gmin shunt (CsrMatrix::npos
+  /// when outside the pattern), resolved with the lanes' sparse_slots.
+  std::vector<std::size_t> diagonal_slots;
+  /// Pattern epoch `sparse_slots` and `diagonal_slots` were resolved
+  /// against; kNoEpoch when never resolved (or resolution failed and
+  /// must be retried).
   static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
   std::uint64_t sparse_epoch = kNoEpoch;
 };

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -414,6 +417,81 @@ TEST(NemfetEquilibrium, OnePassResidualAndSlopeKeepTheRootsBitwise) {
         }
       }
     }
+  }
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// static_equilibrium keeps each branch's outcome at the last |v| and
+// width.  One warm device, driven through exact repeats, width changes
+// (setter and bank overlay) and branch-memory switches at a fixed |v|,
+// must return bitwise what a fresh device returns.
+TEST(NemfetEquilibrium, ReuseMatchesAFreshDeviceBitwise) {
+  for (const NemsParams& p :
+       {tech::nems_90nm(), soft_contact_card(), monostable_card()}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "tox=" << p.tox << " contact_k=" << p.contact_k);
+    Circuit ckt;
+    auto& warm = ckt.add<Nemfet>("X", ckt.node("d"), ckt.node("g"), ckt.gnd(),
+                                 NemsPolarity::kN, p, 1.0_um);
+    double x_state = 0.0;
+    auto solve = [&](double v) {
+      Nemfet fresh("F", spice::NodeId{1}, spice::NodeId{2}, spice::NodeId{0},
+                   NemsPolarity::kN, p, warm.width());
+      fresh.set_initial_position(x_state);
+      const Nemfet::StaticEq want = fresh.static_equilibrium(v);
+      const Nemfet::StaticEq got = warm.static_equilibrium(v);
+      EXPECT_TRUE(same_bits(got.x, want.x))
+          << "v=" << v << " W=" << warm.width() << " x_state=" << x_state
+          << ": " << got.x << " vs fresh " << want.x;
+      EXPECT_TRUE(same_bits(got.dx_dv, want.dx_dv))
+          << "v=" << v << " W=" << warm.width() << " x_state=" << x_state
+          << ": " << got.dx_dv << " vs fresh " << want.dx_dv;
+      return want;
+    };
+
+    // Zero, a low and a high bias, both sides of each fold and the middle
+    // of the hysteresis window.
+    std::vector<double> vs = {0.0, 0.25, 1.2};
+    const double vpi = p.pull_in_voltage();
+    const double vpo = p.pull_out_voltage();
+    for (double fold : {vpi, vpo}) {
+      if (!(fold > 0.0 && std::isfinite(fold))) continue;
+      vs.push_back(fold * (1.0 - 1e-9));
+      vs.push_back(fold * (1.0 + 1e-9));
+    }
+    if (vpo > 0.0 && std::isfinite(vpi)) vs.push_back(0.5 * (vpi + vpo));
+
+    const std::vector<std::function<void()>> width_changes = {
+        [&] { warm.set_width(0.3_um); },
+        [&] {
+          ckt.param_bank().set_value(warm.width_slot(), 0.45_um);
+          ckt.notify_params_changed();
+        },
+        [&] { warm.set_width(1.0_um); },
+    };
+    // A key without the width would hand these solves the previous
+    // width's outcome; the fresh results must differ somewhere for this
+    // test to catch that.
+    bool width_changes_a_result = false;
+    for (double v : vs) {
+      for (const auto& change_width : width_changes) {
+        for (double xs : {0.0, p.gap0, 0.0}) {
+          x_state = xs;
+          warm.set_initial_position(xs);
+          solve(v);
+          solve(v);
+        }
+        const Nemfet::StaticEq before = solve(v);
+        change_width();
+        const Nemfet::StaticEq after = solve(v);
+        width_changes_a_result |= !same_bits(before.x, after.x) ||
+                                  !same_bits(before.dx_dv, after.dx_dv);
+      }
+    }
+    EXPECT_TRUE(width_changes_a_result);
   }
 }
 

@@ -1,12 +1,17 @@
 // Monte-Carlo / process-variation layer tests.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "nemsim/core/sram.h"
 #include "nemsim/devices/mosfet.h"
 #include "nemsim/devices/nemfet.h"
 #include "nemsim/devices/sources.h"
 #include "nemsim/spice/circuit.h"
+#include "nemsim/spice/dcsweep.h"
 #include "nemsim/spice/op.h"
 #include "nemsim/tech/cards.h"
 #include "nemsim/util/units.h"
@@ -129,6 +134,60 @@ TEST(MonteCarlo, AllFailuresThrow) {
     throw ConvergenceError("always fails");
   };
   EXPECT_THROW(variation::monte_carlo(ckt, metric, options), Error);
+}
+
+// One butterfly half-cell of the hybrid SRAM in the read condition, its
+// left storage node driven by "Vsweep" (the SNM benches' testbench).
+Circuit make_hybrid_half_cell() {
+  core::SramConfig config;
+  config.kind = core::SramKind::kHybrid;
+  core::SramBenchMode mode;
+  mode.wordline = config.vdd;
+  core::SramCell cell = core::build_sram_cell(config, mode);
+  Circuit& ckt = cell.ckt();
+  ckt.add<VoltageSource>("Vsweep", ckt.find_node(core::SramCell::kQl),
+                         ckt.gnd(), SourceWave::dc(0.0));
+  return std::move(ckt);
+}
+
+// Each trial's NEMFETs keep static_equilibrium's reuse memo behind const
+// evaluation; trials own their circuits, so the run is race-free and
+// thread-count independent.
+TEST(MonteCarlo, ParallelHybridHalfCellSweepIsThreadCountIndependent) {
+  auto metric = [](Circuit& c) {
+    auto& sweep = c.find<VoltageSource>("Vsweep");
+    spice::MnaSystem system(c);
+    const std::vector<double> points = spice::linspace(0.0, 1.2, 31);
+    const spice::Waveform wave = spice::dc_sweep(
+        system, [&](double v) { sweep.set_dc(v); }, points);
+    // Weighted sum of the transfer curve: any changed point shows.
+    double folded = 0.0;
+    double weight = 1.0;
+    for (double v : wave.series("v(Xcell.qr)")) {
+      folded += weight * v;
+      weight *= 1.25;
+    }
+    return folded;
+  };
+  variation::MonteCarloOptions options;
+  options.trials = 8;
+  options.seed = 7;
+  options.num_threads = 1;
+  const auto serial =
+      variation::monte_carlo_parallel(make_hybrid_half_cell, metric, options);
+  options.num_threads = 4;
+  const auto threaded =
+      variation::monte_carlo_parallel(make_hybrid_half_cell, metric, options);
+  ASSERT_EQ(serial.failures, 0u);
+  ASSERT_EQ(threaded.failures, 0u);
+  ASSERT_EQ(serial.samples.size(), threaded.samples.size());
+  EXPECT_GT(serial.stats.stddev(), 0.0);  // the draws reach the curve
+  for (std::size_t i = 0; i < serial.samples.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.samples[i]),
+              std::bit_cast<std::uint64_t>(threaded.samples[i]))
+        << "trial " << i << ": " << serial.samples[i] << " vs "
+        << threaded.samples[i];
+  }
 }
 
 TEST(MonteCarlo, MeanPlusSigmasAccessor) {
