@@ -7,6 +7,7 @@
 #pragma once
 
 #include "nemsim/spice/engine.h"
+#include "nemsim/spice/kernels.h"
 
 namespace nemsim::devices {
 
@@ -27,9 +28,11 @@ class CapCompanion {
   /// Stamps KCL rows/Jacobian for the branch between roles p and n of
   /// the owner's role sink (role -1 = grounded terminal).  Declare the
   /// 2x2 (p, n) Jacobian block in the owner's descriptor for every
-  /// non-ground role pair.
+  /// non-ground role pair.  Forced inline for the reason given on
+  /// spice::KernelSink.
   template <class Sink>
-  void eval(const Sink& k, int p_role, int n_role) const {
+  [[gnu::always_inline]] void eval(const Sink& k, int p_role,
+                                   int n_role) const {
     if (k.dc()) return;
     const double dt = k.dt();
     const double g = use_be_ ? c_ / dt : 2.0 * c_ / dt;
@@ -63,6 +66,14 @@ class CapCompanion {
   }
 
   void discontinuity() { use_be_ = true; }
+
+  /// Appends every member eval reads (the owner's twin_key).
+  void twin_key(spice::TwinKey& key) const {
+    key.add(c_);
+    key.add(v0_);
+    key.add(i0_);
+    key.add(use_be_);
+  }
 
  private:
   double current_at_accept(double dt, double v) const {

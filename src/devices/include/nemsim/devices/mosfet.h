@@ -74,6 +74,10 @@ class Mosfet : public spice::Device {
   /// Residual and Jacobian, written once for both role sinks.
   template <class Sink>
   void eval(const Sink& k) const;
+  /// Every member eval reads, for exact sharing between identical devices
+  /// (DESIGN.md §7k): the card, polarity, geometry, Vth shift and the
+  /// four companion states.
+  void twin_key(spice::TwinKey& key) const;
   void accept_step(const spice::AcceptContext& ctx) override;
   void reset_state() override;
   void stamp_ac(spice::AcStampContext& ctx) const override;

@@ -216,6 +216,11 @@ class Nemfet : public spice::Device {
   /// Residual and Jacobian, written once for both role sinks.
   template <class Sink>
   void eval(const Sink& k) const;
+  /// Every member eval reads, for exact sharing between identical devices
+  /// (DESIGN.md §7k): the card, polarity, width, Vth shift, the accepted
+  /// beam state and the five companion states.  The equilibrium memo is
+  /// left out: it never changes a result bit.
+  void twin_key(spice::TwinKey& key) const;
   void begin_step(double time, double dt) override;
   void accept_step(const spice::AcceptContext& ctx) override;
   void reset_state() override;

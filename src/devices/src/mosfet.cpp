@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <utility>
 
@@ -103,6 +104,24 @@ void Mosfet::eval(const Sink& k) const {
   cgd_.eval(k, 1, 0);
   cdb_.eval(k, 0, -1);
   csb_.eval(k, 2, -1);
+}
+
+void Mosfet::twin_key(spice::TwinKey& key) const {
+  static_assert(sizeof(MosParams) == 10 * sizeof(double),
+                "a MosParams field is missing from the twin key");
+  key.add(static_cast<std::uint64_t>(polarity_));
+  for (double v : {params_.vth0, params_.n, params_.kp, params_.lambda,
+                   params_.eta_dibl, params_.cox_area, params_.cov,
+                   params_.cj, params_.goff, params_.temp}) {
+    key.add(v);
+  }
+  key.add(w_.get());
+  key.add(l_);
+  key.add(vth_shift_.get());
+  cgs_.twin_key(key);
+  cgd_.twin_key(key);
+  cdb_.twin_key(key);
+  csb_.twin_key(key);
 }
 
 void Mosfet::stamp(spice::StampContext& ctx) const {

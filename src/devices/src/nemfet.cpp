@@ -559,6 +559,29 @@ void Nemfet::eval(const Sink& k) const {
   csb_.eval(k, 2, -1);
 }
 
+void Nemfet::twin_key(spice::TwinKey& key) const {
+  static_assert(sizeof(NemsParams) == 22 * sizeof(double),
+                "a NemsParams field is missing from the twin key");
+  const NemsParams& p = params_;
+  key.add(static_cast<std::uint64_t>(polarity_));
+  for (double v : {p.gap0, p.spring_k, p.mass, p.damping, p.area,
+                   p.contact_k, p.contact_softness, p.gap_softness, p.w_ref,
+                   p.tox, p.eps_ox, p.vth_ch, p.n_ch, p.kp, p.lambda,
+                   p.eta_dibl, p.dvth_per_alpha, p.l_ch, p.goff, p.cov, p.cj,
+                   p.temp}) {
+    key.add(v);
+  }
+  key.add(w_.get());
+  key.add(vth_shift_.get());
+  key.add(x_state_);
+  key.add(v_state_);
+  cg_gap_.twin_key(key);
+  cgs_ov_.twin_key(key);
+  cgd_ov_.twin_key(key);
+  cdb_.twin_key(key);
+  csb_.twin_key(key);
+}
+
 void Nemfet::stamp(spice::StampContext& ctx) const {
   spice::stamp_roles(*this, ctx);
 }

@@ -290,6 +290,13 @@ class MnaSystem {
   /// cell and may bump the pattern epoch.  Exposed for tests and the
   /// per-bucket counters.
   const KernelPlan& kernel_plan() const;
+  /// Regroups the plan's lanes into candidate classes for exact
+  /// evaluation sharing (DESIGN.md §7k) from the devices' current
+  /// twin_key bits.  Runs with the plan build and at every analysis entry
+  /// (NewtonSolver construction); a no-op before the plan exists.  The
+  /// classes only pick candidates: a replay always needs the complete
+  /// input to match in the pass itself.
+  void regroup_twins() const;
 
   /// Calls begin_step on every device.
   void begin_step(double time, double dt);

@@ -17,13 +17,23 @@
 //    sparse skeleton and lint's mode-exact structural_pattern) and any
 //    caller that stamps a device by hand.
 //
+// A third sink, RecordingSink, serves exact evaluation sharing between
+// identical devices of a lane (DESIGN.md §7k): a device whose complete
+// evaluation input — its role iterate values plus its type's `twin_key` —
+// equals, bit for bit, that of a device evaluated earlier in the same
+// pass replays the recorded f/J writes through its own rows and slots
+// instead of evaluating.
+//
 // Devices without a kernel descriptor (out-of-tree extensions) are
 // stamped through the virtual Device::stamp after the lanes.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -78,7 +88,10 @@ struct KernelEvalContext {
 /// Role-indexed writer for one device inside a batch loop.  Role -1
 /// addresses ground explicitly (companion models with a grounded
 /// terminal).  All guards compile down to one compare per access; with
-/// constant roles the -1 checks fold away entirely.
+/// constant roles the -1 checks fold away entirely.  The accessors are
+/// forced inline: with three eval instantiations per device type, GCC
+/// left them (and the companion evals) out of line in the NEMFET's hot
+/// eval, which measured about 8 % slower per lane pass.
 class KernelSink {
  public:
   KernelSink(const KernelEvalContext& ctx, const std::size_t* rows,
@@ -86,7 +99,7 @@ class KernelSink {
       : ctx_(ctx), rows_(rows), slots_(slots), roles_(roles) {}
 
   /// Iterate value of a role's unknown (0 for ground-tied roles).
-  double xr(int role) const {
+  [[gnu::always_inline]] double xr(int role) const {
     if (role < 0) return 0.0;
     const std::size_t u = rows_[static_cast<std::size_t>(role)];
     return u == kKernelAbsent ? 0.0 : ctx_.x[u];
@@ -101,7 +114,7 @@ class KernelSink {
 
   /// Adds `value` to the role's residual row (and its scale), mirroring
   /// StampContext::raw_f.  Dropped for ground roles / residual-less pass.
-  void f(int role, double value) const {
+  [[gnu::always_inline]] void f(int role, double value) const {
     if (role < 0 || ctx_.residual == nullptr) return;
     const std::size_t u = rows_[static_cast<std::size_t>(role)];
     if (u == kKernelAbsent) return;
@@ -113,12 +126,23 @@ class KernelSink {
   /// Cells missing from the descriptor's j_positions have no slot and
   /// are dropped (kernel_test checks every in-tree device declares all
   /// the cells it writes).
-  void J(int eq_role, int var_role, double value) const {
-    if (eq_role < 0 || var_role < 0 || ctx_.jacobian == nullptr) return;
-    const std::size_t s =
-        slots_[static_cast<std::size_t>(eq_role) *
-                   static_cast<std::size_t>(roles_) +
-               static_cast<std::size_t>(var_role)];
+  [[gnu::always_inline]] void J(int eq_role, int var_role,
+                                double value) const {
+    if (eq_role < 0 || var_role < 0) return;
+    J_cell(cell(eq_role, var_role), value);
+  }
+
+  /// Index of the (eq_role, var_role) cell in the scatter map; both roles
+  /// non-negative.
+  [[gnu::always_inline]] std::size_t cell(int eq_role, int var_role) const {
+    return static_cast<std::size_t>(eq_role) *
+               static_cast<std::size_t>(roles_) +
+           static_cast<std::size_t>(var_role);
+  }
+  /// J by scatter-map cell index.
+  [[gnu::always_inline]] void J_cell(std::size_t cell, double value) const {
+    if (ctx_.jacobian == nullptr) return;
+    const std::size_t s = slots_[cell];
     if (s == kKernelAbsent) return;
     ctx_.jacobian[s] += value;
   }
@@ -130,6 +154,118 @@ class KernelSink {
   int roles_;
 };
 
+/// The exact bit patterns of an evaluation's inputs, in a fixed order.
+/// A device type's `void twin_key(TwinKey&) const` appends every member
+/// its `eval` reads; two keys compare equal only when every bit does.
+/// Fixed capacity, so appending is a plain store: a key that outgrows it
+/// is marked overflowed and equals no key, so its device never shares.
+class TwinKey {
+ public:
+  static constexpr std::size_t kCapacity = 64;
+
+  void clear() { size_ = 0; }
+  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
+  void add(bool value) { add(std::uint64_t{value ? 1u : 0u}); }
+  void add(std::uint64_t value) {
+    if (size_ < kCapacity) words_[size_] = value;
+    ++size_;
+  }
+  bool overflowed() const { return size_ > kCapacity; }
+  std::span<const std::uint64_t> words() const {
+    return {words_, overflowed() ? 0 : size_};
+  }
+  bool operator==(const TwinKey& other) const {
+    return size_ == other.size_ && !overflowed() &&
+           std::memcmp(words_, other.words_, size_ * sizeof(std::uint64_t)) ==
+               0;
+  }
+
+ private:
+  std::uint64_t words_[kCapacity] = {};
+  std::size_t size_ = 0;
+};
+
+/// Device types whose evaluations may be shared between identical devices.
+template <class DeviceT>
+concept HasTwinKey = requires(const DeviceT& d, TwinKey& key) {
+  d.twin_key(key);
+};
+
+/// The f/J writes of one evaluation, in call order per array.  Writes to
+/// role -1 are not recorded: every sink drops them.
+struct TwinRecord {
+  std::vector<std::pair<int, double>> f;          ///< (role, value)
+  std::vector<std::pair<std::size_t, double>> j;  ///< (KernelSink::cell, value)
+
+  void clear() {
+    f.clear();
+    j.clear();
+  }
+};
+
+/// A KernelSink that also records every write into a TwinRecord: the
+/// third instantiation of each device's eval.
+class RecordingSink : public KernelSink {
+ public:
+  RecordingSink(const KernelSink& sink, TwinRecord& record)
+      : KernelSink(sink), record_(&record) {}
+
+  // Out of line: recording runs once per class and pass, and keeping it
+  // out of every write site keeps the recorded eval small.
+  [[gnu::noinline]] void f(int role, double value) const {
+    if (role >= 0) record_->f.emplace_back(role, value);
+    KernelSink::f(role, value);
+  }
+  [[gnu::noinline]] void J(int eq_role, int var_role, double value) const {
+    if (eq_role < 0 || var_role < 0) return;
+    const std::size_t c = cell(eq_role, var_role);
+    record_->j.emplace_back(c, value);
+    J_cell(c, value);
+  }
+
+ private:
+  TwinRecord* record_;
+};
+
+/// Writes a recorded evaluation through `sink`, as the evaluation itself
+/// would: the same values in the same order per array.
+inline void replay_twin(const KernelSink& sink, const TwinRecord& record) {
+  for (const auto& [role, value] : record.f) sink.f(role, value);
+  for (const auto& [cell, value] : record.j) sink.J_cell(cell, value);
+}
+
+/// The complete evaluation input of `device` under `sink`: the iterate
+/// value of each role, in role order, then the device's twin_key.
+template <HasTwinKey DeviceT>
+void twin_input(const DeviceT& device, const KernelSink& sink, int roles,
+                TwinKey& key) {
+  key.clear();
+  for (int r = 0; r < roles; ++r) key.add(sink.xr(r));
+  device.twin_key(key);
+}
+
+/// Evaluation sharing state of one lane, owned by the plan.  Devices are
+/// grouped into candidate classes by their twin_key bits when the plan is
+/// built and at every analysis entry; a device alone in its class is
+/// evaluated plainly.  Within a pass, each class remembers up to kWays
+/// distinct inputs and their recorded writes.
+struct KernelTwins {
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  static constexpr std::size_t kWays = 2;
+  struct Way {
+    TwinKey key;
+    TwinRecord record;
+    std::uint64_t pass = 0;  ///< pass the way was filled in (stale if older)
+  };
+  struct Class {
+    Way ways[kWays];
+  };
+  std::vector<std::uint32_t> class_of;  ///< per lane device, or kNone
+  std::vector<Class> classes;
+  TwinKey probe;          ///< input of the device being evaluated
+  std::uint64_t pass = 0; ///< assembly passes run through the classes
+};
+
 /// One lane's view handed to its batch function: parallel arrays over
 /// `count` devices of the same concrete type.
 struct KernelLaneView {
@@ -138,18 +274,75 @@ struct KernelLaneView {
   int roles = 0;
   const std::size_t* rows = nullptr;   ///< count * roles
   const std::size_t* slots = nullptr;  ///< count * roles * roles
+  /// Sharing classes; null when no two devices of the lane are candidates.
+  KernelTwins* twins = nullptr;
 };
 
-using KernelBatchFn = void (*)(const KernelLaneView&,
-                               const KernelEvalContext&);
+/// Evaluates a lane; returns how many of its devices replayed a twin.
+using KernelBatchFn = std::size_t (*)(const KernelLaneView&,
+                                      const KernelEvalContext&);
+
+/// The lane loop with sharing: devices of a class look up their input
+/// among the class's ways, replay on a hit, and otherwise evaluate (into
+/// a free way's record when one is left).  Devices keep their lane order,
+/// so every f/J array accumulates in the order of the plain loop.
+template <HasTwinKey DeviceT>
+std::size_t kernel_batch_eval_twins(const KernelLaneView& lane,
+                                    const KernelEvalContext& ctx) {
+  KernelTwins& tw = *lane.twins;
+  const std::uint64_t pass = ++tw.pass;
+  const std::size_t r = static_cast<std::size_t>(lane.roles);
+  const std::size_t rr = r * r;
+  std::size_t replays = 0;
+  for (std::size_t i = 0; i < lane.count; ++i) {
+    const KernelSink sink(ctx, lane.rows + i * r, lane.slots + i * rr,
+                          lane.roles);
+    const DeviceT& device = *static_cast<const DeviceT*>(lane.devices[i]);
+    const std::uint32_t c = tw.class_of[i];
+    if (c == KernelTwins::kNone) {
+      device.eval(sink);
+      continue;
+    }
+    twin_input(device, sink, lane.roles, tw.probe);
+    KernelTwins::Way* open_way = nullptr;
+    bool replayed = false;
+    for (KernelTwins::Way& way : tw.classes[c].ways) {
+      if (way.pass != pass) {
+        open_way = &way;  // ways fill in order: the rest are stale too
+        break;
+      }
+      if (way.key == tw.probe) {
+        replay_twin(sink, way.record);
+        replayed = true;
+        break;
+      }
+    }
+    if (replayed) {
+      ++replays;
+    } else if (open_way != nullptr) {
+      open_way->pass = pass;
+      open_way->key = tw.probe;
+      open_way->record.clear();
+      device.eval(RecordingSink(sink, open_way->record));
+    } else {
+      device.eval(sink);
+    }
+  }
+  return replays;
+}
 
 /// The canonical batch function: a tight loop of direct (devirtualized)
 /// per-device evaluations.  Each device type T exposes
 /// `template <class Sink> void eval(const Sink&) const` and registers
 /// `&kernel_batch_eval<T>` in its descriptor (see describe_lanes).
 template <typename DeviceT>
-void kernel_batch_eval(const KernelLaneView& lane,
-                       const KernelEvalContext& ctx) {
+std::size_t kernel_batch_eval(const KernelLaneView& lane,
+                              const KernelEvalContext& ctx) {
+  if constexpr (HasTwinKey<DeviceT>) {
+    if (lane.twins != nullptr) {
+      return kernel_batch_eval_twins<DeviceT>(lane, ctx);
+    }
+  }
   const std::size_t r = static_cast<std::size_t>(lane.roles);
   const std::size_t rr = r * r;
   for (std::size_t i = 0; i < lane.count; ++i) {
@@ -157,7 +350,11 @@ void kernel_batch_eval(const KernelLaneView& lane,
                           lane.roles);
     static_cast<const DeviceT*>(lane.devices[i])->eval(sink);
   }
+  return 0;
 }
+
+/// Appends a device's twin_key (type-erased for the plan builder).
+using KernelTwinKeyFn = void (*)(const Device&, TwinKey&);
 
 /// Filled by Device::kernel_descriptor.  Devices sharing a bucket key
 /// must share `batch` and `roles` (the plan builder verifies and demotes
@@ -168,6 +365,8 @@ struct KernelDescriptor {
   /// per-bucket eval counters report under.
   const char* bucket = "";
   KernelBatchFn batch = nullptr;
+  /// Set for types with a twin_key (their evaluations may be shared).
+  KernelTwinKeyFn twin_key = nullptr;
   int roles = 0;
   /// Unknown behind each role (kNoUnknown for ground-tied terminals).
   std::vector<UnknownId> role_unknowns;
@@ -188,6 +387,7 @@ struct KernelDescriptor {
 struct KernelLane {
   std::string bucket;
   KernelBatchFn batch = nullptr;
+  KernelTwinKeyFn twin_key = nullptr;
   int roles = 0;
   bool linear = false;  ///< linear-device lane (vs nonlinear lanes)
   std::vector<const Device*> devices;
@@ -202,9 +402,15 @@ struct KernelLane {
   /// for nonlinear lanes only (the ones NewtonStats::nonlinear_evals
   /// counts), so linear lanes stay at 0.
   std::uint64_t evals = 0;
+  /// Of `evals`, the ones served by replaying a twin's recorded writes.
+  std::uint64_t twin_replays = 0;
+  /// Sharing classes (rebuilt by MnaSystem::regroup_twins); unused when
+  /// `twins.classes` is empty.
+  KernelTwins twins;
 
-  KernelLaneView view(const std::size_t* slot_table) const {
-    return {devices.data(), devices.size(), roles, rows.data(), slot_table};
+  KernelLaneView view(const std::size_t* slot_table) {
+    return {devices.data(), devices.size(), roles, rows.data(), slot_table,
+            twins.classes.empty() ? nullptr : &twins};
   }
 };
 
@@ -285,6 +491,11 @@ void describe_lanes(const DeviceT& device, const KernelLayout& layout,
   out.supported = true;
   out.bucket = bucket;
   out.batch = &kernel_batch_eval<DeviceT>;
+  if constexpr (HasTwinKey<DeviceT>) {
+    out.twin_key = [](const Device& d, TwinKey& key) {
+      static_cast<const DeviceT&>(d).twin_key(key);
+    };
+  }
   out.roles = static_cast<int>(roles.size());
   out.role_unknowns.assign(roles.begin(), roles.end());
 }

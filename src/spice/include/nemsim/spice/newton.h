@@ -90,6 +90,9 @@ struct NewtonStats {
   /// keyed by bucket label.  With only in-tree devices the counts sum to
   /// nonlinear_evals.
   std::vector<std::pair<std::string, std::uint64_t>> kernel_lane_evals;
+  /// Of kernel_lane_evals, per bucket, the evaluations served by
+  /// replaying an identical device's recorded writes (DESIGN.md §7k).
+  std::vector<std::pair<std::string, std::uint64_t>> twin_replays;
 
   /// Accumulates another stats block into this one (counters add,
   /// used_sparse ORs) — used by drivers that solve with a local block per
@@ -113,19 +116,33 @@ struct NewtonStats {
     for (const auto& [bucket, count] : other.kernel_lane_evals) {
       add_kernel_lane_evals(bucket, count);
     }
+    for (const auto& [bucket, count] : other.twin_replays) {
+      add_twin_replays(bucket, count);
+    }
   }
 
   /// Adds `count` evaluations to `bucket`'s kernel counter (merge by
   /// label, insertion-ordered).
   void add_kernel_lane_evals(const std::string& bucket, std::uint64_t count) {
+    add_bucket_count(kernel_lane_evals, bucket, count);
+  }
+  /// The same for `bucket`'s replay counter.
+  void add_twin_replays(const std::string& bucket, std::uint64_t count) {
+    add_bucket_count(twin_replays, bucket, count);
+  }
+
+ private:
+  static void add_bucket_count(
+      std::vector<std::pair<std::string, std::uint64_t>>& counts,
+      const std::string& bucket, std::uint64_t count) {
     if (count == 0) return;
-    for (auto& [name, total] : kernel_lane_evals) {
+    for (auto& [name, total] : counts) {
       if (name == bucket) {
         total += count;
         return;
       }
     }
-    kernel_lane_evals.emplace_back(bucket, count);
+    counts.emplace_back(bucket, count);
   }
 };
 
@@ -139,8 +156,13 @@ struct NewtonStats {
 /// the Newton loop allocates nothing.
 class NewtonSolver {
  public:
+  /// One solver serves one analysis, so constructing it is the analysis
+  /// entry: the system's sharing classes are regrouped from the devices'
+  /// state here (MnaSystem::regroup_twins).
   NewtonSolver(MnaSystem& system, NewtonOptions options)
-      : system_(system), options_(options) {}
+      : system_(system), options_(options) {
+    system_.regroup_twins();
+  }
 
   /// Plain damped Newton from `x0` with fixed gmin/source factor.
   /// Throws ConvergenceError / SingularMatrixError on failure.
@@ -199,9 +221,10 @@ class NewtonSolver {
   std::uint64_t sparse_epoch_ = 0;  ///< pattern epoch of sparse_jac_
   bool sparse_ready_ = false;       ///< sparse_jac_ matches current pattern
   bool lu_ready_ = false;           ///< sparse_lu_ analysis matches sparse_jac_
-  /// Per-lane eval counts at the start of the current solve (reused, so
-  /// the snapshot allocates nothing after the first solve).
+  /// Per-lane eval and replay counts at the start of the current solve
+  /// (reused, so the snapshot allocates nothing after the first solve).
   std::vector<std::uint64_t> lane_evals_before_;
+  std::vector<std::uint64_t> lane_replays_before_;
 };
 
 }  // namespace nemsim::spice

@@ -45,6 +45,19 @@ void json_escape(std::ostream& os, const std::string& s) {
   os << '"';
 }
 
+/// {"bucket": count, ...} of a per-bucket NewtonStats counter.
+void json_bucket_counts(
+    std::ostream& os,
+    const std::vector<std::pair<std::string, std::uint64_t>>& counts) {
+  os << "{";
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    os << (i ? ", " : "");
+    json_escape(os, counts[i].first);
+    os << ": " << counts[i].second;
+  }
+  os << "}";
+}
+
 }  // namespace
 
 void RunReport::record_newton_iterations(int iterations) {
@@ -132,14 +145,18 @@ std::string RunReport::summary() const {
     }
     os << "]";
   }
-  if (!newton.kernel_lane_evals.empty()) {
-    os << " kernels[";
-    for (std::size_t i = 0; i < newton.kernel_lane_evals.size(); ++i) {
-      os << (i ? " " : "") << newton.kernel_lane_evals[i].first << "="
-         << newton.kernel_lane_evals[i].second;
-    }
-    os << "]";
-  }
+  const auto bucket_block =
+      [&os](const char* label,
+            const std::vector<std::pair<std::string, std::uint64_t>>& v) {
+        if (v.empty()) return;
+        os << " " << label << "[";
+        for (std::size_t i = 0; i < v.size(); ++i) {
+          os << (i ? " " : "") << v[i].first << "=" << v[i].second;
+        }
+        os << "]";
+      };
+  bucket_block("kernels", newton.kernel_lane_evals);
+  bucket_block("twin_replays", newton.twin_replays);
   if (!stages.empty()) {
     os << " stages[plain=" << stage_count(SteppingStageRecord::Kind::kPlain)
        << " gmin=" << stage_count(SteppingStageRecord::Kind::kGminStep)
@@ -199,13 +216,11 @@ void RunReport::write_json(std::ostream& os) const {
      << ", \"refactor_rejections\": " << newton.refactor_rejections
      << ", \"nonlinear_evals\": " << newton.nonlinear_evals
      << ", \"used_sparse\": " << (newton.used_sparse ? "true" : "false")
-     << ", \"kernel_lane_evals\": {";
-  for (std::size_t i = 0; i < newton.kernel_lane_evals.size(); ++i) {
-    os << (i ? ", " : "");
-    json_escape(os, newton.kernel_lane_evals[i].first);
-    os << ": " << newton.kernel_lane_evals[i].second;
-  }
-  os << "}}";
+     << ", \"kernel_lane_evals\": ";
+  json_bucket_counts(os, newton.kernel_lane_evals);
+  os << ", \"twin_replays\": ";
+  json_bucket_counts(os, newton.twin_replays);
+  os << "}";
 
   os << ",\n  \"stages\": [";
   for (std::size_t i = 0; i < stages.size(); ++i) {

@@ -250,6 +250,53 @@ void MnaSystem::record_devices(StampContext& ctx) const {
 
 // ------------------------------------------- type-bucketed kernels
 
+namespace {
+
+/// Groups each sharing lane's devices into candidate classes by the bits
+/// of their twin_key (DESIGN.md §7k).
+void group_twins(KernelPlan& plan) {
+  std::vector<TwinKey> keys;
+  std::vector<std::uint32_t> order;
+  for (KernelLane& lane : plan.lanes) {
+    KernelTwins& twins = lane.twins;
+    const std::size_t count = lane.devices.size();
+    twins.class_of.assign(count, KernelTwins::kNone);
+    std::size_t classes = 0;
+    if (lane.twin_key != nullptr) {
+      keys.resize(count);
+      order.resize(count);
+      for (std::size_t i = 0; i < count; ++i) {
+        keys[i].clear();
+        lane.twin_key(*lane.devices[i], keys[i]);
+        order[i] = static_cast<std::uint32_t>(i);
+      }
+      std::sort(order.begin(), order.end(),
+                [&](std::uint32_t a, std::uint32_t b) {
+                  const auto wa = keys[a].words();
+                  const auto wb = keys[b].words();
+                  return std::lexicographical_compare(wa.begin(), wa.end(),
+                                                      wb.begin(), wb.end());
+                });
+      // Every run of two or more equal keys is a class.
+      for (std::size_t lo = 0, hi = 0; lo < count; lo = hi) {
+        for (hi = lo + 1; hi < count && keys[order[hi]] == keys[order[lo]];
+             ++hi) {
+        }
+        if (hi - lo < 2) continue;
+        for (std::size_t k = lo; k < hi; ++k) {
+          twins.class_of[order[k]] = static_cast<std::uint32_t>(classes);
+        }
+        ++classes;
+      }
+    }
+    // resize keeps the surviving ways' buffers; their pass stamps are
+    // older than any pass to come, so they start out stale.
+    twins.classes.resize(classes);
+  }
+}
+
+}  // namespace
+
 const KernelPlan& MnaSystem::kernel_plan() const {
   if (kernel_plan_ == nullptr) build_kernel_plan();
   return *kernel_plan_;
@@ -285,6 +332,7 @@ void MnaSystem::build_kernel_plan() const {
         KernelLane lane;
         lane.bucket = desc.bucket;
         lane.batch = desc.batch;
+        lane.twin_key = desc.twin_key;
         lane.roles = desc.roles;
         lane.linear = linear;
         plan->lanes.push_back(std::move(lane));
@@ -327,12 +375,17 @@ void MnaSystem::build_kernel_plan() const {
   plan->declared_cells.erase(
       std::unique(plan->declared_cells.begin(), plan->declared_cells.end()),
       plan->declared_cells.end());
+  group_twins(*plan);
   kernel_plan_ = std::move(plan);
   // The sparse pattern must contain every declared cell so slot
   // resolution can freeze the scatter maps; when the pattern does not
   // exist yet, ensure_pattern folds the cells in at build time instead
   // (no extra epoch bump).
   if (pattern_built_) ensure_pattern_contains(kernel_plan_->declared_cells);
+}
+
+void MnaSystem::regroup_twins() const {
+  if (kernel_plan_ != nullptr) group_twins(*kernel_plan_);
 }
 
 void MnaSystem::ensure_pattern_contains(
@@ -429,11 +482,13 @@ void MnaSystem::stamp_devices(StampContext& ctx, DeviceSet set,
 
   auto run_lane = [&](KernelLane& lane) {
     if (lane.devices.empty()) return;
-    lane.batch(lane.view(sparse ? lane.sparse_slots.data()
-                                : lane.dense_slots.data()),
-               ectx);
+    const std::size_t replays =
+        lane.batch(lane.view(sparse ? lane.sparse_slots.data()
+                                    : lane.dense_slots.data()),
+                   ectx);
     if (hot && !lane.linear) {
       lane.evals += lane.devices.size();
+      lane.twin_replays += replays;
       nonlinear_evals_ += static_cast<std::int64_t>(lane.devices.size());
     }
   };

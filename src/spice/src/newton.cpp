@@ -216,16 +216,21 @@ linalg::Vector NewtonSolver::solve_plain(const linalg::Vector& x0,
   const std::int64_t evals_before = system_.nonlinear_evals();
   if (stats != nullptr) {
     lane_evals_before_.clear();
+    lane_replays_before_.clear();
     for (const KernelLane& lane : plan.lanes) {
       lane_evals_before_.push_back(lane.evals);
+      lane_replays_before_.push_back(lane.twin_replays);
     }
   }
   auto record = [&]() {
     if (stats == nullptr) return;
     stats->nonlinear_evals += system_.nonlinear_evals() - evals_before;
     for (std::size_t i = 0; i < plan.lanes.size(); ++i) {
-      stats->add_kernel_lane_evals(
-          plan.lanes[i].bucket, plan.lanes[i].evals - lane_evals_before_[i]);
+      const KernelLane& lane = plan.lanes[i];
+      stats->add_kernel_lane_evals(lane.bucket,
+                                   lane.evals - lane_evals_before_[i]);
+      stats->add_twin_replays(lane.bucket,
+                              lane.twin_replays - lane_replays_before_[i]);
     }
   };
   const Point at{mode, time, dt, gmin, source_factor};

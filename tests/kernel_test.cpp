@@ -1,12 +1,14 @@
 // Type-bucketed kernel lanes, the engine's only assembly path: plan
 // construction, scatter-map correctness against the unknown table,
 // pattern-epoch tracking of the CSR slot tables, the declared-cell
-// property every in-tree device must satisfy, and lane assembly against
+// property every in-tree device must satisfy, lane assembly against
 // a per-device Device::stamp reference (the StampSink instantiation of
-// the same device models).
+// the same device models), and exact evaluation sharing between
+// identical devices held bitwise to that reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <random>
@@ -17,6 +19,7 @@
 
 #include "nemsim/check/generator.h"
 #include "nemsim/core/dynamic_or.h"
+#include "nemsim/core/sram.h"
 #include "nemsim/devices/controlled.h"
 #include "nemsim/devices/diode.h"
 #include "nemsim/devices/mosfet.h"
@@ -26,6 +29,7 @@
 #include "nemsim/spice/circuit.h"
 #include "nemsim/spice/engine.h"
 #include "nemsim/spice/kernels.h"
+#include "nemsim/spice/newton.h"
 #include "nemsim/spice/op.h"
 #include "nemsim/spice/transient.h"
 #include "nemsim/tech/cards.h"
@@ -571,6 +575,230 @@ TEST(KernelCounters, LaneEvalsSumToNonlinearEvals) {
     }
     EXPECT_GT(stats.nonlinear_evals, 0);
     EXPECT_EQ(lane_evals, static_cast<std::uint64_t>(stats.nonlinear_evals));
+  }
+}
+
+// ------------------------------- exact evaluation sharing (DESIGN.md §7k)
+
+/// Device::stamp of every device in the order the lanes accumulate in:
+/// linear lanes, linear leftovers, nonlinear lanes, nonlinear leftovers.
+/// Same values, same order, so the lanes must agree bit for bit.
+void stamp_in_lane_order(const MnaSystem& system, spice::StampContext& ctx) {
+  const KernelPlan& plan = system.kernel_plan();
+  const Circuit& ckt = system.circuit();
+  for (const bool linear : {true, false}) {
+    for (const KernelLane& lane : plan.lanes) {
+      if (lane.linear != linear) continue;
+      for (std::size_t di : lane.device_indices) ckt.device(di).stamp(ctx);
+    }
+    for (std::size_t di :
+         linear ? plan.leftover_linear : plan.leftover_nonlinear) {
+      ckt.device(di).stamp(ctx);
+    }
+  }
+}
+
+void expect_bitwise(const double* got, const double* want, std::size_t count,
+                    const std::string& where) {
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (std::bit_cast<std::uint64_t>(got[i]) !=
+        std::bit_cast<std::uint64_t>(want[i])) {
+      if (++mismatches <= 3) {
+        ADD_FAILURE() << where << ": entry " << i << " is " << got[i]
+                      << ", the reference " << want[i];
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << where;
+}
+
+std::uint64_t total_twin_replays(const MnaSystem& system) {
+  std::uint64_t replays = 0;
+  for (const KernelLane& lane : system.kernel_plan().lanes) {
+    replays += lane.twin_replays;
+  }
+  return replays;
+}
+
+/// Every lane assembly entry point at iterate `x` (dense, residual-only,
+/// CSR, CSR Jacobian-only, and a pattern-miss pass on a fresh system over
+/// the same devices) against the lane-ordered Device::stamp reference,
+/// bit for bit.  Returns the twin replays the lane passes made.
+std::uint64_t expect_sharing_matches_stamps(Circuit& ckt, MnaSystem& system,
+                                            const linalg::Vector& x,
+                                            AnalysisMode mode, double time,
+                                            double dt,
+                                            const std::string& where) {
+  const double gmin = 1e-12;
+  const std::size_t n = system.num_unknowns();
+  const std::uint64_t replays_before = total_twin_replays(system);
+  auto add_gmin = [&](linalg::Vector& f, auto&& diagonal) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (system.unknown_info(i).kind == spice::UnknownKind::kNodeVoltage) {
+        f[i] += gmin * x[i];
+        diagonal(i) += gmin;
+      }
+    }
+  };
+
+  // Dense reference and lanes.
+  Assembly ref;
+  ref.j.reset(n, n);
+  ref.f = linalg::Vector(n, 0.0);
+  ref.scale = linalg::Vector(n, 0.0);
+  {
+    spice::StampContext ctx(system, x, ref.j, ref.f, ref.scale);
+    ctx.configure(mode, time, dt, gmin, 1.0);
+    stamp_in_lane_order(system, ctx);
+    add_gmin(ref.f, [&](std::size_t i) -> double& { return ref.j(i, i); });
+  }
+  linalg::Matrix j;
+  linalg::Vector f, scale;
+  system.assemble(x, j, f, scale, mode, time, dt, gmin, 1.0);
+  expect_bitwise(j.data(), ref.j.data(), n * n, where + " dense J");
+  expect_bitwise(f.data(), ref.f.data(), n, where + " dense f");
+  expect_bitwise(scale.data(), ref.scale.data(), n, where + " dense scale");
+  system.assemble_residual(x, f, scale, mode, time, dt, gmin, 1.0);
+  expect_bitwise(f.data(), ref.f.data(), n, where + " residual-only f");
+  expect_bitwise(scale.data(), ref.scale.data(), n,
+                 where + " residual-only scale");
+
+  // CSR reference and lanes on the same skeleton.
+  linalg::CsrMatrix csr = system.make_sparse_jacobian();
+  while (!system.assemble_sparse(x, csr, f, scale, mode, time, dt, gmin,
+                                 1.0)) {
+    csr = system.make_sparse_jacobian();
+  }
+  linalg::CsrMatrix ref_csr = system.make_sparse_jacobian();
+  linalg::Vector ref_f(n, 0.0), ref_scale(n, 0.0);
+  {
+    std::vector<std::pair<std::size_t, std::size_t>> missed;
+    spice::StampContext ctx(system, x, &ref_csr, ref_f, ref_scale, &missed);
+    ctx.configure(mode, time, dt, gmin, 1.0);
+    stamp_in_lane_order(system, ctx);
+    EXPECT_TRUE(missed.empty()) << where;
+    add_gmin(ref_f, [&](std::size_t i) -> double& {
+      return ref_csr.values()[ref_csr.slot(i, i)];
+    });
+  }
+  const std::size_t nnz = ref_csr.values().size();
+  EXPECT_EQ(csr.values().size(), nnz) << where;
+  if (csr.values().size() != nnz) return 0;
+  expect_bitwise(csr.values().data(), ref_csr.values().data(), nnz,
+                 where + " CSR J");
+  expect_bitwise(f.data(), ref_f.data(), n, where + " CSR f");
+  expect_bitwise(scale.data(), ref_scale.data(), n, where + " CSR scale");
+  EXPECT_TRUE(system.assemble_jacobian_sparse(x, csr, mode, time, dt, gmin,
+                                              1.0))
+      << where;
+  expect_bitwise(csr.values().data(), ref_csr.values().data(), nnz,
+                 where + " CSR Jacobian-only J");
+
+  // Pattern miss: a fresh system over the same devices (whose plan groups
+  // its classes from their current state) meets a diagonal-only
+  // skeleton, so its first pass reports misses and completes only the
+  // residual.
+  std::uint64_t fresh_replays = 0;
+  {
+    MnaSystem fresh(ckt);
+    std::vector<std::pair<std::size_t, std::size_t>> diagonal;
+    for (std::size_t i = 0; i < n; ++i) diagonal.emplace_back(i, i);
+    linalg::CsrMatrix sparse_diag(n, diagonal);
+    EXPECT_FALSE(fresh.assemble_sparse(x, sparse_diag, f, scale, mode, time,
+                                       dt, gmin, 1.0))
+        << where;
+    expect_bitwise(f.data(), ref_f.data(), n, where + " pattern-miss f");
+    expect_bitwise(scale.data(), ref_scale.data(), n,
+                   where + " pattern-miss scale");
+    fresh_replays = total_twin_replays(fresh);
+  }
+  return total_twin_replays(system) - replays_before + fresh_replays;
+}
+
+/// Runs the bias point and `checkpoints.back()` fixed-dt transient steps
+/// by hand (NewtonSolver + accept, as the transient driver does), and
+/// holds the lanes to the reference after the bias point and after each
+/// checkpoint's count of accepted steps — by then the devices carry
+/// non-trivial companion and beam state.  `perturb` names unknowns (by
+/// prefix) nudged in a second iterate per check, which splits their
+/// devices from the classes' other members.
+void expect_sharing_through_a_transient(Circuit& ckt, MnaSystem& system,
+                                        double dt,
+                                        const std::string& perturb) {
+  const std::vector<int> checkpoints = {1, 10, 100};
+  spice::NewtonSolver newton(system, spice::NewtonOptions{});
+  linalg::Vector x = newton.solve(system.initial_guess(),
+                                  AnalysisMode::kDcOperatingPoint, 0.0, 0.0);
+  system.accept(x, AnalysisMode::kDcOperatingPoint, 0.0, 0.0);
+
+  auto check = [&](AnalysisMode mode, double time, const std::string& where) {
+    EXPECT_GT(expect_sharing_matches_stamps(ckt, system, x, mode, time, dt,
+                                            where),
+              0u)
+        << where << ": no evaluation was shared";
+    linalg::Vector nudged = x;
+    for (std::size_t i = 0; i < nudged.size(); ++i) {
+      if (system.unknown_info(i).name.find(perturb) != std::string::npos) {
+        nudged[i] += 1e-3 * (1.0 + std::abs(nudged[i]));
+      }
+    }
+    expect_sharing_matches_stamps(ckt, system, nudged, mode, time, dt,
+                                  where + " nudged");
+  };
+  check(AnalysisMode::kDcOperatingPoint, 0.0, "op dc");
+  check(AnalysisMode::kTransient, dt, "op transient");
+
+  double t = 0.0;
+  for (int step = 1; step <= checkpoints.back(); ++step) {
+    t += dt;
+    system.begin_step(t, dt);
+    x = newton.solve(x, AnalysisMode::kTransient, t, dt);
+    system.accept(x, AnalysisMode::kTransient, t, dt);
+    if (std::find(checkpoints.begin(), checkpoints.end(), step) !=
+        checkpoints.end()) {
+      check(AnalysisMode::kTransient, t + dt,
+            "after " + std::to_string(step) + " steps");
+    }
+  }
+}
+
+TEST(KernelTwins, SixteenCellColumnsMatchDeviceStampsBitwise) {
+  // The idle cells of a structural column are bitwise identical, so
+  // their devices replay one recorded evaluation; the accessed cell's
+  // devices diverge once the wordline rises.
+  for (core::SramKind kind :
+       {core::SramKind::kHybrid, core::SramKind::kConventional}) {
+    SCOPED_TRACE(core::sram_kind_name(kind));
+    core::SramColumnConfig config;
+    config.cell.kind = kind;
+    config.n_cells = 16;
+    config.active_cell = 5;
+    core::SramColumn column = core::build_sram_column(config);
+    column.ckt().find<VoltageSource>("Vwl").set_wave(
+        SourceWave::pulse(0.0, config.cell.vdd, 20e-12, 20e-12, 20e-12, 1.0));
+    MnaSystem system(column.ckt());
+    core::nodeset_column_state(system, column);
+    system.set_nodeset(column.ckt().find_node("bl"), config.cell.vdd);
+    system.set_nodeset(column.ckt().find_node("blb"), config.cell.vdd);
+    expect_sharing_through_a_transient(column.ckt(), system, 2e-12,
+                                       "Xcell11.");
+  }
+}
+
+TEST(KernelTwins, DynamicOrIdleLegsMatchDeviceStampsBitwise) {
+  // Unvaried 8-input gate: input 0 switches, the seven idle legs share.
+  for (const bool hybrid : {true, false}) {
+    SCOPED_TRACE(hybrid ? "hybrid" : "cmos");
+    core::DynamicOrConfig config;
+    config.hybrid = hybrid;
+    config.t_precharge = 0.2e-9;
+    core::DynamicOrGate gate = core::build_dynamic_or(config);
+    gate.ckt().find<VoltageSource>(gate.input_source(0))
+        .set_wave(SourceWave::pulse(0.0, config.vdd, 0.3e-9, 20e-12, 20e-12,
+                                    1.0));
+    MnaSystem system(gate.ckt());
+    expect_sharing_through_a_transient(gate.ckt(), system, 10e-12, "Xleg6.");
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <random>
 
 #include "nemsim/devices/mosfet.h"
 #include "nemsim/devices/passives.h"
@@ -15,6 +17,7 @@
 #include "nemsim/tech/cards.h"
 #include "nemsim/tech/characterize.h"
 #include "nemsim/util/units.h"
+#include "twin_key_check.h"
 
 namespace nemsim {
 namespace {
@@ -206,6 +209,55 @@ TEST(Inverter, LeakagePowerWhenIdle) {
   const double i_leak = std::abs(op.value("i(Vdd)"));
   EXPECT_GT(i_leak, 1e-10);
   EXPECT_LT(i_leak, 1e-6);
+}
+
+// --------------------------------------------- twin key (DESIGN.md §7k)
+
+TEST(MosfetTwinKey, EqualKeysMeanBitwiseEqualEvaluations) {
+  // Equal complete inputs must mean bitwise-equal evaluations through
+  // every public mutator, for both polarities; the comparisons also see
+  // pairs whose keys differ in one member only, so a key that left out a
+  // cap state, the Vth shift or the role iterate fails here.
+  for (MosPolarity polarity : {MosPolarity::kNmos, MosPolarity::kPmos}) {
+    SCOPED_TRACE(polarity == MosPolarity::kNmos ? "nmos" : "pmos");
+    const MosParams card = polarity == MosPolarity::kNmos ? tech::nmos_90nm()
+                                                          : tech::pmos_90nm();
+    Circuit ckt;
+    auto& a = ckt.add<Mosfet>("MA", ckt.node("da"), ckt.node("ga"),
+                              ckt.node("sa"), polarity, card, 1.0_um, 0.1_um);
+    auto& b = ckt.add<Mosfet>("MB", ckt.node("db"), ckt.node("gb"),
+                              ckt.node("sb"), polarity, card, 1.0_um, 0.1_um);
+    MnaSystem system(ckt);
+    const spice::KernelLayout layout(system);
+    auto draw = [](std::size_t, std::mt19937_64& rng) {
+      return std::uniform_real_distribution<double>(-0.3, 1.4)(rng);
+    };
+    auto pick = [](std::initializer_list<double> values, std::mt19937_64& rng) {
+      return values.begin()[std::uniform_int_distribution<std::size_t>(
+          0, values.size() - 1)(rng)];
+    };
+    twin_check::TwinKeyProperty<Mosfet, 3> property(
+        system, a, b, a.role_unknowns(layout), b.role_unknowns(layout), draw,
+        /*seed=*/polarity == MosPolarity::kNmos ? 1 : 2);
+    property.add_op("set_width", [&](Mosfet& d, std::mt19937_64& rng) {
+      d.set_width(pick({0.3_um, 1.0_um}, rng));
+    });
+    property.add_op("set_vth_shift", [&](Mosfet& d, std::mt19937_64& rng) {
+      d.set_vth_shift(pick({-0.02, 0.0, 0.03}, rng));
+    });
+    property.add_op("bank overlay", [&](Mosfet& d, std::mt19937_64& rng) {
+      ckt.param_bank().set_value(d.width_slot(), pick({0.3_um, 1.0_um}, rng));
+      ckt.param_bank().set_value(d.vth_shift_slot(), pick({0.0, 0.03}, rng));
+      ckt.notify_params_changed();
+    });
+    property.add_op("notify_discontinuity",
+                    [](Mosfet& d, std::mt19937_64&) { d.notify_discontinuity(); });
+    property.add_op("reset_state",
+                    [](Mosfet& d, std::mt19937_64&) { d.reset_state(); });
+    property.run(600);
+    EXPECT_GT(property.equal_keys(), 150);
+    EXPECT_GT(property.distinct(), 1000);
+  }
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <limits>
+#include <random>
 #include <vector>
 
 #include "nemsim/devices/ekv.h"
@@ -22,6 +24,7 @@
 #include "nemsim/tech/cards.h"
 #include "nemsim/tech/characterize.h"
 #include "nemsim/util/units.h"
+#include "twin_key_check.h"
 
 namespace nemsim {
 namespace {
@@ -492,6 +495,66 @@ TEST(NemfetEquilibrium, ReuseMatchesAFreshDeviceBitwise) {
       }
     }
     EXPECT_TRUE(width_changes_a_result);
+  }
+}
+
+// --------------------------------------------- twin key (DESIGN.md §7k)
+
+TEST(NemfetTwinKey, EqualKeysMeanBitwiseEqualEvaluations) {
+  // Equal complete inputs must mean bitwise-equal evaluations through
+  // every public mutator, for both polarities.  The comparisons also see
+  // pairs whose keys differ in one member only (one-sided Vth shift,
+  // initial position, discontinuity or accept history), so a key that
+  // left out a cap state, x_state_, the Vth shift or the role iterate
+  // fails here.
+  const NemsParams p = tech::nems_90nm();
+  for (NemsPolarity polarity : {NemsPolarity::kN, NemsPolarity::kP}) {
+    SCOPED_TRACE(polarity == NemsPolarity::kN ? "n" : "p");
+    Circuit ckt;
+    auto& a = ckt.add<Nemfet>("XA", ckt.node("da"), ckt.node("ga"),
+                              ckt.node("sa"), polarity, p, 1.0_um);
+    auto& b = ckt.add<Nemfet>("XB", ckt.node("db"), ckt.node("gb"),
+                              ckt.node("sb"), polarity, p, 1.0_um);
+    MnaSystem system(ckt);
+    const spice::KernelLayout layout(system);
+    // Terminals over both actuation directions and the hysteresis window;
+    // the beam across the gap and past contact.
+    auto draw = [&](std::size_t role, std::mt19937_64& rng) {
+      if (role == 3) {
+        return std::uniform_real_distribution<double>(0.0, 1.1 * p.gap0)(rng);
+      }
+      if (role == 4) return std::uniform_real_distribution<double>(-0.5, 0.5)(rng);
+      return std::uniform_real_distribution<double>(-0.3, 1.4)(rng);
+    };
+    auto pick = [](std::initializer_list<double> values, std::mt19937_64& rng) {
+      return values.begin()[std::uniform_int_distribution<std::size_t>(
+          0, values.size() - 1)(rng)];
+    };
+    twin_check::TwinKeyProperty<Nemfet, 5> property(
+        system, a, b, a.role_unknowns(layout), b.role_unknowns(layout), draw,
+        /*seed=*/polarity == NemsPolarity::kN ? 1 : 2);
+    property.add_op("set_width", [&](Nemfet& d, std::mt19937_64& rng) {
+      d.set_width(pick({0.5_um, 1.0_um, 1.3_um}, rng));
+    });
+    property.add_op("set_vth_shift", [&](Nemfet& d, std::mt19937_64& rng) {
+      d.set_vth_shift(pick({-0.02, 0.0, 0.03}, rng));
+    });
+    property.add_op("bank overlay", [&](Nemfet& d, std::mt19937_64& rng) {
+      ckt.param_bank().set_value(d.width_slot(), pick({0.5_um, 1.0_um}, rng));
+      ckt.param_bank().set_value(d.vth_shift_slot(), pick({0.0, 0.03}, rng));
+      ckt.notify_params_changed();
+    });
+    property.add_op("set_initial_position",
+                    [&](Nemfet& d, std::mt19937_64& rng) {
+                      d.set_initial_position(pick({0.0, 0.3 * p.gap0, p.gap0}, rng));
+                    });
+    property.add_op("notify_discontinuity",
+                    [](Nemfet& d, std::mt19937_64&) { d.notify_discontinuity(); });
+    property.add_op("reset_state",
+                    [](Nemfet& d, std::mt19937_64&) { d.reset_state(); });
+    property.run(600);
+    EXPECT_GT(property.equal_keys(), 150);
+    EXPECT_GT(property.distinct(), 1000);
   }
 }
 

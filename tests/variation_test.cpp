@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "nemsim/core/sram.h"
@@ -12,8 +13,10 @@
 #include "nemsim/devices/sources.h"
 #include "nemsim/spice/circuit.h"
 #include "nemsim/spice/dcsweep.h"
+#include "nemsim/spice/diagnostics.h"
 #include "nemsim/spice/op.h"
 #include "nemsim/tech/cards.h"
+#include "nemsim/util/parallel.h"
 #include "nemsim/util/units.h"
 #include "nemsim/variation/montecarlo.h"
 
@@ -187,6 +190,39 @@ TEST(MonteCarlo, ParallelHybridHalfCellSweepIsThreadCountIndependent) {
               std::bit_cast<std::uint64_t>(threaded.samples[i]))
         << "trial " << i << ": " << serial.samples[i] << " vs "
         << threaded.samples[i];
+  }
+}
+
+// Exact evaluation sharing (DESIGN.md §7k) keeps its replay scratch in
+// each MnaSystem's kernel plan: two column reads on different threads
+// share nothing, so they match the serial reads bit for bit.
+TEST(TwinSharing, ConcurrentColumnReadsMatchSerialReadsBitwise) {
+  const std::vector<std::size_t> active_rows = {3, 12};
+  auto read = [&](std::size_t i, spice::RunReport* report) {
+    core::SramColumnConfig config;
+    config.cell.kind = core::SramKind::kHybrid;
+    config.n_cells = 16;
+    config.active_cell = active_rows[i];
+    return core::measure_column_read_latency_structural(config, 0.1, report);
+  };
+  std::vector<double> serial;
+  for (std::size_t i = 0; i < active_rows.size(); ++i) {
+    serial.push_back(read(i, nullptr));
+  }
+  for (std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    std::vector<spice::RunReport> reports(active_rows.size());
+    const std::vector<double> parallel = util::parallel_map(
+        active_rows.size(), [&](std::size_t i) { return read(i, &reports[i]); },
+        threads);
+    for (std::size_t i = 0; i < active_rows.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(parallel[i]),
+                std::bit_cast<std::uint64_t>(serial[i]))
+          << "row " << active_rows[i] << ": " << parallel[i] << " vs "
+          << serial[i];
+      EXPECT_FALSE(reports[i].newton.twin_replays.empty())
+          << "row " << active_rows[i] << " shared no evaluation";
+    }
   }
 }
 
