@@ -10,7 +10,8 @@
 //                      parameter values, so this is bitwise, not close)
 //      kHierarchy      flat twin vs subcircuit-wrapped twin (names
 //                      normalized by stripping the instance prefix)
-//      kParallelSweep  dc_sweep_parallel with 1 thread vs N threads
+//      kParallelSweep  cold per-point operating points (one fresh circuit
+//                      per point) over util::parallel_map, 1 thread vs N
 //      kCompiled       compile/execute split: a CompiledCircuit's first
 //                      run vs the legacy driver, its second run vs the
 //                      first (per-run state ownership), and a parameter

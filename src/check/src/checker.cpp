@@ -18,6 +18,7 @@
 #include "nemsim/spice/transient.h"
 #include "nemsim/tech/netlist_parser.h"
 #include "nemsim/util/error.h"
+#include "nemsim/util/parallel.h"
 
 namespace nemsim::check {
 
@@ -194,17 +195,28 @@ class Runner {
     return spice::dc_sweep(system, [&](double v) { vin.set_dc(v); }, pts, o);
   }
 
+  /// Cold per-point operating points, one fresh circuit per point, over
+  /// util::parallel_map on `threads` workers; results come back in point
+  /// order, so any thread count must give the same bits.
   Waveform solve_sweep_parallel(std::size_t threads) const {
-    spice::DcSweepOptions o;
-    o.newton = newton_for(kBaseline, opts_);
-    o.lint = lint::LintMode::kOff;
     const std::vector<double> pts = sweep_points();
-    return spice::dc_sweep_parallel(
-        make_flat_,
-        [](spice::Circuit& c, double v) {
-          c.find<devices::VoltageSource>("Vin").set_dc(v);
+    const std::vector<std::vector<NamedValue>> ops = util::parallel_map(
+        pts.size(),
+        [&](std::size_t i) {
+          spice::Circuit ckt = make_flat_();
+          ckt.find<devices::VoltageSource>("Vin").set_dc(pts[i]);
+          return solve_op(ckt, kBaseline);
         },
-        pts, o, threads);
+        threads);
+    std::vector<std::string> names;
+    for (const NamedValue& nv : ops.front()) names.push_back(nv.name);
+    Waveform wave(std::move(names));
+    linalg::Vector row(wave.num_signals());
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      for (std::size_t s = 0; s < row.size(); ++s) row[s] = ops[i][s].value;
+      wave.append(pts[i], row);
+    }
+    return wave;
   }
 
   spice::CompiledCircuit make_compiled() const {
@@ -524,8 +536,8 @@ class Runner {
                                  bitwise_tol());
       }
       case Contract::kParallelSweep:
-        // Cold-per-point reference vs N workers: bitwise for any thread
-        // count is the dc_sweep_parallel contract.
+        // Cold-per-point reference vs N workers: parallel_map collects
+        // in input order, so the thread count must not change a bit.
         return compare_waveforms(solve_sweep_parallel(1),
                                  solve_sweep_parallel(opts_.sweep_threads),
                                  bitwise_tol());

@@ -179,7 +179,8 @@ Plan make_plan(std::uint64_t seed, const GeneratorOptions& options) {
         break;
     }
     if (s.kind != StageKind::kVccsLoad && s.kind != StageKind::kBridge) {
-      s.out = "s" + std::to_string(s.idx);
+      const std::string idx = std::to_string(s.idx);
+      s.out = "s" + idx;
       signals.push_back(s.out);
     }
     if (s.kind == StageKind::kInverter || s.kind == StageKind::kNemfet ||

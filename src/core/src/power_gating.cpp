@@ -228,12 +228,13 @@ GranularityResult measure_granularity(SleepGranularity granularity,
     spice::NodeId prev = in;
     InverterSizes sizes;
     for (int s = 0; s < config.stages; ++s) {
-      spice::NodeId vgnd =
-          fine ? ckt->node("vgnd" + std::to_string(s)) : shared_vgnd;
-      if (fine) add_switch("Xsleep" + std::to_string(s), vgnd);
-      spice::NodeId out = ckt->node("o" + std::to_string(s));
-      add_inverter(*ckt, "S" + std::to_string(s), prev, out, vdd_n, vgnd,
-                   sizes);
+      // Names are built from a named index string: GCC 12 -O3 warns
+      // (-Wrestrict, a false positive) on "literal" + std::to_string(s).
+      const std::string idx = std::to_string(s);
+      spice::NodeId vgnd = fine ? ckt->node("vgnd" + idx) : shared_vgnd;
+      if (fine) add_switch("Xsleep" + idx, vgnd);
+      spice::NodeId out = ckt->node("o" + idx);
+      add_inverter(*ckt, "S" + idx, prev, out, vdd_n, vgnd, sizes);
       prev = out;
     }
     return ckt;
@@ -248,9 +249,9 @@ GranularityResult measure_granularity(SleepGranularity granularity,
     options.tstop = 3e-9;
     options.dt_initial = 1e-13;
     spice::Waveform wave = spice::transient(system, options);
+    const std::string last_idx = std::to_string(config.stages - 1);
     const std::string last =
-        "v(" + ckt->node_name(ckt->find_node(
-                   "o" + std::to_string(config.stages - 1))) + ")";
+        "v(" + ckt->node_name(ckt->find_node("o" + last_idx)) + ")";
     const spice::Edge out_edge = (config.stages % 2 == 0)
                                      ? spice::Edge::kRising
                                      : spice::Edge::kFalling;

@@ -56,15 +56,6 @@ struct RunReport;
 namespace nemsim::analyze {
 
 struct AnalyzeOptions {
-  /// Fixpoint sweep cap; 0 = automatic (num_nodes + 8, enough for one
-  /// relation/neighbor hop per sweep along the longest possible chain).
-  std::size_t max_sweeps = 0;
-  /// Node time-constant spread (tau_max / tau_min) above which the
-  /// circuit is called stiff.
-  double stiffness_ratio = 1e6;
-  /// Conductive-magnitude spread (g_max / g_min) above which Jacobian
-  /// conditioning is flagged.
-  double conditioning_ratio = 1e9;
   /// Node names a measurement actually reads.  Empty: observability
   /// cones are skipped (controllability / dead-device still runs).
   std::vector<std::string> observed_nodes;

@@ -152,15 +152,12 @@ struct ForensicsOptions {
   bool enabled = false;
   std::string directory = ".";   ///< created if missing
   std::string tag = "nemsim";    ///< file-name prefix
-  /// How many of the most recent accepted samples of the waveform to
-  /// keep in the dump (the window right before the failure).
-  std::size_t window_samples = 256;
 };
 
 /// Writes the forensics bundle for a failed analysis:
 ///   <dir>/<tag>.failure.txt  — what() plus the structured payload
 ///   <dir>/<tag>.netlist.sp   — netlist snapshot for offline repro
-///   <dir>/<tag>.wave.csv     — recent waveform window (when wave given)
+///   <dir>/<tag>.wave.csv     — last 256 waveform samples (when wave given)
 /// When `lint` is non-null and non-clean its findings are appended to the
 /// failure description — convergence failures very often have a
 /// structural cause the analyzer can name.  Returns the paths written.

@@ -35,12 +35,6 @@ enum class JacobianSolver {
 
 struct NewtonOptions {
   int max_iterations = 150;
-  /// Relative tolerance on unknown updates and residual-vs-scale.
-  /// Kept well below the transient LTE tolerance so integration error
-  /// control sees truncation error, not Newton convergence noise.
-  double reltol = 1e-7;
-  /// Maximum halvings of the Newton step during damping.
-  int max_damping_halvings = 8;
   /// Shunt conductance left in place even in the final solve; 0 for a
   /// clean system.  A tiny nonzero value (1e-15) guards floating nodes.
   double gmin_final = 1e-15;

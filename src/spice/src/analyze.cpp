@@ -127,7 +127,6 @@ std::string engineering(double v) {
 /// the sweep cap bounds work without costing soundness.
 void run_interval_fixpoint(const Circuit& circuit,
                            const std::vector<DeviceTopology>& topos,
-                           const AnalyzeOptions& options,
                            AnalyzeReport& rpt) {
   const std::size_t nn = circuit.num_nodes();
 
@@ -143,8 +142,9 @@ void run_interval_fixpoint(const Circuit& circuit,
     }
   }
 
-  const std::size_t cap =
-      options.max_sweeps != 0 ? options.max_sweeps : nn + 8;
+  // Sweep cap: enough for one relation/neighbor hop per sweep along the
+  // longest possible chain.
+  const std::size_t cap = nn + 8;
   std::vector<NodeClaim> claims;
   std::vector<Interval> hull(nn);
   std::vector<char> has_neighbor(nn, 0);
@@ -185,8 +185,13 @@ void run_interval_fixpoint(const Circuit& circuit,
 /// Stiffness and conditioning scan over the edge magnitudes.
 void run_magnitude_scan(const Circuit& circuit,
                         const std::vector<DeviceTopology>& topos,
-                        const AnalyzeOptions& options, AnalyzeReport& rpt,
-                        ReportBuilder& out) {
+                        AnalyzeReport& rpt, ReportBuilder& out) {
+  // Node time-constant spread (tau_max / tau_min) above which the
+  // circuit is called stiff.
+  constexpr double kStiffnessRatio = 1e6;
+  // Conductive-magnitude spread (g_max / g_min) above which Jacobian
+  // conditioning is flagged.
+  constexpr double kConditioningRatio = 1e9;
   const std::size_t nn = circuit.num_nodes();
   std::vector<double> sum_g(nn, 0.0), sum_c(nn, 0.0);
   double g_min = std::numeric_limits<double>::infinity(), g_max = 0.0;
@@ -264,7 +269,7 @@ void run_magnitude_scan(const Circuit& circuit,
   if (tau_max > 0.0 && std::isfinite(tau_min)) {
     rpt.tau_min = tau_min;
     rpt.tau_max = tau_max;
-    if (tau_max / tau_min > options.stiffness_ratio) {
+    if (tau_max / tau_min > kStiffnessRatio) {
       std::ostringstream msg;
       msg << "time constants span " << engineering(tau_min) << " s ("
           << tau_min_at << ") to " << engineering(tau_max) << " s ("
@@ -282,7 +287,7 @@ void run_magnitude_scan(const Circuit& circuit,
   if (g_max > 0.0 && std::isfinite(g_min)) {
     rpt.g_min = g_min;
     rpt.g_max = g_max;
-    if (g_max / g_min > options.conditioning_ratio) {
+    if (g_max / g_min > kConditioningRatio) {
       std::ostringstream msg;
       msg << "conductances span " << engineering(g_min) << " S (" << g_min_dev
           << ") to " << engineering(g_max) << " S (" << g_max_dev
@@ -396,7 +401,7 @@ AnalyzeReport analyze_circuit(const Circuit& circuit,
     topos.push_back(circuit.device(d).topology());
   }
 
-  run_interval_fixpoint(circuit, topos, options, rpt);
+  run_interval_fixpoint(circuit, topos, rpt);
 
   for (std::size_t d = 0; d < circuit.num_devices(); ++d) {
     circuit.device(d).interval_check(rpt.intervals, rpt.verdicts);
@@ -406,7 +411,7 @@ AnalyzeReport analyze_circuit(const Circuit& circuit,
   for (const RegionVerdict& v : rpt.verdicts) {
     builder.add({v.severity, v.region, v.device, v.message});
   }
-  run_magnitude_scan(circuit, topos, options, rpt, builder);
+  run_magnitude_scan(circuit, topos, rpt, builder);
   run_reachability(circuit, topos, options, builder);
   rpt.findings = builder.take();
   return rpt;

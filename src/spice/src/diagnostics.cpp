@@ -363,9 +363,9 @@ std::vector<std::string> write_failure_forensics(
       os.precision(17);  // round-trippable doubles for exact repro
       // Recent window only: the samples leading up to the failure are
       // what a repro needs; full traces can be arbitrarily large.
+      constexpr std::size_t kWindowSamples = 256;
       const std::size_t n = wave->num_samples();
-      const std::size_t first =
-          n > options.window_samples ? n - options.window_samples : 0;
+      const std::size_t first = n > kWindowSamples ? n - kWindowSamples : 0;
       os << "t";
       for (const std::string& name : wave->signal_names()) os << "," << name;
       os << "\n";

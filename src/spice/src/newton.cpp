@@ -258,7 +258,12 @@ linalg::Vector NewtonSolver::damped_newton(Backend& backend,
                                            const Point& at,
                                            NewtonStats* stats) {
   const std::size_t n = system_.num_unknowns();
-  const double reltol = options_.reltol;
+  // Relative tolerance on unknown updates and residual-vs-scale.  Kept
+  // well below the transient LTE tolerance so integration error control
+  // sees truncation error, not Newton convergence noise.
+  constexpr double reltol = 1e-7;
+  // Maximum halvings of the Newton step during damping.
+  constexpr int kMaxDampingHalvings = 8;
   linalg::Vector x = x0;
 
   backend.assemble(x, residual_, scale_);
@@ -295,8 +300,7 @@ linalg::Vector NewtonSolver::damped_newton(Backend& backend,
     double alpha = clamp;
     double trial_norm = 0.0;
     bool jacobian_at_trial = false;
-    for (int halving = 0; halving <= options_.max_damping_halvings;
-         ++halving) {
+    for (int halving = 0; halving <= kMaxDampingHalvings; ++halving) {
       x_trial_ = x;
       for (std::size_t i = 0; i < n; ++i) x_trial_[i] += alpha * dx_[i];
       if (halving == 0) {
@@ -315,7 +319,7 @@ linalg::Vector NewtonSolver::damped_newton(Backend& backend,
       // Accept descent, any sub-tolerance point, or a mild increase when
       // the step was clamped (the model may need to traverse a barrier).
       if (trial_norm <= std::max(1.0, res_norm) ||
-          (halving == options_.max_damping_halvings)) {
+          (halving == kMaxDampingHalvings)) {
         break;
       }
       alpha *= 0.5;

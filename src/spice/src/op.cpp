@@ -57,15 +57,13 @@ OpResult operating_point(MnaSystem& system, const OpOptions& options) {
 OpResult operating_point_from(MnaSystem& system, const linalg::Vector& x0,
                               const OpOptions& options) {
   NewtonSolver newton(system, options.newton);
-  return OpResult(system,
-                  solve_operating_point(system, x0, options, newton, nullptr));
+  return OpResult(system, solve_operating_point(system, x0, options, newton));
 }
 
 linalg::Vector solve_operating_point(MnaSystem& system,
                                      const linalg::Vector& x0,
                                      const OpOptions& options,
-                                     NewtonSolver& newton,
-                                     NewtonStats* stats) {
+                                     NewtonSolver& newton) {
   RunReport* report = options.report;
   // Strict mode throws LintError here — before the solver runs, so a
   // structurally singular circuit never enters the gmin/source homotopy
@@ -80,17 +78,14 @@ linalg::Vector solve_operating_point(MnaSystem& system,
     util::ScopedTimer timer(report ? &report->metrics : nullptr, "phase.op");
     if (report) {
       if (report->analysis.empty()) report->analysis = "op";
-      // Solve into a local stats block so the report and the caller's
-      // stats both see this solve exactly once.
       NewtonStats local;
       x = newton.solve(x0, AnalysisMode::kDcOperatingPoint, /*time=*/0.0,
                        /*dt=*/0.0, &local, report);
       report->newton.merge(local);
       report->record_newton_iterations(local.iterations);
-      if (stats) stats->merge(local);
     } else {
       x = newton.solve(x0, AnalysisMode::kDcOperatingPoint, /*time=*/0.0,
-                       /*dt=*/0.0, stats);
+                       /*dt=*/0.0);
     }
   } catch (const ConvergenceError& e) {
     if (report) ++report->newton_failures;

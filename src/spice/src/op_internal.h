@@ -10,13 +10,11 @@ namespace nemsim::spice {
 /// committed to device state.  dc_sweep keeps one NewtonSolver for every
 /// point and transient one for the bias point and every step, so the
 /// symbolic LU and iteration vectors carry over.  `newton` must wrap
-/// `system`; `options.newton` is not consulted.  With `stats` non-null
-/// the solve's Newton counters are merged into it too (dc_sweep_parallel's
-/// workers, which have no report to write).
+/// `system`; `options.newton` is not consulted.  The solve's Newton
+/// counters go to `options.report` when one is set.
 linalg::Vector solve_operating_point(MnaSystem& system,
                                      const linalg::Vector& x0,
                                      const OpOptions& options,
-                                     NewtonSolver& newton,
-                                     NewtonStats* stats);
+                                     NewtonSolver& newton);
 
 }  // namespace nemsim::spice

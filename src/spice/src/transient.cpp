@@ -92,7 +92,7 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
   op_options.forensics = options.forensics;
   op_options.lint = lint::LintMode::kOff;
   linalg::Vector x = solve_operating_point(system, system.initial_guess(),
-                                           op_options, newton, nullptr);
+                                           op_options, newton);
 
   // Column layout: every unknown by default, or the opt-in subset from
   // record_signals (resolved up front so a typo fails before stepping).

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "nemsim/spice/circuit.h"
-#include "nemsim/spice/compile.h"
 #include "nemsim/spice/diagnostics.h"
 #include "nemsim/spice/parambank.h"
 #include "nemsim/util/rng.h"
@@ -38,17 +37,9 @@ struct MonteCarloOptions {
   std::size_t trials = 100;
   std::uint64_t seed = 20070604;  ///< DAC 2007 started June 4th
   double sigma_fraction = 0.06;
-  /// Trials whose metric evaluation throws are recorded as failures
-  /// rather than aborting the run when true.
-  bool tolerate_failures = true;
-  /// Worker threads for monte_carlo_parallel (0 = all hardware threads,
-  /// 1 = inline).  Ignored by the sequential monte_carlo, which mutates
-  /// a shared circuit and cannot be parallelized.
-  std::size_t num_threads = 0;
   /// Optional diagnostics sink: trial counters plus a note per failed
   /// trial carrying the structured convergence payload (worst residual
-  /// rows) instead of just a log line.  Filled after the workers join in
-  /// the parallel driver.
+  /// rows) instead of just a log line.
   spice::RunReport* report = nullptr;
   /// Opt-in per-trial failure dump.  Each failed trial writes a bundle
   /// tagged "<tag>_trial<N>" with the *varied* circuit's netlist, so the
@@ -77,37 +68,16 @@ struct MonteCarloResult {
 /// For each trial: threshold shifts are sampled (deterministically from
 /// seed + trial index), `metric(circuit)` is evaluated, and shifts are
 /// cleared again.  The metric typically rebuilds an MnaSystem and runs an
-/// analysis.
+/// analysis.  A trial whose metric throws is counted in `failures` (and
+/// noted in the report) instead of aborting the run.
+///
+/// Parallel and compile-once runs are composed by the caller: per-trial
+/// circuits over util::parallel_map, or one CompiledCircuit whose
+/// overlay is set to vth_variation_patch per trial.  Drawing each trial
+/// from Rng(seed).child(trial) reproduces this driver's samples bitwise.
 MonteCarloResult monte_carlo(
     spice::Circuit& circuit,
     const std::function<double(spice::Circuit&)>& metric,
-    const MonteCarloOptions& options);
-
-/// Parallel Monte-Carlo over independent per-trial circuits.
-///
-/// `make_circuit` builds a fresh Circuit for every trial, so trials can
-/// run on options.num_threads workers without sharing any state.  Each
-/// trial draws its threshold shifts from the same per-trial child RNG
-/// stream as the sequential driver (seed + trial index), and samples are
-/// collected in trial order — the result is identical to the sequential
-/// monte_carlo on an equivalent circuit, for any thread count.
-MonteCarloResult monte_carlo_parallel(
-    const std::function<spice::Circuit()>& make_circuit,
-    const std::function<double(spice::Circuit&)>& metric,
-    const MonteCarloOptions& options);
-
-/// Batched Monte-Carlo over one compiled circuit: compile once, then per
-/// trial install the variation draw as a bank overlay and evaluate
-/// `metric(compiled)`.  No circuit or MnaSystem is rebuilt between
-/// trials — the per-trial cost is the patch write plus the solves the
-/// metric runs.  Trials draw from the same per-trial child RNG streams
-/// as monte_carlo (seed + trial index) and samples are folded in trial
-/// order, so with a metric equivalent to the rebuild-per-trial one the
-/// result is bitwise identical to the sequential driver.  The overlay is
-/// cleared before returning.
-MonteCarloResult monte_carlo_batch(
-    spice::CompiledCircuit& compiled,
-    const std::function<double(spice::CompiledCircuit&)>& metric,
     const MonteCarloOptions& options);
 
 }  // namespace nemsim::variation

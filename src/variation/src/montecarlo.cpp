@@ -8,7 +8,6 @@
 #include "nemsim/spice/lint.h"
 #include "nemsim/util/error.h"
 #include "nemsim/util/logging.h"
-#include "nemsim/util/parallel.h"
 
 namespace nemsim::variation {
 
@@ -105,10 +104,6 @@ MonteCarloResult monte_carlo(
         ++report->failed_points;
         report->add_note("monte_carlo: " + note);
       }
-      if (!options.tolerate_failures) {
-        clear_vth_variation(circuit);
-        throw;
-      }
       ++result.failures;
       log_warn("monte_carlo: " + note);
     }
@@ -118,119 +113,6 @@ MonteCarloResult monte_carlo(
   if (report && result.stats.count() < 2) {
     report->add_note(
         "monte_carlo: fewer than two successful trials — spread "
-        "(variance/stddev) is undefined and reported as NaN");
-  }
-  return result;
-}
-
-MonteCarloResult monte_carlo_batch(
-    spice::CompiledCircuit& compiled,
-    const std::function<double(spice::CompiledCircuit&)>& metric,
-    const MonteCarloOptions& options) {
-  require(options.trials > 0, "monte_carlo_batch: need at least one trial");
-  spice::RunReport* report = options.report;
-  if (report && report->analysis.empty()) report->analysis = "monte_carlo";
-  MonteCarloResult result;
-  result.samples.reserve(options.trials);
-  Rng root(options.seed);
-  for (std::size_t trial = 0; trial < options.trials; ++trial) {
-    Rng stream = root.child(trial);
-    compiled.set_overlay(
-        vth_variation_patch(compiled.circuit(), options.sigma_fraction,
-                            stream));
-    if (report) ++report->points;
-    try {
-      const double value = metric(compiled);
-      result.stats.add(value);
-      result.samples.push_back(value);
-    } catch (const Error& e) {
-      const std::string note =
-          record_trial_failure(options, compiled.circuit(), trial, e);
-      if (report) {
-        ++report->failed_points;
-        report->add_note("monte_carlo_batch: " + note);
-      }
-      if (!options.tolerate_failures) {
-        compiled.clear_overlay();
-        throw;
-      }
-      ++result.failures;
-      log_warn("monte_carlo_batch: " + note);
-    }
-  }
-  compiled.clear_overlay();
-  require(result.stats.count() > 0, "monte_carlo_batch: all trials failed");
-  if (report && result.stats.count() < 2) {
-    report->add_note(
-        "monte_carlo_batch: fewer than two successful trials — spread "
-        "(variance/stddev) is undefined and reported as NaN");
-  }
-  return result;
-}
-
-namespace {
-
-struct TrialOutcome {
-  double value = 0.0;
-  bool ok = false;
-  std::string error;
-};
-
-}  // namespace
-
-MonteCarloResult monte_carlo_parallel(
-    const std::function<spice::Circuit()>& make_circuit,
-    const std::function<double(spice::Circuit&)>& metric,
-    const MonteCarloOptions& options) {
-  require(options.trials > 0, "monte_carlo_parallel: need at least one trial");
-  spice::RunReport* report = options.report;
-  if (report && report->analysis.empty()) report->analysis = "monte_carlo";
-  const Rng root(options.seed);
-
-  std::vector<TrialOutcome> outcomes = util::parallel_map(
-      options.trials,
-      [&](std::size_t trial) {
-        spice::Circuit circuit = make_circuit();
-        Rng stream = root.child(trial);
-        apply_vth_variation(circuit, options.sigma_fraction, stream);
-        TrialOutcome outcome;
-        try {
-          outcome.value = metric(circuit);
-          outcome.ok = true;
-        } catch (const Error& e) {
-          // Forensics (distinct per-trial file tags) is written here in
-          // the worker, while the varied circuit is still alive; the
-          // shared report is only touched after the join below.
-          outcome.error = record_trial_failure(options, circuit, trial, e);
-        }
-        return outcome;
-      },
-      options.num_threads);
-
-  MonteCarloResult result;
-  result.samples.reserve(options.trials);
-  for (std::size_t trial = 0; trial < options.trials; ++trial) {
-    const TrialOutcome& outcome = outcomes[trial];
-    if (report) ++report->points;
-    if (outcome.ok) {
-      result.stats.add(outcome.value);
-      result.samples.push_back(outcome.value);
-    } else {
-      if (report) {
-        ++report->failed_points;
-        report->add_note("monte_carlo_parallel: " + outcome.error);
-      }
-      if (!options.tolerate_failures) {
-        throw ConvergenceError("monte_carlo_parallel: " + outcome.error);
-      }
-      ++result.failures;
-      log_warn("monte_carlo_parallel: " + outcome.error);
-    }
-  }
-  require(result.stats.count() > 0, "monte_carlo_parallel: all trials failed");
-  if (report && result.stats.count() < 2) {
-    report->add_note(
-        "monte_carlo_parallel: fewer than two successful trials — spread "
         "(variance/stddev) is undefined and reported as NaN");
   }
   return result;

@@ -1,5 +1,5 @@
 // Compile/execute split: ParamBank mechanics, CompiledCircuit semantics,
-// overlay-vs-setter equivalence, and the batched Monte-Carlo driver.
+// overlay-vs-setter equivalence, and the compile-once Monte-Carlo loop.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -269,16 +269,24 @@ TEST(MonteCarloBatch, MatchesSequentialDriverBitwise) {
       },
       options);
 
+  // Compile once, then install each trial's draw as a bank overlay: the
+  // batched Monte-Carlo that mc_batch_butterfly and perfbench compose.
   CompiledCircuit compiled = spice::compile(make_hybrid_inverter());
-  const variation::MonteCarloResult got = variation::monte_carlo_batch(
-      compiled, [](CompiledCircuit& cc) { return cc.run_op().v("out"); },
-      options);
-
-  ASSERT_EQ(expect.samples.size(), got.samples.size());
-  for (std::size_t i = 0; i < expect.samples.size(); ++i) {
-    EXPECT_EQ(expect.samples[i], got.samples[i]) << "trial " << i;
+  const Rng root(options.seed);
+  std::vector<double> got;
+  for (std::size_t trial = 0; trial < options.trials; ++trial) {
+    Rng stream = root.child(trial);
+    compiled.set_overlay(variation::vth_variation_patch(
+        compiled.circuit(), options.sigma_fraction, stream));
+    got.push_back(compiled.run_op().v("out"));
   }
-  // The overlay is cleared on exit.
+  compiled.clear_overlay();
+
+  ASSERT_EQ(expect.failures, 0u);
+  ASSERT_EQ(expect.samples.size(), got.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(expect.samples[i], got[i]) << "trial " << i;
+  }
   EXPECT_EQ(compiled.circuit().find<Mosfet>("MP").vth_shift(), 0.0);
 }
 

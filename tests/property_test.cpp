@@ -252,10 +252,10 @@ TEST_P(FaninSweep, LeakageGrowsLinearlyWithFanin) {
   spice::NodeId dyn = ckt.node("dyn");
   ckt.add<VoltageSource>("Vdyn", dyn, ckt.gnd(), SourceWave::dc(1.2));
   for (int i = 0; i < fanin; ++i) {
-    spice::NodeId in = ckt.node("in" + std::to_string(i));
-    ckt.add<VoltageSource>("Vin" + std::to_string(i), in, ckt.gnd(),
-                           SourceWave::dc(0.0));
-    ckt.add<Mosfet>("M" + std::to_string(i), dyn, in, ckt.gnd(),
+    const std::string idx = std::to_string(i);
+    spice::NodeId in = ckt.node("in" + idx);
+    ckt.add<VoltageSource>("Vin" + idx, in, ckt.gnd(), SourceWave::dc(0.0));
+    ckt.add<Mosfet>("M" + idx, dyn, in, ckt.gnd(),
                     MosPolarity::kNmos, tech::nmos_90nm(), 0.3_um, 0.1_um);
   }
   MnaSystem system(ckt);

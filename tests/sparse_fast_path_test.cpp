@@ -1,7 +1,7 @@
 // Sparse MNA fast path: reusable sparse LU (symbolic analysis cached,
 // numeric-only refactorization), pattern-frozen CSR assembly equivalence
 // against the dense reference, dense-vs-sparse Newton equivalence on the
-// paper circuits, and determinism of the parallel sweep runners.
+// paper circuits, and determinism of sweeps composed over parallel_map.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -589,54 +589,58 @@ TEST(ParallelDeterminism, MonteCarloIdenticalAcrossThreadCounts) {
   mc.trials = 16;
   mc.sigma_fraction = 0.06;
 
-  mc.num_threads = 1;
-  auto seq = variation::monte_carlo_parallel(make_divider_inverter, metric, mc);
-  mc.num_threads = 4;
-  auto par = variation::monte_carlo_parallel(make_divider_inverter, metric, mc);
+  // Parallel Monte-Carlo as callers compose it: one fresh circuit per
+  // trial over parallel_map, each drawing from the trial's child stream.
+  const Rng root(mc.seed);
+  auto trial = [&](std::size_t i) {
+    Circuit ckt = make_divider_inverter();
+    Rng stream = root.child(i);
+    variation::apply_vth_variation(ckt, mc.sigma_fraction, stream);
+    return metric(ckt);
+  };
+  const std::vector<double> seq = util::parallel_map(mc.trials, trial, 1);
+  const std::vector<double> par = util::parallel_map(mc.trials, trial, 4);
 
-  ASSERT_EQ(seq.samples.size(), par.samples.size());
-  for (std::size_t i = 0; i < seq.samples.size(); ++i) {
-    EXPECT_DOUBLE_EQ(seq.samples[i], par.samples[i]) << "trial " << i;
+  ASSERT_EQ(seq.size(), par.size());
+  for (std::size_t i = 0; i < seq.size(); ++i) {
+    EXPECT_DOUBLE_EQ(seq[i], par[i]) << "trial " << i;
   }
-  EXPECT_EQ(seq.failures, par.failures);
 
   // And both match the sequential driver on a shared circuit (same
   // per-trial child RNG streams).
   Circuit shared = make_divider_inverter();
   auto reference = variation::monte_carlo(shared, metric, mc);
-  ASSERT_EQ(reference.samples.size(), par.samples.size());
-  for (std::size_t i = 0; i < reference.samples.size(); ++i) {
-    EXPECT_DOUBLE_EQ(reference.samples[i], par.samples[i]) << "trial " << i;
+  ASSERT_EQ(reference.failures, 0u);
+  ASSERT_EQ(reference.samples.size(), par.size());
+  for (std::size_t i = 0; i < par.size(); ++i) {
+    EXPECT_DOUBLE_EQ(reference.samples[i], par[i]) << "trial " << i;
   }
 }
 
 TEST(ParallelDeterminism, DcSweepParallelMatchesSequentialCold) {
-  auto make = []() { return make_divider_inverter(); };
-  auto set_vin = [](Circuit& ckt, double v) {
-    ckt.find<VoltageSource>("Vin").set_dc(v);
-  };
   const std::vector<double> points = spice::linspace(0.0, 1.2, 13);
+  auto solve_at = [&](Circuit& ckt, MnaSystem& system, std::size_t i) {
+    ckt.find<VoltageSource>("Vin").set_dc(points[i]);
+    return spice::operating_point(system).value("v(out)");
+  };
+  // Parallel sweep as callers compose it: one fresh circuit per point,
+  // solved cold, collected in point order.
+  auto point = [&](std::size_t i) {
+    Circuit ckt = make_divider_inverter();
+    MnaSystem system(ckt);
+    return solve_at(ckt, system, i);
+  };
+  const std::vector<double> w1 = util::parallel_map(points.size(), point, 1);
+  const std::vector<double> w4 = util::parallel_map(points.size(), point, 4);
 
-  spice::DcSweepOptions options;
-  spice::Waveform w1 =
-      spice::dc_sweep_parallel(make, set_vin, points, options, 1);
-  spice::Waveform w4 =
-      spice::dc_sweep_parallel(make, set_vin, points, options, 4);
-
-  // Sequential reference without continuation (cold solves, like the
-  // parallel runner).
-  options.continuation = false;
-  Circuit ckt = make();
+  // Sequential reference: cold solves on one shared circuit and system.
+  Circuit ckt = make_divider_inverter();
   MnaSystem system(ckt);
-  spice::Waveform ref = spice::dc_sweep(
-      system, [&](double v) { set_vin(ckt, v); }, points, options);
-
-  ASSERT_EQ(w1.num_samples(), points.size());
-  ASSERT_EQ(w4.num_samples(), points.size());
+  ASSERT_EQ(w1.size(), points.size());
+  ASSERT_EQ(w4.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    const double t = points[i];
-    EXPECT_DOUBLE_EQ(w1.at("v(out)", t), w4.at("v(out)", t));
-    EXPECT_DOUBLE_EQ(w4.at("v(out)", t), ref.at("v(out)", t));
+    EXPECT_DOUBLE_EQ(w1[i], w4[i]) << "vin " << points[i];
+    EXPECT_DOUBLE_EQ(w4[i], solve_at(ckt, system, i)) << "vin " << points[i];
   }
 }
 

@@ -155,8 +155,9 @@ TEST(Op, SeriesDiodesNeedHomotopy) {
   ckt.add<VoltageSource>("V1", in, ckt.gnd(), SourceWave::dc(30.0));
   spice::NodeId prev = in;
   for (int i = 0; i < 8; ++i) {
-    spice::NodeId next = ckt.node("n" + std::to_string(i));
-    ckt.add<Diode>("D" + std::to_string(i), prev, next);
+    const std::string idx = std::to_string(i);
+    spice::NodeId next = ckt.node("n" + idx);
+    ckt.add<Diode>("D" + idx, prev, next);
     prev = next;
   }
   ckt.add<Resistor>("R1", prev, ckt.gnd(), 100.0);

@@ -172,24 +172,26 @@ TEST(MonteCarlo, ParallelHybridHalfCellSweepIsThreadCountIndependent) {
     }
     return folded;
   };
-  variation::MonteCarloOptions options;
-  options.trials = 8;
-  options.seed = 7;
-  options.num_threads = 1;
-  const auto serial =
-      variation::monte_carlo_parallel(make_hybrid_half_cell, metric, options);
-  options.num_threads = 4;
-  const auto threaded =
-      variation::monte_carlo_parallel(make_hybrid_half_cell, metric, options);
-  ASSERT_EQ(serial.failures, 0u);
-  ASSERT_EQ(threaded.failures, 0u);
-  ASSERT_EQ(serial.samples.size(), threaded.samples.size());
-  EXPECT_GT(serial.stats.stddev(), 0.0);  // the draws reach the curve
-  for (std::size_t i = 0; i < serial.samples.size(); ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(serial.samples[i]),
-              std::bit_cast<std::uint64_t>(threaded.samples[i]))
-        << "trial " << i << ": " << serial.samples[i] << " vs "
-        << threaded.samples[i];
+  // Parallel Monte-Carlo as callers compose it: one fresh half-cell per
+  // trial over parallel_map, each drawing from the trial's child stream.
+  constexpr std::size_t kTrials = 8;
+  const Rng root(7);
+  auto trial = [&](std::size_t i) {
+    Circuit c = make_hybrid_half_cell();
+    Rng stream = root.child(i);
+    variation::apply_vth_variation(c, 0.06, stream);
+    return metric(c);
+  };
+  const std::vector<double> serial = util::parallel_map(kTrials, trial, 1);
+  const std::vector<double> threaded = util::parallel_map(kTrials, trial, 4);
+  ASSERT_EQ(serial.size(), threaded.size());
+  RunningStats spread;
+  for (double v : serial) spread.add(v);
+  EXPECT_GT(spread.stddev(), 0.0);  // the draws reach the curve
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(serial[i]),
+              std::bit_cast<std::uint64_t>(threaded[i]))
+        << "trial " << i << ": " << serial[i] << " vs " << threaded[i];
   }
 }
 
