@@ -18,6 +18,7 @@
 #include "nemsim/spice/circuit.h"
 #include "nemsim/spice/device.h"
 #include "nemsim/spice/ids.h"
+#include "nemsim/util/error.h"
 
 namespace nemsim::spice {
 
@@ -48,7 +49,8 @@ class Solution {
   Solution(const MnaSystem& system, const linalg::Vector& x)
       : system_(&system), x_(&x) {}
 
-  /// Voltage of `node` (0 for ground).
+  /// Voltage of `node` (0 for ground).  Inline, like x(): every
+  /// accept_step reads its terminals through them.
   double v(NodeId node) const;
   /// Value of any unknown.
   double x(UnknownId unknown) const;
@@ -217,8 +219,8 @@ class MnaSystem {
                 AnalysisMode mode, double time, double dt, double gmin,
                 double source_factor) const;
 
-  /// Residual + scale only (no Jacobian work) — the cheap assembly for
-  /// Newton damping trials that only need a residual norm.
+  /// Residual + scale only (no Jacobian work), bit for bit those of
+  /// `assemble`: the dense Newton oracle's residual-only trials.
   void assemble_residual(const linalg::Vector& x, linalg::Vector& residual,
                          linalg::Vector& residual_scale, AnalysisMode mode,
                          double time, double dt, double gmin,
@@ -257,6 +259,16 @@ class MnaSystem {
                        double source_factor,
                        const std::vector<double>* linear_baseline
                        = nullptr) const;
+
+  /// Residual + scale only, bit for bit those of `assemble_sparse` with a
+  /// linear baseline: nonlinear devices, then linear ones, then the gmin
+  /// shunt (assemble_residual stamps linear devices first, so its sums
+  /// round differently).  The sparse Newton path's residual-only trials.
+  void assemble_sparse_residual(const linalg::Vector& x,
+                                linalg::Vector& residual,
+                                linalg::Vector& residual_scale,
+                                AnalysisMode mode, double time, double dt,
+                                double gmin, double source_factor) const;
 
   /// Jacobian-only sparse assembly (residual untouched); same baseline
   /// and return-value semantics as assemble_sparse.
@@ -298,6 +310,23 @@ class MnaSystem {
   /// input to match in the pass itself.
   void regroup_twins() const;
 
+  /// One Newton solve (NewtonSolver::solve_plain): mode, time and dt are
+  /// fixed and no device member changes while the scope is open.  Its
+  /// constructor keys each sharing class member's twin_key to a state id
+  /// once (DESIGN.md §7k); assembly passes inside the scope compare only
+  /// (state id, role iterate values).  A pass outside any scope keys the
+  /// states itself, so assembly stays exact wherever it is entered.
+  class SolveScope {
+   public:
+    explicit SolveScope(const MnaSystem& system);
+    ~SolveScope();
+    SolveScope(const SolveScope&) = delete;
+    SolveScope& operator=(const SolveScope&) = delete;
+
+   private:
+    const MnaSystem& system_;
+  };
+
   /// Calls begin_step on every device.
   void begin_step(double time, double dt);
   /// Calls accept_step on every device.
@@ -334,15 +363,16 @@ class MnaSystem {
   void resolve_kernel_sparse_slots(
       KernelPlan& plan, const linalg::CsrMatrix& csr,
       std::vector<std::pair<std::size_t, std::size_t>>* missed) const;
-  /// Adds the gmin shunt on every node row: gmin to the diagonal of
-  /// `jacobian` and, when `residual` is given, gmin * x to the residual.
-  /// Diagonals outside the pattern are appended to `missed`.  Runs after
-  /// stamp_devices on the same CSR, which resolved the plan's diagonal
-  /// slots against it.
+  /// Adds the gmin shunt's Jacobian part, gmin on the diagonal of every
+  /// node row of `jacobian`.  Diagonals outside the pattern are appended
+  /// to `missed`.  Runs after stamp_devices on the same CSR, which
+  /// resolved the plan's diagonal slots against it.
   void stamp_gmin_sparse(
-      const linalg::Vector& x, double gmin, linalg::CsrMatrix& jacobian,
-      linalg::Vector* residual,
+      double gmin, linalg::CsrMatrix& jacobian,
       std::vector<std::pair<std::size_t, std::size_t>>& missed) const;
+  /// The gmin shunt's residual part: gmin * x on every node row.
+  void stamp_gmin_residual(const linalg::Vector& x, double gmin,
+                           linalg::Vector& residual) const;
   /// Grows the pattern with whichever of `cells` it lacks; bumps the
   /// epoch only when something was genuinely new.  No-op when the
   /// pattern has not been built yet (ensure_pattern folds the kernel
@@ -370,6 +400,24 @@ class MnaSystem {
   // Type-bucketed kernel plan, built on first use (lane counters and
   // sparse-slot resolution mutate it during const assembly).
   mutable std::unique_ptr<KernelPlan> kernel_plan_;
+  /// A SolveScope is open: the plan's twin state ids are current.
+  mutable bool in_solve_ = false;
 };
+
+inline UnknownId MnaSystem::unknown_of(NodeId node) const {
+  if (node.is_ground()) return kNoUnknown;
+  require(node.index < circuit_.num_nodes(), "unknown_of: node out of range");
+  return UnknownId{node.index - 1};
+}
+
+inline double Solution::v(NodeId node) const {
+  if (node.is_ground()) return 0.0;
+  return (*x_)[system_->unknown_of(node).index];
+}
+
+inline double Solution::x(UnknownId unknown) const {
+  require(unknown.valid(), "Solution::x: invalid unknown");
+  return (*x_)[unknown.index];
+}
 
 }  // namespace nemsim::spice

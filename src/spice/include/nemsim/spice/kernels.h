@@ -19,10 +19,10 @@
 //
 // A third sink, RecordingSink, serves exact evaluation sharing between
 // identical devices of a lane (DESIGN.md §7k): a device whose complete
-// evaluation input — its role iterate values plus its type's `twin_key` —
-// equals, bit for bit, that of a device evaluated earlier in the same
-// pass replays the recorded f/J writes through its own rows and slots
-// instead of evaluating.
+// evaluation input — its role iterate values plus its type's `twin_key`,
+// keyed to a state id once per Newton solve — equals, bit for bit, that
+// of a device evaluated earlier in the same pass replays the recorded f/J
+// writes through its own rows and slots instead of evaluating.
 //
 // Devices without a kernel descriptor (out-of-tree extensions) are
 // stamped through the virtual Device::stamp after the lanes.
@@ -234,33 +234,42 @@ inline void replay_twin(const KernelSink& sink, const TwinRecord& record) {
   for (const auto& [cell, value] : record.j) sink.J_cell(cell, value);
 }
 
-/// The complete evaluation input of `device` under `sink`: the iterate
-/// value of each role, in role order, then the device's twin_key.
-template <HasTwinKey DeviceT>
-void twin_input(const DeviceT& device, const KernelSink& sink, int roles,
-                TwinKey& key) {
+/// The evaluation input of a class member under `sink`, given the state
+/// id its twin_key was keyed to: the id, then the iterate value of each
+/// role in role order.  Within one class, equal probes of one pass mean
+/// bitwise-equal complete inputs.
+inline void twin_probe(const KernelSink& sink, std::uint32_t state, int roles,
+                       TwinKey& key) {
   key.clear();
+  key.add(std::uint64_t{state});
   for (int r = 0; r < roles; ++r) key.add(sink.xr(r));
-  device.twin_key(key);
 }
 
 /// Evaluation sharing state of one lane, owned by the plan.  Devices are
 /// grouped into candidate classes by their twin_key bits when the plan is
 /// built and at every analysis entry; a device alone in its class is
-/// evaluated plainly.  Within a pass, each class remembers up to kWays
-/// distinct inputs and their recorded writes.
+/// evaluated plainly.  Each member's twin_key is keyed to a state id
+/// within its class at every Newton solve entry (MnaSystem::SolveScope),
+/// and at every pass outside a solve.  Within a pass, each class
+/// remembers up to kWays distinct probes and their recorded writes.
 struct KernelTwins {
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
   static constexpr std::size_t kWays = 2;
+  /// Distinct member states a class tells apart; members past them
+  /// evaluate plainly.
+  static constexpr std::size_t kMaxStates = 8;
   struct Way {
-    TwinKey key;
+    TwinKey key;  ///< twin_probe of the recorded evaluation
     TwinRecord record;
     std::uint64_t pass = 0;  ///< pass the way was filled in (stale if older)
   };
   struct Class {
     Way ways[kWays];
+    std::vector<TwinKey> states;  ///< twin_key of each state id
   };
   std::vector<std::uint32_t> class_of;  ///< per lane device, or kNone
+  /// Per lane device: state id within its class, or kNone (plain eval).
+  std::vector<std::uint32_t> state_of;
   std::vector<Class> classes;
   TwinKey probe;          ///< input of the device being evaluated
   std::uint64_t pass = 0; ///< assembly passes run through the classes
@@ -282,7 +291,7 @@ struct KernelLaneView {
 using KernelBatchFn = std::size_t (*)(const KernelLaneView&,
                                       const KernelEvalContext&);
 
-/// The lane loop with sharing: devices of a class look up their input
+/// The lane loop with sharing: devices of a class look up their probe
 /// among the class's ways, replay on a hit, and otherwise evaluate (into
 /// a free way's record when one is left).  Devices keep their lane order,
 /// so every f/J array accumulates in the order of the plain loop.
@@ -298,15 +307,15 @@ std::size_t kernel_batch_eval_twins(const KernelLaneView& lane,
     const KernelSink sink(ctx, lane.rows + i * r, lane.slots + i * rr,
                           lane.roles);
     const DeviceT& device = *static_cast<const DeviceT*>(lane.devices[i]);
-    const std::uint32_t c = tw.class_of[i];
-    if (c == KernelTwins::kNone) {
+    const std::uint32_t state = tw.state_of[i];
+    if (state == KernelTwins::kNone) {
       device.eval(sink);
       continue;
     }
-    twin_input(device, sink, lane.roles, tw.probe);
+    twin_probe(sink, state, lane.roles, tw.probe);
     KernelTwins::Way* open_way = nullptr;
     bool replayed = false;
-    for (KernelTwins::Way& way : tw.classes[c].ways) {
+    for (KernelTwins::Way& way : tw.classes[tw.class_of[i]].ways) {
       if (way.pass != pass) {
         open_way = &way;  // ways fill in order: the rest are stale too
         break;

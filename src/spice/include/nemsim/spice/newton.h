@@ -71,7 +71,9 @@ struct NewtonStats {
   // Work counters for the fast-path instrumentation (cumulative across
   // ladder solves and, when the caller reuses the struct, across steps).
   std::int64_t assembles = 0;            ///< full residual+Jacobian passes
-  std::int64_t residual_assembles = 0;   ///< residual-only damping trials
+  /// Residual-only passes: each converging trial (an undamped trial whose
+  /// update norm is <= 1 needs no Jacobian) and every damping trial.
+  std::int64_t residual_assembles = 0;
   std::int64_t factorizations = 0;       ///< full LU factorizations
   std::int64_t factorization_reuses = 0; ///< sparse numeric refactorizations
   /// Refactorizations rejected by the pivot test; each one is followed by
@@ -158,8 +160,9 @@ class NewtonSolver {
     system_.regroup_twins();
   }
 
-  /// Plain damped Newton from `x0` with fixed gmin/source factor.
-  /// Throws ConvergenceError / SingularMatrixError on failure.
+  /// Plain damped Newton from `x0` with fixed gmin/source factor.  Runs
+  /// inside an MnaSystem::SolveScope: no device member may change while
+  /// it runs.  Throws ConvergenceError / SingularMatrixError on failure.
   linalg::Vector solve_plain(const linalg::Vector& x0, AnalysisMode mode,
                              double time, double dt, double gmin,
                              double source_factor, NewtonStats* stats = nullptr);

@@ -47,18 +47,6 @@ UnknownId SetupContext::add_internal(const std::string& name, double abstol,
   return system_.allocate_unknown(std::move(info));
 }
 
-// ------------------------------------------------------------- Solution
-
-double Solution::v(NodeId node) const {
-  if (node.is_ground()) return 0.0;
-  return (*x_)[system_->unknown_of(node).index];
-}
-
-double Solution::x(UnknownId unknown) const {
-  require(unknown.valid(), "Solution::x: invalid unknown");
-  return (*x_)[unknown.index];
-}
-
 // --------------------------------------------------------- StampContext
 
 StampContext::StampContext(const MnaSystem& system, const linalg::Vector& x,
@@ -190,12 +178,6 @@ MnaSystem::MnaSystem(Circuit& circuit) : circuit_(circuit) {
 
 MnaSystem::~MnaSystem() = default;
 
-UnknownId MnaSystem::unknown_of(NodeId node) const {
-  if (node.is_ground()) return kNoUnknown;
-  require(node.index < circuit_.num_nodes(), "unknown_of: node out of range");
-  return UnknownId{node.index - 1};
-}
-
 UnknownId MnaSystem::unknown_by_name(const std::string& name) const {
   auto it = unknown_index_.find(name);
   if (it == unknown_index_.end()) {
@@ -292,6 +274,37 @@ void group_twins(KernelPlan& plan) {
     // resize keeps the surviving ways' buffers; their pass stamps are
     // older than any pass to come, so they start out stale.
     twins.classes.resize(classes);
+    twins.state_of.assign(count, KernelTwins::kNone);
+  }
+}
+
+/// Keys every class member's current twin_key to a state id within its
+/// class: members with bitwise-equal keys get the same id.  A member whose
+/// class already holds kMaxStates other states gets none and evaluates
+/// plainly.
+void key_twin_states(KernelPlan& plan) {
+  for (KernelLane& lane : plan.lanes) {
+    KernelTwins& twins = lane.twins;
+    if (twins.classes.empty()) continue;
+    for (KernelTwins::Class& cls : twins.classes) cls.states.clear();
+    TwinKey& key = twins.probe;
+    for (std::size_t i = 0; i < lane.devices.size(); ++i) {
+      const std::uint32_t c = twins.class_of[i];
+      if (c == KernelTwins::kNone) continue;
+      key.clear();
+      lane.twin_key(*lane.devices[i], key);
+      std::vector<TwinKey>& states = twins.classes[c].states;
+      std::uint32_t state = 0;
+      while (state < states.size() && !(states[state] == key)) ++state;
+      if (state == states.size()) {
+        if (states.size() < KernelTwins::kMaxStates) {
+          states.push_back(key);
+        } else {
+          state = KernelTwins::kNone;
+        }
+      }
+      twins.state_of[i] = state;
+    }
   }
 }
 
@@ -388,6 +401,14 @@ void MnaSystem::regroup_twins() const {
   if (kernel_plan_ != nullptr) group_twins(*kernel_plan_);
 }
 
+MnaSystem::SolveScope::SolveScope(const MnaSystem& system) : system_(system) {
+  if (system_.kernel_plan_ == nullptr) system_.build_kernel_plan();
+  key_twin_states(*system_.kernel_plan_);
+  system_.in_solve_ = true;
+}
+
+MnaSystem::SolveScope::~SolveScope() { system_.in_solve_ = false; }
+
 void MnaSystem::ensure_pattern_contains(
     const std::vector<std::pair<std::size_t, std::size_t>>& cells) const {
   if (!pattern_built_) return;
@@ -431,15 +452,13 @@ void MnaSystem::resolve_kernel_sparse_slots(
 }
 
 void MnaSystem::stamp_gmin_sparse(
-    const linalg::Vector& x, double gmin, linalg::CsrMatrix& jacobian,
-    linalg::Vector* residual,
+    double gmin, linalg::CsrMatrix& jacobian,
     std::vector<std::pair<std::size_t, std::size_t>>& missed) const {
   // The device pass before this one resolved the diagonal slots against
   // this CSR (stamp_devices re-resolves whenever the epoch moved).
   const std::vector<std::size_t>& diagonal = kernel_plan_->diagonal_slots;
   for (std::size_t i = 0; i < num_unknowns(); ++i) {
     if (unknowns_[i].kind != UnknownKind::kNodeVoltage) continue;
-    if (residual != nullptr) (*residual)[i] += gmin * x[i];
     const std::size_t slot = diagonal[i];
     if (slot != linalg::CsrMatrix::npos) {
       jacobian.values()[slot] += gmin;
@@ -453,6 +472,7 @@ void MnaSystem::stamp_devices(StampContext& ctx, DeviceSet set,
                               bool hot) const {
   if (kernel_plan_ == nullptr) build_kernel_plan();
   KernelPlan& plan = *kernel_plan_;
+  if (!in_solve_) key_twin_states(plan);
   KernelEvalContext ectx;
   ectx.x = ctx.iterate_data();
   if (ctx.wants_residual()) {
@@ -525,15 +545,13 @@ void MnaSystem::assemble(const linalg::Vector& x, linalg::Matrix& jacobian,
   stamp_devices(ctx, DeviceSet::kAll, /*hot=*/true);
 
   if (gmin > 0.0) {
-    // Homotopy shunt from every node to ground; does not enter the scale
-    // so convergence is still judged against physical currents.
     for (std::size_t i = 0; i < n; ++i) {
       if (unknowns_[i].kind == UnknownKind::kNodeVoltage) {
-        residual[i] += gmin * x[i];
         jacobian(i, i) += gmin;
       }
     }
   }
+  stamp_gmin_residual(x, gmin, residual);
 }
 
 void MnaSystem::assemble_residual(const linalg::Vector& x,
@@ -550,12 +568,37 @@ void MnaSystem::assemble_residual(const linalg::Vector& x,
                    /*missed=*/nullptr);
   ctx.configure(mode, time, dt, gmin, source_factor);
   stamp_devices(ctx, DeviceSet::kAll, /*hot=*/true);
+  stamp_gmin_residual(x, gmin, residual);
+}
 
-  if (gmin > 0.0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (unknowns_[i].kind == UnknownKind::kNodeVoltage) {
-        residual[i] += gmin * x[i];
-      }
+void MnaSystem::assemble_sparse_residual(const linalg::Vector& x,
+                                         linalg::Vector& residual,
+                                         linalg::Vector& residual_scale,
+                                         AnalysisMode mode, double time,
+                                         double dt, double gmin,
+                                         double source_factor) const {
+  const std::size_t n = num_unknowns();
+  require(x.size() == n, "assemble_sparse_residual: iterate size mismatch");
+  residual.assign(n, 0.0);
+  residual_scale.assign(n, 0.0);
+
+  StampContext ctx(*this, x, /*jacobian=*/nullptr, residual, residual_scale,
+                   /*missed=*/nullptr);
+  ctx.configure(mode, time, dt, gmin, source_factor);
+  // assemble_sparse's order with a linear baseline.
+  stamp_devices(ctx, DeviceSet::kNonlinear, /*hot=*/true);
+  stamp_devices(ctx, DeviceSet::kLinear, /*hot=*/false);
+  stamp_gmin_residual(x, gmin, residual);
+}
+
+void MnaSystem::stamp_gmin_residual(const linalg::Vector& x, double gmin,
+                                    linalg::Vector& residual) const {
+  // Homotopy shunt from every node to ground; does not enter the scale
+  // so convergence is still judged against physical currents.
+  if (gmin <= 0.0) return;
+  for (std::size_t i = 0; i < num_unknowns(); ++i) {
+    if (unknowns_[i].kind == UnknownKind::kNodeVoltage) {
+      residual[i] += gmin * x[i];
     }
   }
 }
@@ -676,7 +719,8 @@ bool MnaSystem::assemble_sparse(
     stamp_devices(ctx, DeviceSet::kAll, /*hot=*/true);
   }
 
-  if (gmin > 0.0) stamp_gmin_sparse(x, gmin, jacobian, &residual, missed);
+  if (gmin > 0.0) stamp_gmin_sparse(gmin, jacobian, missed);
+  stamp_gmin_residual(x, gmin, residual);
 
   if (!missed.empty()) {
     grow_pattern(missed);
@@ -711,7 +755,7 @@ bool MnaSystem::assemble_jacobian_sparse(
     stamp_devices(ctx, DeviceSet::kAll, /*hot=*/true);
   }
 
-  if (gmin > 0.0) stamp_gmin_sparse(x, gmin, jacobian, nullptr, missed);
+  if (gmin > 0.0) stamp_gmin_sparse(gmin, jacobian, missed);
 
   if (!missed.empty()) {
     grow_pattern(missed);

@@ -131,6 +131,13 @@ class NewtonSolver::SparseBackend {
     }
   }
 
+  /// Residual + scale at `x`, bit for bit those of assemble().
+  void assemble_residual(const linalg::Vector& x, linalg::Vector& f,
+                         linalg::Vector& scale) {
+    s_.system_.assemble_sparse_residual(x, f, scale, at_.mode, at_.time,
+                                        at_.dt, at_.gmin, at_.source_factor);
+  }
+
   /// Solves J dx = rhs in place.  The symbolic analysis (pivot order +
   /// fill pattern) is reused; only the numeric sweep runs, unless a frozen
   /// pivot no longer dominates its column or the pattern changed — then a
@@ -184,6 +191,12 @@ class NewtonSolver::DenseBackend {
                         at_.gmin, at_.source_factor);
   }
 
+  void assemble_residual(const linalg::Vector& x, linalg::Vector& f,
+                         linalg::Vector& scale) {
+    s_.system_.assemble_residual(x, f, scale, at_.mode, at_.time, at_.dt,
+                                 at_.gmin, at_.source_factor);
+  }
+
   void solve(linalg::Vector& dx) {
     const linalg::LuDecomposition lu(jacobian_);
     if (stats_) ++stats_->factorizations;
@@ -234,6 +247,7 @@ linalg::Vector NewtonSolver::solve_plain(const linalg::Vector& x0,
     }
   };
   const Point at{mode, time, dt, gmin, source_factor};
+  const MnaSystem::SolveScope scope(system_);
   try {
     linalg::Vector x;
     if (uses_sparse()) {
@@ -293,25 +307,27 @@ linalg::Vector NewtonSolver::damped_newton(Backend& backend,
     const double clamp = step_clamp(system_, dx_);
 
     // Damped accept: halve the step while the weighted residual norm
-    // increases badly.  The first (undamped) trial assembles residual AND
-    // Jacobian — if accepted, which is the common case, the Jacobian is
-    // already in place for the next iteration.  Extra damping trials only
-    // assemble the residual; the Jacobian is refreshed after acceptance.
+    // increases badly.  The undamped trial assembles residual AND
+    // Jacobian, so an accepted trial (the common case) leaves the next
+    // iteration's Jacobian in place.  Its update norm is known before it
+    // is assembled, though, and when that is <= 1 the trial converges
+    // exactly when its residual does: a converged solve needs no
+    // Jacobian, so that trial, like every damping trial, assembles only
+    // the residual (bit for bit the full pass's).
     double alpha = clamp;
     double trial_norm = 0.0;
+    double update_norm = 0.0;
     bool jacobian_at_trial = false;
     for (int halving = 0; halving <= kMaxDampingHalvings; ++halving) {
       x_trial_ = x;
       for (std::size_t i = 0; i < n; ++i) x_trial_[i] += alpha * dx_[i];
-      if (halving == 0) {
+      update_norm = weighted_update_norm(system_, x, x_trial_, reltol);
+      jacobian_at_trial = halving == 0 && update_norm > 1.0;
+      if (jacobian_at_trial) {
         backend.assemble(x_trial_, residual_trial_, scale_trial_);
-        jacobian_at_trial = true;
         if (stats) ++stats->assembles;
       } else {
-        system_.assemble_residual(x_trial_, residual_trial_, scale_trial_,
-                                  at.mode, at.time, at.dt, at.gmin,
-                                  at.source_factor);
-        jacobian_at_trial = false;
+        backend.assemble_residual(x_trial_, residual_trial_, scale_trial_);
         if (stats) ++stats->residual_assembles;
       }
       trial_norm = weighted_residual_norm(system_, residual_trial_,
@@ -334,7 +350,7 @@ linalg::Vector NewtonSolver::damped_newton(Backend& backend,
                               last_update_norm, "non-finite-residual"));
     }
 
-    last_update_norm = weighted_update_norm(system_, x, x_trial_, reltol);
+    last_update_norm = update_norm;
     std::swap(x, x_trial_);
     std::swap(residual_, residual_trial_);
     std::swap(scale_, scale_trial_);
@@ -343,7 +359,8 @@ linalg::Vector NewtonSolver::damped_newton(Backend& backend,
     if (res_norm <= 1.0 && last_update_norm <= 1.0) return x;
 
     if (!jacobian_at_trial) {
-      // A damped trial was accepted: refresh the Jacobian at the new x.
+      // The accepted trial assembled only its residual: assemble the
+      // Jacobian at the new x.
       backend.assemble(x, residual_, scale_);
       if (stats) ++stats->assembles;
       res_norm = weighted_residual_norm(system_, residual_, scale_, reltol);

@@ -3,8 +3,9 @@
 // pattern-epoch tracking of the CSR slot tables, the declared-cell
 // property every in-tree device must satisfy, lane assembly against
 // a per-device Device::stamp reference (the StampSink instantiation of
-// the same device models), and exact evaluation sharing between
-// identical devices held bitwise to that reference.
+// the same device models), exact evaluation sharing between identical
+// devices held bitwise to that reference (inside Newton solves too), and
+// the residual-only passes held bitwise to the full passes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -580,22 +581,28 @@ TEST(KernelCounters, LaneEvalsSumToNonlinearEvals) {
 
 // ------------------------------- exact evaluation sharing (DESIGN.md §7k)
 
+/// Device::stamp of the linear or the nonlinear devices, in the order
+/// the lanes accumulate in: lanes, then leftovers.
+void stamp_lane_devices(const MnaSystem& system, spice::StampContext& ctx,
+                        bool linear) {
+  const KernelPlan& plan = system.kernel_plan();
+  const Circuit& ckt = system.circuit();
+  for (const KernelLane& lane : plan.lanes) {
+    if (lane.linear != linear) continue;
+    for (std::size_t di : lane.device_indices) ckt.device(di).stamp(ctx);
+  }
+  for (std::size_t di :
+       linear ? plan.leftover_linear : plan.leftover_nonlinear) {
+    ckt.device(di).stamp(ctx);
+  }
+}
+
 /// Device::stamp of every device in the order the lanes accumulate in:
 /// linear lanes, linear leftovers, nonlinear lanes, nonlinear leftovers.
 /// Same values, same order, so the lanes must agree bit for bit.
 void stamp_in_lane_order(const MnaSystem& system, spice::StampContext& ctx) {
-  const KernelPlan& plan = system.kernel_plan();
-  const Circuit& ckt = system.circuit();
-  for (const bool linear : {true, false}) {
-    for (const KernelLane& lane : plan.lanes) {
-      if (lane.linear != linear) continue;
-      for (std::size_t di : lane.device_indices) ckt.device(di).stamp(ctx);
-    }
-    for (std::size_t di :
-         linear ? plan.leftover_linear : plan.leftover_nonlinear) {
-      ckt.device(di).stamp(ctx);
-    }
-  }
+  stamp_lane_devices(system, ctx, /*linear=*/true);
+  stamp_lane_devices(system, ctx, /*linear=*/false);
 }
 
 void expect_bitwise(const double* got, const double* want, std::size_t count,
@@ -800,6 +807,341 @@ TEST(KernelTwins, DynamicOrIdleLegsMatchDeviceStampsBitwise) {
     MnaSystem system(gate.ckt());
     expect_sharing_through_a_transient(gate.ckt(), system, 10e-12, "Xleg6.");
   }
+}
+
+// ------------------------- per-solve twin state (DESIGN.md §7k) and the
+// residual-only converging trial (DESIGN.md §5, decision 4)
+
+/// Writes nothing and has no kernel descriptor, so every assembly pass
+/// stamps it through Device::stamp right after the nonlinear lanes.
+/// While armed it records each residual-carrying pass: the iterate, the
+/// pass scalars, and the residual, scale and Jacobian values accumulated
+/// so far.
+class PassSpy final : public spice::Device {
+ public:
+  struct Pass {
+    std::vector<double> x, f, scale;
+    std::vector<double> j;  ///< CSR or dense values; empty: residual-only
+    AnalysisMode mode = AnalysisMode::kDcOperatingPoint;
+    double time = 0.0, dt = 0.0, gmin = 0.0, source_factor = 1.0;
+  };
+
+  explicit PassSpy(std::string name) : Device(std::move(name)) {}
+
+  void stamp(spice::StampContext& ctx) const override {
+    if (!armed || !ctx.wants_residual()) return;
+    const std::size_t n = ctx.system().num_unknowns();
+    Pass pass;
+    pass.x.assign(ctx.iterate_data(), ctx.iterate_data() + n);
+    pass.f.assign(ctx.residual_data(), ctx.residual_data() + n);
+    pass.scale.assign(ctx.residual_scale_data(),
+                      ctx.residual_scale_data() + n);
+    if (const linalg::CsrMatrix* csr = ctx.sparse_sink()) {
+      pass.j = csr->values();
+    } else if (const linalg::Matrix* dense = ctx.dense_sink()) {
+      pass.j.assign(dense->data(), dense->data() + n * n);
+    }
+    pass.mode = ctx.mode();
+    pass.time = ctx.time();
+    pass.dt = ctx.dt();
+    pass.gmin = ctx.gmin();
+    pass.source_factor = ctx.source_factor();
+    passes.push_back(std::move(pass));
+  }
+
+  bool armed = false;
+  mutable std::vector<Pass> passes;
+};
+
+/// Holds every pass the spy recorded to the lane-ordered Device::stamp
+/// reference at the pass's own iterate and scalars, bit for bit.  The
+/// sparse Newton path stamps the nonlinear lanes over the linear
+/// baseline (linear devices at gmin 0 and source factor 1) and the spy
+/// sees the residual before the linear devices add theirs; the dense
+/// oracle stamps every lane, linear first.
+void expect_passes_match_stamps(const MnaSystem& system, const PassSpy& spy,
+                                bool sparse, const std::string& where) {
+  const std::size_t n = system.num_unknowns();
+  for (std::size_t k = 0; k < spy.passes.size(); ++k) {
+    const PassSpy::Pass& pass = spy.passes[k];
+    const std::string at = where + " pass " + std::to_string(k);
+    linalg::Vector x(n);
+    std::copy(pass.x.begin(), pass.x.end(), x.begin());
+    linalg::Vector f(n, 0.0), scale(n, 0.0);
+    std::vector<double> j;
+    if (sparse) {
+      linalg::CsrMatrix csr = system.make_sparse_jacobian();
+      std::vector<std::pair<std::size_t, std::size_t>> missed;
+      spice::StampContext linear(system, x, &csr, f, scale, &missed);
+      linear.disable_residual();
+      linear.configure(pass.mode, pass.time, pass.dt, 0.0, 1.0);
+      stamp_lane_devices(system, linear, /*linear=*/true);
+      spice::StampContext nonlinear(system, x, &csr, f, scale, &missed);
+      nonlinear.configure(pass.mode, pass.time, pass.dt, pass.gmin,
+                          pass.source_factor);
+      stamp_lane_devices(system, nonlinear, /*linear=*/false);
+      EXPECT_TRUE(missed.empty()) << at;
+      j = csr.values();
+    } else {
+      linalg::Matrix dense(n, n);
+      spice::StampContext ctx(system, x, dense, f, scale);
+      ctx.configure(pass.mode, pass.time, pass.dt, pass.gmin,
+                    pass.source_factor);
+      stamp_in_lane_order(system, ctx);
+      j.assign(dense.data(), dense.data() + n * n);
+    }
+    expect_bitwise(pass.f.data(), f.data(), n, at + " f");
+    expect_bitwise(pass.scale.data(), scale.data(), n, at + " scale");
+    if (!pass.j.empty()) {
+      ASSERT_EQ(pass.j.size(), j.size()) << at;
+      expect_bitwise(pass.j.data(), j.data(), j.size(), at + " J");
+    }
+  }
+}
+
+TEST(KernelTwins, SolveStatesFollowDeviceChangesBetweenSolves) {
+  // One NewtonSolver serves the whole run, so its classes are grouped
+  // once.  Between its solves one idle cell's devices change through
+  // every path that moves a twin_key: a width setter, a Vth setter, a
+  // parameter-bank overlay and a direct accept_step.  Every pass of every
+  // later solve must still equal the Device::stamp reference: the changed
+  // devices must not replay their former twins' records.
+  for (const spice::JacobianSolver solver :
+       {spice::JacobianSolver::kSparse, spice::JacobianSolver::kDense}) {
+    const bool sparse = solver == spice::JacobianSolver::kSparse;
+    SCOPED_TRACE(sparse ? "sparse" : "dense");
+    core::SramColumnConfig config;
+    config.cell.kind = core::SramKind::kHybrid;
+    config.n_cells = 16;
+    config.active_cell = 5;
+    core::SramColumn column = core::build_sram_column(config);
+    Circuit& ckt = column.ckt();
+    ckt.find<VoltageSource>("Vwl").set_wave(
+        SourceWave::pulse(0.0, config.cell.vdd, 20e-12, 20e-12, 20e-12, 1.0));
+    PassSpy& spy = ckt.add<PassSpy>("Yspy");
+    MnaSystem system(ckt);
+    core::nodeset_column_state(system, column);
+    system.set_nodeset(ckt.find_node("bl"), config.cell.vdd);
+    system.set_nodeset(ckt.find_node("blb"), config.cell.vdd);
+    spice::NewtonOptions options;
+    options.solver = solver;
+    spice::NewtonSolver newton(system, options);
+
+    const std::string cell = "Xcell11.";
+    std::vector<Mosfet*> mosfets;
+    std::vector<Nemfet*> nemfets;
+    for (std::size_t i = 0; i < ckt.num_devices(); ++i) {
+      spice::Device& device = ckt.device(i);
+      if (device.name().rfind(cell, 0) != 0) continue;
+      if (auto* m = dynamic_cast<Mosfet*>(&device)) mosfets.push_back(m);
+      if (auto* m = dynamic_cast<Nemfet*>(&device)) nemfets.push_back(m);
+    }
+    ASSERT_FALSE(mosfets.empty());
+    ASSERT_FALSE(nemfets.empty());
+
+    const double dt = 2e-12;
+    double t = 0.0;
+    linalg::Vector x = system.initial_guess();
+    auto solve = [&](const std::string& where) {
+      const AnalysisMode mode = t == 0.0 ? AnalysisMode::kDcOperatingPoint
+                                         : AnalysisMode::kTransient;
+      if (mode == AnalysisMode::kTransient) system.begin_step(t, dt);
+      spy.passes.clear();
+      spy.armed = true;
+      x = newton.solve(x, mode, t, t == 0.0 ? 0.0 : dt);
+      spy.armed = false;
+      EXPECT_GE(spy.passes.size(), 2u) << where;
+      expect_passes_match_stamps(system, spy, sparse, where);
+      system.accept(x, mode, t, t == 0.0 ? 0.0 : dt);
+      t += dt;
+    };
+    solve("bias point");
+    for (int step = 1; step <= 3; ++step) {
+      solve("step " + std::to_string(step));
+    }
+    const std::uint64_t replays = total_twin_replays(system);
+    EXPECT_GT(replays, 0u) << "no evaluation was shared";
+
+    for (Mosfet* m : mosfets) m->set_width(1.05 * m->width());
+    for (Nemfet* m : nemfets) m->set_width(1.05 * m->width());
+    solve("after set_width");
+
+    for (Mosfet* m : mosfets) m->set_vth_shift(0.01);
+    for (Nemfet* m : nemfets) m->set_vth_shift(-0.01);
+    solve("after set_vth_shift");
+
+    spice::ParamBank& bank = ckt.param_bank();
+    spice::ParamPatch patch;
+    for (const char* name : {"mos.vth_shift", "nems.vth_shift"}) {
+      const std::size_t col = bank.find_column(name);
+      ASSERT_NE(col, spice::ParamBank::npos) << name;
+      const std::vector<std::string>& owners = bank.column_owners(col);
+      for (std::size_t row = 0; row < owners.size(); ++row) {
+        if (owners[row].rfind(cell, 0) != 0) continue;
+        const spice::ParamSlot slot{static_cast<std::uint32_t>(col),
+                                    static_cast<std::uint32_t>(row)};
+        patch.push_back({slot, bank.value(slot) + 0.02});
+      }
+    }
+    ASSERT_FALSE(patch.empty());
+    bank.apply(patch);
+    ckt.notify_params_changed();
+    solve("after a bank overlay");
+
+    linalg::Vector nudged = x;
+    for (std::size_t i = 0; i < nudged.size(); ++i) {
+      const spice::UnknownInfo& info = system.unknown_info(i);
+      if (info.kind == spice::UnknownKind::kNodeVoltage &&
+          info.name.find(cell) != std::string::npos) {
+        nudged[i] += 1e-3;
+      }
+    }
+    const spice::Solution solution(system, nudged);
+    const spice::AcceptContext accept(solution, AnalysisMode::kTransient,
+                                      t - dt, dt);
+    for (Mosfet* m : mosfets) m->accept_step(accept);
+    for (Nemfet* m : nemfets) m->accept_step(accept);
+    solve("after a direct accept_step");
+    EXPECT_GT(total_twin_replays(system), replays)
+        << "the changed cell stopped the sharing";
+
+    // More distinct states than a class tells apart: the members past
+    // them evaluate plainly.
+    double shift = 0.0;
+    for (std::size_t i = 0; i < ckt.num_devices(); ++i) {
+      if (auto* m = dynamic_cast<Mosfet*>(&ckt.device(i))) {
+        m->set_vth_shift(shift += 1e-3);
+      }
+    }
+    ASSERT_GT(shift, 1e-3 * spice::KernelTwins::kMaxStates);
+    solve("after more states than a class holds");
+    const KernelLane* lane = find_lane(system.kernel_plan(), "mosfet");
+    ASSERT_NE(lane, nullptr);
+    EXPECT_GT(std::count(lane->twins.state_of.begin(),
+                         lane->twins.state_of.end(), spice::KernelTwins::kNone),
+              0)
+        << "no member was left without a state";
+  }
+}
+
+/// The residual-only passes against the full passes they stand in for
+/// at one iterate, bit for bit: assemble_sparse_residual against
+/// assemble_sparse over the linear baseline (the sparse Newton path),
+/// assemble_residual against assemble (the dense oracle).
+void expect_residual_passes_match(const MnaSystem& system,
+                                  const linalg::Vector& x, AnalysisMode mode,
+                                  double time, double dt,
+                                  const std::string& where) {
+  const double gmin = 1e-12;
+  const std::size_t n = system.num_unknowns();
+  linalg::Vector f, scale, fr, scale_r;
+  linalg::CsrMatrix csr = system.make_sparse_jacobian();
+  std::vector<double> baseline;
+  ASSERT_TRUE(
+      system.assemble_linear_jacobian(x, csr, baseline, mode, time, dt));
+  ASSERT_TRUE(system.assemble_sparse(x, csr, f, scale, mode, time, dt, gmin,
+                                     1.0, &baseline));
+  system.assemble_sparse_residual(x, fr, scale_r, mode, time, dt, gmin, 1.0);
+  expect_bitwise(fr.data(), f.data(), n, where + " sparse f");
+  expect_bitwise(scale_r.data(), scale.data(), n, where + " sparse scale");
+
+  linalg::Matrix j;
+  system.assemble(x, j, f, scale, mode, time, dt, gmin, 1.0);
+  system.assemble_residual(x, fr, scale_r, mode, time, dt, gmin, 1.0);
+  expect_bitwise(fr.data(), f.data(), n, where + " dense f");
+  expect_bitwise(scale_r.data(), scale.data(), n, where + " dense scale");
+}
+
+/// Solves the bias point and `steps` fixed-dt transient steps through
+/// one NewtonSolver per Jacobian solver.  Checks the residual-only passes
+/// against the full ones after the bias point and the last step (and at
+/// a nudged copy, off the sharing classes), in DC and transient mode.
+/// Checks that every converged solve_plain ended on one residual-only
+/// pass in place of the full pass it used to assemble: on these runs no
+/// trial is damped, so a solve of k iterations assembles its initial
+/// point and k - 1 accepted trials in full and its converging trial
+/// residual-only.  With `plain_bias_point` false the bias point runs the
+/// homotopy ladder and its work is not checked.
+void expect_one_residual_pass_per_solve(MnaSystem& system, double dt,
+                                        int steps, bool plain_bias_point,
+                                        const std::string& perturb) {
+  for (const spice::JacobianSolver solver :
+       {spice::JacobianSolver::kSparse, spice::JacobianSolver::kDense}) {
+    SCOPED_TRACE(solver == spice::JacobianSolver::kSparse ? "sparse"
+                                                          : "dense");
+    system.reset_devices();
+    spice::NewtonOptions options;
+    options.solver = solver;
+    spice::NewtonSolver newton(system, options);
+    linalg::Vector x = system.initial_guess();
+    double t = 0.0;
+    for (int step = 0; step <= steps; ++step) {
+      const AnalysisMode mode = step == 0 ? AnalysisMode::kDcOperatingPoint
+                                          : AnalysisMode::kTransient;
+      const double h = step == 0 ? 0.0 : dt;
+      if (step > 0) system.begin_step(t, h);
+      const std::string where = "solve " + std::to_string(step);
+      if (step == 0 && !plain_bias_point) {
+        x = newton.solve(x, mode, t, h);
+      } else {
+        spice::NewtonStats stats;
+        x = newton.solve_plain(x, mode, t, h, options.gmin_final, 1.0,
+                               &stats);
+        EXPECT_EQ(stats.residual_assembles, 1) << where;
+        EXPECT_EQ(stats.assembles, stats.iterations) << where;
+      }
+      system.accept(x, mode, t, h);
+      if (step == 0 || step == steps) {
+        for (const AnalysisMode m : {AnalysisMode::kDcOperatingPoint,
+                                     AnalysisMode::kTransient}) {
+          const double tm = m == AnalysisMode::kTransient ? t + dt : 0.0;
+          const double hm = m == AnalysisMode::kTransient ? dt : 0.0;
+          expect_residual_passes_match(system, x, m, tm, hm, where);
+          linalg::Vector nudged = x;
+          for (std::size_t i = 0; i < nudged.size(); ++i) {
+            if (system.unknown_info(i).name.find(perturb) !=
+                std::string::npos) {
+              nudged[i] += 1e-3 * (1.0 + std::abs(nudged[i]));
+            }
+          }
+          expect_residual_passes_match(system, nudged, m, tm, hm,
+                                       where + " nudged");
+        }
+      }
+      t += dt;
+    }
+  }
+}
+
+TEST(NewtonResidualPass, HybridColumnConvergesOnResidualOnlyTrials) {
+  core::SramColumnConfig config;
+  config.cell.kind = core::SramKind::kHybrid;
+  config.n_cells = 16;
+  config.active_cell = 5;
+  core::SramColumn column = core::build_sram_column(config);
+  column.ckt().find<VoltageSource>("Vwl").set_wave(
+      SourceWave::pulse(0.0, config.cell.vdd, 20e-12, 20e-12, 20e-12, 1.0));
+  MnaSystem system(column.ckt());
+  core::nodeset_column_state(system, column);
+  system.set_nodeset(column.ckt().find_node("bl"), config.cell.vdd);
+  system.set_nodeset(column.ckt().find_node("blb"), config.cell.vdd);
+  expect_one_residual_pass_per_solve(system, 2e-12, 40,
+                                     /*plain_bias_point=*/true, "Xcell11.");
+}
+
+TEST(NewtonResidualPass, DynamicOrConvergesOnResidualOnlyTrials) {
+  // 30 steps of 10 ps stop short of the input edge at 0.3 ns, which a
+  // plain solve at that fixed step does not cross.
+  core::DynamicOrConfig config;
+  config.hybrid = true;
+  config.t_precharge = 0.2e-9;
+  core::DynamicOrGate gate = core::build_dynamic_or(config);
+  gate.ckt().find<VoltageSource>(gate.input_source(0))
+      .set_wave(SourceWave::pulse(0.0, config.vdd, 0.3e-9, 20e-12, 20e-12,
+                                  1.0));
+  MnaSystem system(gate.ckt());
+  expect_one_residual_pass_per_solve(system, 10e-12, 30,
+                                     /*plain_bias_point=*/false, "Xleg6.");
 }
 
 }  // namespace

@@ -29,6 +29,16 @@ struct TwinSample {
   spice::TwinRecord record;
 };
 
+/// The complete evaluation input of `device` under `sink`: the iterate
+/// value of each role, in role order, then the device's twin_key.
+template <spice::HasTwinKey DeviceT>
+void twin_input(const DeviceT& device, const spice::KernelSink& sink,
+                int roles, spice::TwinKey& key) {
+  key.clear();
+  for (int r = 0; r < roles; ++r) key.add(sink.xr(r));
+  device.twin_key(key);
+}
+
 /// Evaluates `device` at the role iterate `x` through a RecordingSink over
 /// an identity role layout (role r is row r; cell e*R+v is slot e*R+v).
 template <class DeviceT, std::size_t R>
@@ -51,7 +61,7 @@ TwinSample sample_twin(const DeviceT& device, const std::array<double, R>& x,
   const spice::KernelSink sink(ctx, rows.data(), slots.data(),
                                static_cast<int>(R));
   TwinSample sample;
-  spice::twin_input(device, sink, static_cast<int>(R), sample.key);
+  twin_input(device, sink, static_cast<int>(R), sample.key);
   device.eval(spice::RecordingSink(sink, sample.record));
   return sample;
 }
