@@ -62,7 +62,7 @@ class Mosfet : public spice::Device {
   double drain_current(double vgs, double vds) const;
 
   void bind_params(spice::ParamBank& bank) override;
-  void on_params_changed() override { refresh_capacitances(); }
+  void on_params_changed() override;
   void stamp(spice::StampContext& ctx) const override;
   void kernel_descriptor(const spice::KernelLayout& layout,
                          spice::KernelDescriptor& out) const override;
@@ -78,6 +78,10 @@ class Mosfet : public spice::Device {
   /// (DESIGN.md §7k): the card, polarity, geometry, Vth shift and the
   /// four companion states.
   void twin_key(spice::TwinKey& key) const;
+  /// Takes over the state `twin` committed in the same accept: its four
+  /// companion states.  Exact when both devices had equal twin_keys and
+  /// equal accepted role values (MnaSystem::accept, DESIGN.md §7k).
+  void adopt_state(const Mosfet& twin);
   void accept_step(const spice::AcceptContext& ctx) override;
   void reset_state() override;
   void stamp_ac(spice::AcStampContext& ctx) const override;
@@ -96,6 +100,10 @@ class Mosfet : public spice::Device {
 
  private:
   void refresh_capacitances();
+  /// Moves the circuit's mutation generation (spice::ParamBank::touch).
+  /// Every mutator of a member that twin_key lists calls it, unless it
+  /// writes the bank, which moves the generation itself.
+  void touch() const { w_.touch(); }
   /// EKV channel parameters at the current width and threshold shift.
   ekv::ChannelParams channel_params() const;
 

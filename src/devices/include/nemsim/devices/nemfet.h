@@ -153,6 +153,7 @@ class Nemfet : public spice::Device {
   void set_initial_position(double x0) {
     initial_position_ = x0;
     x_state_ = x0;  // also seed the DC branch memory
+    touch();
   }
   void set_initially_closed() { set_initial_position(params_.gap0); }
 
@@ -221,6 +222,11 @@ class Nemfet : public spice::Device {
   /// beam state and the five companion states.  The equilibrium memo is
   /// left out: it never changes a result bit.
   void twin_key(spice::TwinKey& key) const;
+  /// Takes over the state `twin` committed in the same accept: the beam
+  /// state and the five companion states.  Exact when both devices had
+  /// equal twin_keys and equal accepted role values (MnaSystem::accept,
+  /// DESIGN.md §7k).
+  void adopt_state(const Nemfet& twin);
   void begin_step(double time, double dt) override;
   void accept_step(const spice::AcceptContext& ctx) override;
   void reset_state() override;
@@ -241,6 +247,10 @@ class Nemfet : public spice::Device {
  private:
   /// Width scale factor for mechanical quantities.
   double sw() const { return w_.get() / params_.w_ref; }
+  /// Moves the circuit's mutation generation (spice::ParamBank::touch).
+  /// Every mutator of a member that twin_key lists calls it, unless it
+  /// writes the bank, which moves the generation itself.
+  void touch() const { w_.touch(); }
 
   struct ChannelEval {
     double id, gm, gds, did_dx;

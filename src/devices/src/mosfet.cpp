@@ -26,6 +26,11 @@ void Mosfet::bind_params(spice::ParamBank& bank) {
   w_.bind(bank, "mos.w", name());
 }
 
+void Mosfet::on_params_changed() {
+  refresh_capacitances();
+  touch();
+}
+
 void Mosfet::set_width(double width) {
   require(width > 0.0, "Mosfet: W must be positive");
   w_.set(width);
@@ -138,11 +143,20 @@ void Mosfet::kernel_descriptor(const spice::KernelLayout& layout,
   }
 }
 
+void Mosfet::adopt_state(const Mosfet& twin) {
+  cgs_ = twin.cgs_;
+  cgd_ = twin.cgd_;
+  cdb_ = twin.cdb_;
+  csb_ = twin.csb_;
+  touch();
+}
+
 void Mosfet::accept_step(const spice::AcceptContext& ctx) {
   cgs_.accept(ctx, ctx.v(g_) - ctx.v(s_));
   cgd_.accept(ctx, ctx.v(g_) - ctx.v(d_));
   cdb_.accept(ctx, ctx.v(d_));
   csb_.accept(ctx, ctx.v(s_));
+  touch();
 }
 
 void Mosfet::reset_state() {
@@ -150,6 +164,7 @@ void Mosfet::reset_state() {
   cgd_.reset();
   cdb_.reset();
   csb_.reset();
+  touch();
 }
 
 void Mosfet::notify_discontinuity() {
@@ -157,6 +172,7 @@ void Mosfet::notify_discontinuity() {
   cgd_.discontinuity();
   cdb_.discontinuity();
   csb_.discontinuity();
+  touch();
 }
 
 void Mosfet::stamp_ac(spice::AcStampContext& ctx) const {

@@ -205,6 +205,7 @@ void Nemfet::on_params_changed() {
   cgs_ov_.set_capacitance(params_.cov * w_.get());
   cdb_.set_capacitance(params_.cj * w_.get());
   csb_.set_capacitance(params_.cj * w_.get());
+  touch();
 }
 
 void Nemfet::set_width(double width) {
@@ -615,6 +616,17 @@ void Nemfet::begin_step(double time, double dt) {
   // capture, and repeated calls with shrinking dt are naturally safe.
 }
 
+void Nemfet::adopt_state(const Nemfet& twin) {
+  x_state_ = twin.x_state_;
+  v_state_ = twin.v_state_;
+  cg_gap_ = twin.cg_gap_;
+  cgs_ov_ = twin.cgs_ov_;
+  cgd_ov_ = twin.cgd_ov_;
+  cdb_ = twin.cdb_;
+  csb_ = twin.csb_;
+  touch();
+}
+
 void Nemfet::accept_step(const spice::AcceptContext& ctx) {
   x_state_ = ctx.x(ux_);
   v_state_ = ctx.x(uv_);
@@ -625,6 +637,7 @@ void Nemfet::accept_step(const spice::AcceptContext& ctx) {
   cgd_ov_.accept(ctx, ctx.v(g_) - ctx.v(d_));
   cdb_.accept(ctx, ctx.v(d_));
   csb_.accept(ctx, ctx.v(s_));
+  touch();
 }
 
 void Nemfet::reset_state() {
@@ -636,6 +649,7 @@ void Nemfet::reset_state() {
   cgd_ov_.reset();
   cdb_.reset();
   csb_.reset();
+  touch();
 }
 
 void Nemfet::notify_discontinuity() {
@@ -644,6 +658,7 @@ void Nemfet::notify_discontinuity() {
   cgd_ov_.discontinuity();
   cdb_.discontinuity();
   csb_.discontinuity();
+  touch();
 }
 
 void Nemfet::stamp_ac(spice::AcStampContext& ctx) const {

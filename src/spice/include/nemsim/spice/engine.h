@@ -310,28 +310,21 @@ class MnaSystem {
   /// input to match in the pass itself.
   void regroup_twins() const;
 
-  /// One Newton solve (NewtonSolver::solve_plain): mode, time and dt are
-  /// fixed and no device member changes while the scope is open.  Its
-  /// constructor keys each sharing class member's twin_key to a state id
-  /// once (DESIGN.md §7k); assembly passes inside the scope compare only
-  /// (state id, role iterate values).  A pass outside any scope keys the
-  /// states itself, so assembly stays exact wherever it is entered.
-  class SolveScope {
-   public:
-    explicit SolveScope(const MnaSystem& system);
-    ~SolveScope();
-    SolveScope(const SolveScope&) = delete;
-    SolveScope& operator=(const SolveScope&) = delete;
-
-   private:
-    const MnaSystem& system_;
-  };
+  /// Cumulative assembly passes that re-keyed the class members' twin
+  /// state ids because the circuit's mutation generation had moved
+  /// (ParamBank::generation, DESIGN.md §7k).
+  std::int64_t twin_rekeys() const { return twin_rekeys_; }
 
   /// Calls begin_step on every device.
   void begin_step(double time, double dt);
-  /// Calls accept_step on every device.
-  void accept(const linalg::Vector& x, AnalysisMode mode, double time,
-              double dt);
+  /// Commits the converged solution `x`: accept_step on every device,
+  /// once per distinct state within a sharing class (DESIGN.md §7k).  A
+  /// class member whose state id and accepted role values equal those of
+  /// an earlier member adopts that member's committed state; the members'
+  /// new state ids are carried to the next solve.  Returns how many
+  /// members adopted.
+  std::size_t accept(const linalg::Vector& x, AnalysisMode mode, double time,
+                     double dt);
   /// Calls reset_state on every device.
   void reset_devices();
   /// Calls notify_discontinuity on every device.
@@ -357,6 +350,9 @@ class MnaSystem {
   void record_devices(StampContext& ctx) const;
   /// Builds the kernel plan (lanes, rows, declared cells, dense slots).
   void build_kernel_plan() const;
+  /// Keys the class members' twin state ids unless they already hold for
+  /// the circuit's current mutation generation.
+  void key_twins_if_stale(KernelPlan& plan) const;
   /// Resolves every lane's CSR slots against `csr`; on success stamps the
   /// plan with the current pattern epoch.  Unresolvable cells are
   /// appended to `missed` (pattern grows, caller retries).
@@ -400,8 +396,8 @@ class MnaSystem {
   // Type-bucketed kernel plan, built on first use (lane counters and
   // sparse-slot resolution mutate it during const assembly).
   mutable std::unique_ptr<KernelPlan> kernel_plan_;
-  /// A SolveScope is open: the plan's twin state ids are current.
-  mutable bool in_solve_ = false;
+  /// Backs twin_rekeys().
+  mutable std::int64_t twin_rekeys_ = 0;
 };
 
 inline UnknownId MnaSystem::unknown_of(NodeId node) const {

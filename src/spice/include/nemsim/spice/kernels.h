@@ -20,9 +20,12 @@
 // A third sink, RecordingSink, serves exact evaluation sharing between
 // identical devices of a lane (DESIGN.md §7k): a device whose complete
 // evaluation input — its role iterate values plus its type's `twin_key`,
-// keyed to a state id once per Newton solve — equals, bit for bit, that
-// of a device evaluated earlier in the same pass replays the recorded f/J
-// writes through its own rows and slots instead of evaluating.
+// keyed to a state id whenever the circuit's mutation generation moved —
+// equals, bit for bit, that of a device evaluated earlier in the same
+// pass replays the recorded f/J writes through its own rows and slots
+// instead of evaluating.  MnaSystem::accept shares the step commit the
+// same way: a member whose state id and accepted role values equal an
+// earlier member's adopts that member's committed state.
 //
 // Devices without a kernel descriptor (out-of-tree extensions) are
 // stamped through the virtual Device::stamp after the lanes.
@@ -185,10 +188,14 @@ class TwinKey {
   std::size_t size_ = 0;
 };
 
-/// Device types whose evaluations may be shared between identical devices.
+/// Device types whose evaluations and step commits may be shared between
+/// identical devices: `twin_key` lists every member `eval` reads, and
+/// `adopt_state(twin)` copies the members `accept_step` writes from a
+/// device whose accept_step ran on the same complete input.
 template <class DeviceT>
-concept HasTwinKey = requires(const DeviceT& d, TwinKey& key) {
+concept HasTwinKey = requires(const DeviceT& d, DeviceT& m, TwinKey& key) {
   d.twin_key(key);
+  m.adopt_state(d);
 };
 
 /// The f/J writes of one evaluation, in call order per array.  Writes to
@@ -249,9 +256,11 @@ inline void twin_probe(const KernelSink& sink, std::uint32_t state, int roles,
 /// grouped into candidate classes by their twin_key bits when the plan is
 /// built and at every analysis entry; a device alone in its class is
 /// evaluated plainly.  Each member's twin_key is keyed to a state id
-/// within its class at every Newton solve entry (MnaSystem::SolveScope),
-/// and at every pass outside a solve.  Within a pass, each class
-/// remembers up to kWays distinct probes and their recorded writes.
+/// within its class by the first assembly pass after the circuit's
+/// mutation generation moved (ParamBank::generation), and carried across
+/// steps by MnaSystem::accept.  Within a pass, each class remembers up to
+/// kWays distinct probes and their recorded writes; within an accept, up
+/// to kMaxStates distinct commit inputs and the member that ran each.
 struct KernelTwins {
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
   static constexpr std::size_t kWays = 2;
@@ -263,9 +272,18 @@ struct KernelTwins {
     TwinRecord record;
     std::uint64_t pass = 0;  ///< pass the way was filled in (stale if older)
   };
+  /// One distinct commit input of the current accept (a state id and the
+  /// accepted role values): the member whose accept_step ran on it, its
+  /// state id before the commit, and the id its committed twin_key got.
+  struct Commit {
+    std::uint32_t member = 0;
+    std::uint32_t state_before = kNone;
+    std::uint32_t state = kNone;
+  };
   struct Class {
     Way ways[kWays];
     std::vector<TwinKey> states;  ///< twin_key of each state id
+    std::vector<Commit> commits;  ///< at most kMaxStates, current accept
   };
   std::vector<std::uint32_t> class_of;  ///< per lane device, or kNone
   /// Per lane device: state id within its class, or kNone (plain eval).
@@ -364,6 +382,9 @@ std::size_t kernel_batch_eval(const KernelLaneView& lane,
 
 /// Appends a device's twin_key (type-erased for the plan builder).
 using KernelTwinKeyFn = void (*)(const Device&, TwinKey&);
+/// Copies the committed state of a twin into a device of the same type
+/// (type-erased adopt_state, for MnaSystem::accept).
+using KernelAdoptFn = void (*)(Device&, const Device&);
 
 /// Filled by Device::kernel_descriptor.  Devices sharing a bucket key
 /// must share `batch` and `roles` (the plan builder verifies and demotes
@@ -376,6 +397,8 @@ struct KernelDescriptor {
   KernelBatchFn batch = nullptr;
   /// Set for types with a twin_key (their evaluations may be shared).
   KernelTwinKeyFn twin_key = nullptr;
+  /// Set with twin_key (their step commits may be shared).
+  KernelAdoptFn adopt_state = nullptr;
   int roles = 0;
   /// Unknown behind each role (kNoUnknown for ground-tied terminals).
   std::vector<UnknownId> role_unknowns;
@@ -397,6 +420,7 @@ struct KernelLane {
   std::string bucket;
   KernelBatchFn batch = nullptr;
   KernelTwinKeyFn twin_key = nullptr;
+  KernelAdoptFn adopt_state = nullptr;
   int roles = 0;
   bool linear = false;  ///< linear-device lane (vs nonlinear lanes)
   std::vector<const Device*> devices;
@@ -443,6 +467,15 @@ struct KernelPlan {
   /// must be retried).
   static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
   std::uint64_t sparse_epoch = kNoEpoch;
+  /// Some lane has a sharing class (MnaSystem::regroup_twins).
+  bool shares = false;
+  /// Devices outside every sharing class, in circuit order: the ones
+  /// MnaSystem::accept commits through the plain loop.
+  std::vector<std::size_t> unshared_devices;
+  /// Mutation generation (ParamBank::generation) the lanes' state ids
+  /// hold for; kNoGeneration when they were never keyed.
+  static constexpr std::uint64_t kNoGeneration = ~std::uint64_t{0};
+  std::uint64_t twin_generation = kNoGeneration;
 };
 
 /// Role-indexed writer for one device over a StampContext: the same
@@ -503,6 +536,9 @@ void describe_lanes(const DeviceT& device, const KernelLayout& layout,
   if constexpr (HasTwinKey<DeviceT>) {
     out.twin_key = [](const Device& d, TwinKey& key) {
       static_cast<const DeviceT&>(d).twin_key(key);
+    };
+    out.adopt_state = [](Device& d, const Device& twin) {
+      static_cast<DeviceT&>(d).adopt_state(static_cast<const DeviceT&>(twin));
     };
   }
   out.roles = static_cast<int>(roles.size());

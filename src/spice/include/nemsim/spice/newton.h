@@ -89,6 +89,12 @@ struct NewtonStats {
   /// Of kernel_lane_evals, per bucket, the evaluations served by
   /// replaying an identical device's recorded writes (DESIGN.md §7k).
   std::vector<std::pair<std::string, std::uint64_t>> twin_replays;
+  /// Assembly passes that re-keyed the sharing classes' state ids because
+  /// a device had changed since they were keyed (DESIGN.md §7k).
+  std::int64_t twin_rekeys = 0;
+  /// Step commits served by adopting an identical device's commit
+  /// (MnaSystem::accept; the analysis drivers fold them in).
+  std::int64_t shared_accepts = 0;
 
   /// Accumulates another stats block into this one (counters add,
   /// used_sparse ORs) — used by drivers that solve with a local block per
@@ -109,6 +115,8 @@ struct NewtonStats {
     }
     used_sparse = used_sparse || other.used_sparse;
     nonlinear_evals += other.nonlinear_evals;
+    twin_rekeys += other.twin_rekeys;
+    shared_accepts += other.shared_accepts;
     for (const auto& [bucket, count] : other.kernel_lane_evals) {
       add_kernel_lane_evals(bucket, count);
     }
@@ -160,9 +168,8 @@ class NewtonSolver {
     system_.regroup_twins();
   }
 
-  /// Plain damped Newton from `x0` with fixed gmin/source factor.  Runs
-  /// inside an MnaSystem::SolveScope: no device member may change while
-  /// it runs.  Throws ConvergenceError / SingularMatrixError on failure.
+  /// Plain damped Newton from `x0` with fixed gmin/source factor.
+  /// Throws ConvergenceError / SingularMatrixError on failure.
   linalg::Vector solve_plain(const linalg::Vector& x0, AnalysisMode mode,
                              double time, double dt, double gmin,
                              double source_factor, NewtonStats* stats = nullptr);

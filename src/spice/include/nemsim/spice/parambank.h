@@ -55,13 +55,27 @@ class ParamBank {
   /// Writes mark the column dirty only when the stored value actually
   /// changes, so Circuit::notify_params_changed can skip resyncing
   /// devices whose parameters a restore+apply round trip left untouched.
+  /// Every write moves the generation.
   void set_value(ParamSlot slot, double v) {
+    touch();
     Column& col = columns_[slot.column];
     if (col.values[slot.row] != v) {
       col.values[slot.row] = v;
       col.dirty = true;
     }
   }
+
+  // --- Mutation generation ---------------------------------------------
+  // One counter per circuit that moves whenever a device member an
+  // evaluation reads may have changed: every bank write (set_value,
+  // apply, restore, bind) and, through BankedParam::touch, every device
+  // mutator that changes such a member without a bank write (accept_step,
+  // reset_state, notify_discontinuity, ...).  MnaSystem keys its twin
+  // state ids against it (DESIGN.md §7k): ids keyed at generation g stay
+  // exact while the generation reads g.
+
+  std::uint64_t generation() const { return generation_; }
+  void touch() { ++generation_; }
 
   std::size_t num_columns() const { return columns_.size(); }
   std::size_t num_params() const;
@@ -112,6 +126,7 @@ class ParamBank {
     bool dirty = false;
   };
   std::vector<Column> columns_;
+  std::uint64_t generation_ = 0;
 };
 
 /// A device-held parameter handle.  Free-standing devices (never added to
@@ -129,6 +144,13 @@ class BankedParam {
     } else {
       local_ = v;
     }
+  }
+
+  /// Moves the owning bank's mutation generation (ParamBank::touch); a
+  /// no-op when free-standing.  Devices call it on any handle they hold
+  /// from each mutator that changes a member their evaluation reads.
+  void touch() const {
+    if (bank_) bank_->touch();
   }
 
   /// Moves the current value into `bank` (Device::bind_params only).

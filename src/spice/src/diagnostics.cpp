@@ -157,6 +157,10 @@ std::string RunReport::summary() const {
       };
   bucket_block("kernels", newton.kernel_lane_evals);
   bucket_block("twin_replays", newton.twin_replays);
+  if (newton.twin_rekeys > 0 || newton.shared_accepts > 0) {
+    os << " twin_rekeys=" << newton.twin_rekeys
+       << " shared_accepts=" << newton.shared_accepts;
+  }
   if (!stages.empty()) {
     os << " stages[plain=" << stage_count(SteppingStageRecord::Kind::kPlain)
        << " gmin=" << stage_count(SteppingStageRecord::Kind::kGminStep)
@@ -220,7 +224,8 @@ void RunReport::write_json(std::ostream& os) const {
   json_bucket_counts(os, newton.kernel_lane_evals);
   os << ", \"twin_replays\": ";
   json_bucket_counts(os, newton.twin_replays);
-  os << "}";
+  os << ", \"twin_rekeys\": " << newton.twin_rekeys
+     << ", \"shared_accepts\": " << newton.shared_accepts << "}";
 
   os << ",\n  \"stages\": [";
   for (std::size_t i = 0; i < stages.size(); ++i) {

@@ -2,7 +2,9 @@
 
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <unordered_map>
 
 #include "nemsim/spice/kernels.h"
@@ -235,16 +237,19 @@ void MnaSystem::record_devices(StampContext& ctx) const {
 namespace {
 
 /// Groups each sharing lane's devices into candidate classes by the bits
-/// of their twin_key (DESIGN.md §7k).
-void group_twins(KernelPlan& plan) {
+/// of their twin_key (DESIGN.md §7k).  The members' state ids are left
+/// unkeyed.
+void group_twins(KernelPlan& plan, std::size_t num_devices) {
   std::vector<TwinKey> keys;
   std::vector<std::uint32_t> order;
+  std::vector<std::uint8_t> shared(num_devices, 0);
+  plan.shares = false;
   for (KernelLane& lane : plan.lanes) {
     KernelTwins& twins = lane.twins;
     const std::size_t count = lane.devices.size();
     twins.class_of.assign(count, KernelTwins::kNone);
     std::size_t classes = 0;
-    if (lane.twin_key != nullptr) {
+    if (lane.twin_key != nullptr && lane.adopt_state != nullptr) {
       keys.resize(count);
       order.resize(count);
       for (std::size_t i = 0; i < count; ++i) {
@@ -267,6 +272,7 @@ void group_twins(KernelPlan& plan) {
         if (hi - lo < 2) continue;
         for (std::size_t k = lo; k < hi; ++k) {
           twins.class_of[order[k]] = static_cast<std::uint32_t>(classes);
+          shared[lane.device_indices[order[k]]] = 1;
         }
         ++classes;
       }
@@ -275,13 +281,47 @@ void group_twins(KernelPlan& plan) {
     // older than any pass to come, so they start out stale.
     twins.classes.resize(classes);
     twins.state_of.assign(count, KernelTwins::kNone);
+    plan.shares = plan.shares || classes > 0;
   }
+  plan.unshared_devices.clear();
+  for (std::size_t di = 0; di < num_devices; ++di) {
+    if (!shared[di]) plan.unshared_devices.push_back(di);
+  }
+  plan.twin_generation = KernelPlan::kNoGeneration;
+}
+
+/// The state id of twin_key `key` within class `cls`, whose states are
+/// being keyed in lane order: an equal earlier key's id, else the next
+/// id.  A key past kMaxStates other states gets none (its member
+/// evaluates plainly).
+std::uint32_t state_id(KernelTwins::Class& cls, const TwinKey& key) {
+  std::vector<TwinKey>& states = cls.states;
+  std::uint32_t state = 0;
+  while (state < states.size() && !(states[state] == key)) ++state;
+  if (state == states.size()) {
+    if (states.size() >= KernelTwins::kMaxStates) return KernelTwins::kNone;
+    states.push_back(key);
+  }
+  return state;
+}
+
+/// True when the unknowns behind role row tables `a` and `b` hold
+/// bitwise-equal values in `x`, ground-tied roles reading 0 (the role
+/// values of twin_probe).
+bool same_role_values(const double* x, const std::size_t* a,
+                      const std::size_t* b, std::size_t roles) {
+  for (std::size_t k = 0; k < roles; ++k) {
+    const double va = a[k] == kKernelAbsent ? 0.0 : x[a[k]];
+    const double vb = b[k] == kKernelAbsent ? 0.0 : x[b[k]];
+    if (std::bit_cast<std::uint64_t>(va) != std::bit_cast<std::uint64_t>(vb)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 /// Keys every class member's current twin_key to a state id within its
-/// class: members with bitwise-equal keys get the same id.  A member whose
-/// class already holds kMaxStates other states gets none and evaluates
-/// plainly.
+/// class: members with bitwise-equal keys get the same id.
 void key_twin_states(KernelPlan& plan) {
   for (KernelLane& lane : plan.lanes) {
     KernelTwins& twins = lane.twins;
@@ -293,17 +333,7 @@ void key_twin_states(KernelPlan& plan) {
       if (c == KernelTwins::kNone) continue;
       key.clear();
       lane.twin_key(*lane.devices[i], key);
-      std::vector<TwinKey>& states = twins.classes[c].states;
-      std::uint32_t state = 0;
-      while (state < states.size() && !(states[state] == key)) ++state;
-      if (state == states.size()) {
-        if (states.size() < KernelTwins::kMaxStates) {
-          states.push_back(key);
-        } else {
-          state = KernelTwins::kNone;
-        }
-      }
-      twins.state_of[i] = state;
+      twins.state_of[i] = state_id(twins.classes[c], key);
     }
   }
 }
@@ -346,6 +376,7 @@ void MnaSystem::build_kernel_plan() const {
         lane.bucket = desc.bucket;
         lane.batch = desc.batch;
         lane.twin_key = desc.twin_key;
+        lane.adopt_state = desc.adopt_state;
         lane.roles = desc.roles;
         lane.linear = linear;
         plan->lanes.push_back(std::move(lane));
@@ -388,7 +419,7 @@ void MnaSystem::build_kernel_plan() const {
   plan->declared_cells.erase(
       std::unique(plan->declared_cells.begin(), plan->declared_cells.end()),
       plan->declared_cells.end());
-  group_twins(*plan);
+  group_twins(*plan, circuit_.num_devices());
   kernel_plan_ = std::move(plan);
   // The sparse pattern must contain every declared cell so slot
   // resolution can freeze the scatter maps; when the pattern does not
@@ -398,16 +429,18 @@ void MnaSystem::build_kernel_plan() const {
 }
 
 void MnaSystem::regroup_twins() const {
-  if (kernel_plan_ != nullptr) group_twins(*kernel_plan_);
+  if (kernel_plan_ != nullptr) {
+    group_twins(*kernel_plan_, circuit_.num_devices());
+  }
 }
 
-MnaSystem::SolveScope::SolveScope(const MnaSystem& system) : system_(system) {
-  if (system_.kernel_plan_ == nullptr) system_.build_kernel_plan();
-  key_twin_states(*system_.kernel_plan_);
-  system_.in_solve_ = true;
+void MnaSystem::key_twins_if_stale(KernelPlan& plan) const {
+  const std::uint64_t generation = circuit_.param_bank().generation();
+  if (!plan.shares || plan.twin_generation == generation) return;
+  key_twin_states(plan);
+  plan.twin_generation = generation;
+  ++twin_rekeys_;
 }
-
-MnaSystem::SolveScope::~SolveScope() { system_.in_solve_ = false; }
 
 void MnaSystem::ensure_pattern_contains(
     const std::vector<std::pair<std::size_t, std::size_t>>& cells) const {
@@ -472,7 +505,7 @@ void MnaSystem::stamp_devices(StampContext& ctx, DeviceSet set,
                               bool hot) const {
   if (kernel_plan_ == nullptr) build_kernel_plan();
   KernelPlan& plan = *kernel_plan_;
-  if (!in_solve_) key_twin_states(plan);
+  key_twins_if_stale(plan);
   KernelEvalContext ectx;
   ectx.x = ctx.iterate_data();
   if (ctx.wants_residual()) {
@@ -800,13 +833,80 @@ void MnaSystem::begin_step(double time, double dt) {
   }
 }
 
-void MnaSystem::accept(const linalg::Vector& x, AnalysisMode mode, double time,
-                       double dt) {
+std::size_t MnaSystem::accept(const linalg::Vector& x, AnalysisMode mode,
+                              double time, double dt) {
   Solution solution(*this, x);
   AcceptContext ctx(solution, mode, time, dt);
-  for (std::size_t i = 0; i < circuit_.num_devices(); ++i) {
-    circuit_.device(i).accept_step(ctx);
+  KernelPlan* plan = kernel_plan_.get();
+  ParamBank& bank = circuit_.param_bank();
+  // The carried state ids stand for the members' current twin_keys only
+  // while the generation they were keyed at holds; otherwise (or with no
+  // class at all) every device commits plainly and the next assembly
+  // pass re-keys.
+  if (plan == nullptr || !plan->shares ||
+      plan->twin_generation != bank.generation()) {
+    for (std::size_t i = 0; i < circuit_.num_devices(); ++i) {
+      circuit_.device(i).accept_step(ctx);
+    }
+    return 0;
   }
+  for (std::size_t di : plan->unshared_devices) {
+    circuit_.device(di).accept_step(ctx);
+  }
+  // Members commit in lane order.  A member whose state id and accepted
+  // role values equal an earlier member's of the same class has equal
+  // accept_step inputs, so it adopts that member's committed state.  Each
+  // member then takes the state id its committed twin_key gets when keyed
+  // in lane order, exactly the id a re-key would give: a member that
+  // adopted takes its twin's.
+  std::size_t adopted = 0;
+  TwinKey key;
+  for (KernelLane& lane : plan->lanes) {
+    KernelTwins& twins = lane.twins;
+    if (twins.classes.empty()) continue;
+    for (KernelTwins::Class& cls : twins.classes) {
+      cls.states.clear();
+      cls.commits.clear();
+    }
+    const std::size_t r = static_cast<std::size_t>(lane.roles);
+    for (std::size_t i = 0; i < lane.devices.size(); ++i) {
+      const std::uint32_t c = twins.class_of[i];
+      if (c == KernelTwins::kNone) continue;
+      KernelTwins::Class& cls = twins.classes[c];
+      Device& device = circuit_.device(lane.device_indices[i]);
+      const std::uint32_t state = twins.state_of[i];
+      const std::size_t* rows = lane.rows.data() + i * r;
+      const KernelTwins::Commit* twin = nullptr;
+      if (state != KernelTwins::kNone) {
+        for (const KernelTwins::Commit& commit : cls.commits) {
+          if (commit.state_before == state &&
+              same_role_values(x.data(), rows,
+                               lane.rows.data() + commit.member * r, r)) {
+            twin = &commit;
+            break;
+          }
+        }
+      }
+      if (twin != nullptr) {
+        lane.adopt_state(device,
+                         circuit_.device(lane.device_indices[twin->member]));
+        twins.state_of[i] = twin->state;
+        ++adopted;
+        continue;
+      }
+      device.accept_step(ctx);
+      key.clear();
+      lane.twin_key(device, key);
+      twins.state_of[i] = state_id(cls, key);
+      if (state != KernelTwins::kNone &&
+          cls.commits.size() < KernelTwins::kMaxStates) {
+        cls.commits.push_back(
+            {static_cast<std::uint32_t>(i), state, twins.state_of[i]});
+      }
+    }
+  }
+  plan->twin_generation = bank.generation();
+  return adopted;
 }
 
 void MnaSystem::reset_devices() {

@@ -227,6 +227,7 @@ linalg::Vector NewtonSolver::solve_plain(const linalg::Vector& x0,
   // before the sparse skeleton is made.
   const KernelPlan& plan = system_.kernel_plan();
   const std::int64_t evals_before = system_.nonlinear_evals();
+  const std::int64_t rekeys_before = system_.twin_rekeys();
   if (stats != nullptr) {
     lane_evals_before_.clear();
     lane_replays_before_.clear();
@@ -238,6 +239,7 @@ linalg::Vector NewtonSolver::solve_plain(const linalg::Vector& x0,
   auto record = [&]() {
     if (stats == nullptr) return;
     stats->nonlinear_evals += system_.nonlinear_evals() - evals_before;
+    stats->twin_rekeys += system_.twin_rekeys() - rekeys_before;
     for (std::size_t i = 0; i < plan.lanes.size(); ++i) {
       const KernelLane& lane = plan.lanes[i];
       stats->add_kernel_lane_evals(lane.bucket,
@@ -247,7 +249,6 @@ linalg::Vector NewtonSolver::solve_plain(const linalg::Vector& x0,
     }
   };
   const Point at{mode, time, dt, gmin, source_factor};
-  const MnaSystem::SolveScope scope(system_);
   try {
     linalg::Vector x;
     if (uses_sparse()) {

@@ -106,7 +106,11 @@ linalg::Vector solve_operating_point(MnaSystem& system,
                             lint_ptr);
     throw;
   }
-  system.accept(x, AnalysisMode::kDcOperatingPoint, 0.0, 0.0);
+  const std::size_t shared =
+      system.accept(x, AnalysisMode::kDcOperatingPoint, 0.0, 0.0);
+  if (report) {
+    report->newton.shared_accepts += static_cast<std::int64_t>(shared);
+  }
   return x;
 }
 

@@ -6,6 +6,7 @@ namespace nemsim::spice {
 
 ParamSlot ParamBank::bind(const std::string& column, const std::string& owner,
                           double value) {
+  touch();
   std::size_t col = find_column(column);
   if (col == npos) {
     col = columns_.size();
@@ -41,6 +42,7 @@ ParamBank::Snapshot ParamBank::snapshot() const {
 void ParamBank::restore(const Snapshot& snap) {
   require(snap.size() == columns_.size(),
           "ParamBank::restore: snapshot from a different registration state");
+  touch();
   for (std::size_t i = 0; i < columns_.size(); ++i) {
     require(snap[i].size() == columns_[i].values.size(),
             "ParamBank::restore: column size changed since snapshot");

@@ -310,14 +310,15 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
     dt = std::min(dt, dt_max);
     dt = std::max(dt, options.dt_min);
 
+    const std::size_t shared =
+        system.accept(x_new, AnalysisMode::kTransient, t_new, dt_eff);
     if (report) {
       ++report->accepted_steps;
       report->min_dt =
           report->min_dt == 0.0 ? dt_eff : std::min(report->min_dt, dt_eff);
       report->max_dt = std::max(report->max_dt, dt_eff);
+      report->newton.shared_accepts += static_cast<std::int64_t>(shared);
     }
-
-    system.accept(x_new, AnalysisMode::kTransient, t_new, dt_eff);
     record(t_new, x_new);
     t = t_new;
     std::swap(x, x_new);

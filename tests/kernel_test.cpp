@@ -12,6 +12,7 @@
 #include <bit>
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -899,128 +900,230 @@ void expect_passes_match_stamps(const MnaSystem& system, const PassSpy& spy,
   }
 }
 
+/// A 16-cell hybrid column read (row 5 accessed) with a PassSpy after
+/// its devices, and its system.  Two of them take the same device
+/// changes in SolveStatesFollowDeviceChangesBetweenSolves.
+struct SpiedColumn {
+  SpiedColumn() {
+    config.cell.kind = core::SramKind::kHybrid;
+    config.n_cells = 16;
+    config.active_cell = 5;
+    column = core::build_sram_column(config);
+    Circuit& ckt = column.ckt();
+    ckt.find<VoltageSource>("Vwl").set_wave(
+        SourceWave::pulse(0.0, config.cell.vdd, 20e-12, 20e-12, 20e-12, 1.0));
+    spy = &ckt.add<PassSpy>("Yspy");
+    system = std::make_unique<MnaSystem>(ckt);
+    core::nodeset_column_state(*system, column);
+    system->set_nodeset(ckt.find_node("bl"), config.cell.vdd);
+    system->set_nodeset(ckt.find_node("blb"), config.cell.vdd);
+    for (std::size_t i = 0; i < ckt.num_devices(); ++i) {
+      spice::Device& device = ckt.device(i);
+      if (device.name().rfind(kCell, 0) != 0) continue;
+      if (auto* m = dynamic_cast<Mosfet*>(&device)) mosfets.push_back(m);
+      if (auto* m = dynamic_cast<Nemfet*>(&device)) nemfets.push_back(m);
+    }
+  }
+
+  /// The idle cell whose devices change.
+  static constexpr const char* kCell = "Xcell11.";
+  core::SramColumnConfig config;
+  core::SramColumn column;
+  PassSpy* spy = nullptr;
+  std::unique_ptr<MnaSystem> system;
+  std::vector<Mosfet*> mosfets;  ///< kCell's
+  std::vector<Nemfet*> nemfets;  ///< kCell's
+};
+
+/// The twin_key of every device that has one, in circuit order.
+std::vector<spice::TwinKey> device_twin_keys(const Circuit& ckt) {
+  std::vector<spice::TwinKey> keys;
+  for (std::size_t i = 0; i < ckt.num_devices(); ++i) {
+    spice::TwinKey key;
+    if (const auto* m = dynamic_cast<const Mosfet*>(&ckt.device(i))) {
+      m->twin_key(key);
+    } else if (const auto* m = dynamic_cast<const Nemfet*>(&ckt.device(i))) {
+      m->twin_key(key);
+    } else {
+      continue;
+    }
+    keys.push_back(key);
+  }
+  return keys;
+}
+
 TEST(KernelTwins, SolveStatesFollowDeviceChangesBetweenSolves) {
   // One NewtonSolver serves the whole run, so its classes are grouped
   // once.  Between its solves one idle cell's devices change through
   // every path that moves a twin_key: a width setter, a Vth setter, a
-  // parameter-bank overlay and a direct accept_step.  Every pass of every
-  // later solve must still equal the Device::stamp reference: the changed
-  // devices must not replay their former twins' records.
+  // parameter-bank overlay and a direct accept_step; one change also
+  // falls between two MnaSystem::accept calls with no solve between.
+  // Every pass of every later solve must still equal the Device::stamp
+  // reference: the changed devices must not replay their former twins'
+  // records.  A shadow column takes the same changes and commits every
+  // step through a plain per-device accept_step loop.  After every
+  // MnaSystem::accept each device's twin_key must equal its shadow's:
+  // a changed device must not adopt its former twins' commit.
   for (const spice::JacobianSolver solver :
        {spice::JacobianSolver::kSparse, spice::JacobianSolver::kDense}) {
     const bool sparse = solver == spice::JacobianSolver::kSparse;
     SCOPED_TRACE(sparse ? "sparse" : "dense");
-    core::SramColumnConfig config;
-    config.cell.kind = core::SramKind::kHybrid;
-    config.n_cells = 16;
-    config.active_cell = 5;
-    core::SramColumn column = core::build_sram_column(config);
-    Circuit& ckt = column.ckt();
-    ckt.find<VoltageSource>("Vwl").set_wave(
-        SourceWave::pulse(0.0, config.cell.vdd, 20e-12, 20e-12, 20e-12, 1.0));
-    PassSpy& spy = ckt.add<PassSpy>("Yspy");
-    MnaSystem system(ckt);
-    core::nodeset_column_state(system, column);
-    system.set_nodeset(ckt.find_node("bl"), config.cell.vdd);
-    system.set_nodeset(ckt.find_node("blb"), config.cell.vdd);
+    SpiedColumn main;
+    SpiedColumn shadow;
+    MnaSystem& system = *main.system;
+    Circuit& ckt = main.column.ckt();
+    ASSERT_FALSE(main.mosfets.empty());
+    ASSERT_FALSE(main.nemfets.empty());
     spice::NewtonOptions options;
     options.solver = solver;
     spice::NewtonSolver newton(system, options);
 
-    const std::string cell = "Xcell11.";
-    std::vector<Mosfet*> mosfets;
-    std::vector<Nemfet*> nemfets;
-    for (std::size_t i = 0; i < ckt.num_devices(); ++i) {
-      spice::Device& device = ckt.device(i);
-      if (device.name().rfind(cell, 0) != 0) continue;
-      if (auto* m = dynamic_cast<Mosfet*>(&device)) mosfets.push_back(m);
-      if (auto* m = dynamic_cast<Nemfet*>(&device)) nemfets.push_back(m);
-    }
-    ASSERT_FALSE(mosfets.empty());
-    ASSERT_FALSE(nemfets.empty());
-
+    // Applies a change to the cell of both columns.
+    auto change = [&](const std::function<void(SpiedColumn&)>& fn) {
+      fn(main);
+      fn(shadow);
+    };
     const double dt = 2e-12;
     double t = 0.0;
     linalg::Vector x = system.initial_guess();
-    auto solve = [&](const std::string& where) {
+    auto accept = [&](AnalysisMode mode, double time, double h,
+                      const std::string& where) {
+      const std::size_t adopted = system.accept(x, mode, time, h);
+      const spice::Solution solution(*shadow.system, x);
+      const spice::AcceptContext ctx(solution, mode, time, h);
+      Circuit& plain = shadow.column.ckt();
+      for (std::size_t i = 0; i < plain.num_devices(); ++i) {
+        plain.device(i).accept_step(ctx);
+      }
+      const std::vector<spice::TwinKey> got = device_twin_keys(ckt);
+      const std::vector<spice::TwinKey> want = device_twin_keys(plain);
+      EXPECT_EQ(got.size(), want.size()) << where;
+      for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+        EXPECT_TRUE(got[i] == want[i])
+            << where << ": twin-keyed device " << i
+            << " committed another state than its plain accept_step";
+      }
+      return adopted;
+    };
+    // One solve and its accept; `rekeys` is how many of its passes must
+    // re-key the state ids: one after a change, none when only accepts
+    // ran since the last solve.  While the idle cells stay identical their
+    // accept must share commits.
+    auto solve = [&](const std::string& where, std::int64_t rekeys,
+                     bool idle_cells_identical = true) {
       const AnalysisMode mode = t == 0.0 ? AnalysisMode::kDcOperatingPoint
                                          : AnalysisMode::kTransient;
+      const double h = t == 0.0 ? 0.0 : dt;
       if (mode == AnalysisMode::kTransient) system.begin_step(t, dt);
-      spy.passes.clear();
-      spy.armed = true;
-      x = newton.solve(x, mode, t, t == 0.0 ? 0.0 : dt);
-      spy.armed = false;
-      EXPECT_GE(spy.passes.size(), 2u) << where;
-      expect_passes_match_stamps(system, spy, sparse, where);
-      system.accept(x, mode, t, t == 0.0 ? 0.0 : dt);
+      main.spy->passes.clear();
+      main.spy->armed = true;
+      spice::NewtonStats stats;
+      x = newton.solve(x, mode, t, h, &stats);
+      main.spy->armed = false;
+      EXPECT_GE(main.spy->passes.size(), 2u) << where;
+      EXPECT_EQ(stats.twin_rekeys, rekeys) << where;
+      expect_passes_match_stamps(system, *main.spy, sparse, where);
+      const std::size_t adopted = accept(mode, t, h, where);
+      if (idle_cells_identical) {
+        EXPECT_GT(adopted, 0u) << where << ": no step commit was shared";
+      }
       t += dt;
     };
-    solve("bias point");
+    solve("bias point", 1);
     for (int step = 1; step <= 3; ++step) {
-      solve("step " + std::to_string(step));
+      solve("step " + std::to_string(step), 0);
     }
     const std::uint64_t replays = total_twin_replays(system);
     EXPECT_GT(replays, 0u) << "no evaluation was shared";
 
-    for (Mosfet* m : mosfets) m->set_width(1.05 * m->width());
-    for (Nemfet* m : nemfets) m->set_width(1.05 * m->width());
-    solve("after set_width");
+    change([](SpiedColumn& c) {
+      for (Mosfet* m : c.mosfets) m->set_width(1.05 * m->width());
+      for (Nemfet* m : c.nemfets) m->set_width(1.05 * m->width());
+    });
+    solve("after set_width", 1);
 
-    for (Mosfet* m : mosfets) m->set_vth_shift(0.01);
-    for (Nemfet* m : nemfets) m->set_vth_shift(-0.01);
-    solve("after set_vth_shift");
+    change([](SpiedColumn& c) {
+      for (Mosfet* m : c.mosfets) m->set_vth_shift(0.01);
+      for (Nemfet* m : c.nemfets) m->set_vth_shift(-0.01);
+    });
+    solve("after set_vth_shift", 1);
 
-    spice::ParamBank& bank = ckt.param_bank();
-    spice::ParamPatch patch;
-    for (const char* name : {"mos.vth_shift", "nems.vth_shift"}) {
-      const std::size_t col = bank.find_column(name);
-      ASSERT_NE(col, spice::ParamBank::npos) << name;
-      const std::vector<std::string>& owners = bank.column_owners(col);
-      for (std::size_t row = 0; row < owners.size(); ++row) {
-        if (owners[row].rfind(cell, 0) != 0) continue;
-        const spice::ParamSlot slot{static_cast<std::uint32_t>(col),
-                                    static_cast<std::uint32_t>(row)};
-        patch.push_back({slot, bank.value(slot) + 0.02});
+    change([](SpiedColumn& c) {
+      spice::ParamBank& bank = c.column.ckt().param_bank();
+      spice::ParamPatch patch;
+      for (const char* name : {"mos.vth_shift", "nems.vth_shift"}) {
+        const std::size_t col = bank.find_column(name);
+        ASSERT_NE(col, spice::ParamBank::npos) << name;
+        const std::vector<std::string>& owners = bank.column_owners(col);
+        for (std::size_t row = 0; row < owners.size(); ++row) {
+          if (owners[row].rfind(SpiedColumn::kCell, 0) != 0) continue;
+          const spice::ParamSlot slot{static_cast<std::uint32_t>(col),
+                                      static_cast<std::uint32_t>(row)};
+          patch.push_back({slot, bank.value(slot) + 0.02});
+        }
       }
-    }
-    ASSERT_FALSE(patch.empty());
-    bank.apply(patch);
-    ckt.notify_params_changed();
-    solve("after a bank overlay");
+      ASSERT_FALSE(patch.empty());
+      bank.apply(patch);
+      c.column.ckt().notify_params_changed();
+    });
+    solve("after a bank overlay", 1);
 
     linalg::Vector nudged = x;
     for (std::size_t i = 0; i < nudged.size(); ++i) {
       const spice::UnknownInfo& info = system.unknown_info(i);
       if (info.kind == spice::UnknownKind::kNodeVoltage &&
-          info.name.find(cell) != std::string::npos) {
+          info.name.find(SpiedColumn::kCell) != std::string::npos) {
         nudged[i] += 1e-3;
       }
     }
-    const spice::Solution solution(system, nudged);
-    const spice::AcceptContext accept(solution, AnalysisMode::kTransient,
-                                      t - dt, dt);
-    for (Mosfet* m : mosfets) m->accept_step(accept);
-    for (Nemfet* m : nemfets) m->accept_step(accept);
-    solve("after a direct accept_step");
+    change([&](SpiedColumn& c) {
+      const spice::Solution solution(*c.system, nudged);
+      const spice::AcceptContext ctx(solution, AnalysisMode::kTransient,
+                                     t - dt, dt);
+      for (Mosfet* m : c.mosfets) m->accept_step(ctx);
+      for (Nemfet* m : c.nemfets) m->accept_step(ctx);
+    });
+    solve("after a direct accept_step", 1);
     EXPECT_GT(total_twin_replays(system), replays)
         << "the changed cell stopped the sharing";
 
+    // A change between two accepts: the second accept must not trust the
+    // ids the first carried.  The changed devices kept the ids of their
+    // idle twins and see the same accepted values.
+    change([](SpiedColumn& c) {
+      for (Mosfet* m : c.mosfets) m->set_width(1.05 * m->width());
+      for (Nemfet* m : c.nemfets) m->set_width(1.05 * m->width());
+    });
+    EXPECT_EQ(accept(AnalysisMode::kTransient, t - dt, dt,
+                     "accept after set_width"),
+              0u)
+        << "an accept after a change shared a commit";
+    solve("after an accept after set_width", 1);
+    solve("one step later", 0);
+
     // More distinct states than a class tells apart: the members past
-    // them evaluate plainly.
-    double shift = 0.0;
-    for (std::size_t i = 0; i < ckt.num_devices(); ++i) {
-      if (auto* m = dynamic_cast<Mosfet*>(&ckt.device(i))) {
-        m->set_vth_shift(shift += 1e-3);
+    // them evaluate plainly (and commit plainly).  Every cell now holds
+    // its own node voltages, so no commit is shared.
+    change([](SpiedColumn& c) {
+      double shift = 0.0;
+      Circuit& circuit = c.column.ckt();
+      for (std::size_t i = 0; i < circuit.num_devices(); ++i) {
+        if (auto* m = dynamic_cast<Mosfet*>(&circuit.device(i))) {
+          m->set_vth_shift(shift += 1e-3);
+        }
       }
-    }
-    ASSERT_GT(shift, 1e-3 * spice::KernelTwins::kMaxStates);
-    solve("after more states than a class holds");
+      ASSERT_GT(shift, 1e-3 * spice::KernelTwins::kMaxStates);
+    });
+    solve("after more states than a class holds", 1,
+          /*idle_cells_identical=*/false);
     const KernelLane* lane = find_lane(system.kernel_plan(), "mosfet");
     ASSERT_NE(lane, nullptr);
     EXPECT_GT(std::count(lane->twins.state_of.begin(),
                          lane->twins.state_of.end(), spice::KernelTwins::kNone),
               0)
         << "no member was left without a state";
+    solve("a step with members past the states", 0,
+          /*idle_cells_identical=*/false);
   }
 }
 

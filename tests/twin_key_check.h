@@ -4,7 +4,9 @@
 // bitwise equal.  A pair of devices is driven through random sequences of
 // the public mutators, applied to both (same arguments) or to one only,
 // and compared after every step at shared and permuted iterates, in DC
-// and transient mode.
+// and transient mode.  Every mutator call must also move the circuit's
+// mutation generation (spice::ParamBank::generation), which is what
+// tells the engine its twin state ids went stale.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -117,6 +119,20 @@ class TwinKeyProperty {
                             : 2.5e-11;
       accept(d, rng, spice::AnalysisMode::kTransient, dt);
     });
+    add_op("adopt_state", [this](DeviceT& d, std::mt19937_64&) {
+      d.adopt_state(&d == &a_ ? b_ : a_);
+    });
+    add_op("on_params_changed",
+           [](DeviceT& d, std::mt19937_64&) { d.on_params_changed(); });
+    // A restored snapshot, read through the bank with no notify.
+    add_op("bank restore", [this](DeviceT& d, std::mt19937_64& rng) {
+      spice::ParamBank& bank = system_.circuit().param_bank();
+      spice::ParamBank::Snapshot snap = bank.snapshot();
+      const spice::ParamSlot slot = d.vth_shift_slot();
+      snap[slot.column][slot.row] =
+          std::uniform_int_distribution<int>(0, 1)(rng) == 0 ? 0.0 : 0.03;
+      bank.restore(snap);
+    });
   }
 
   void add_op(std::string name, Op op) {
@@ -133,9 +149,9 @@ class TwinKeyProperty {
       rng_.discard(1);
       if (target != 2) {
         std::mt19937_64 copy = args;
-        op(a_, copy);
+        apply(name, op, a_, copy);
       }
-      if (target != 1) op(b_, args);
+      if (target != 1) apply(name, op, b_, args);
       check(name + (target == 1 ? " on a" : target == 2 ? " on b" : ""),
             step);
     }
@@ -147,6 +163,16 @@ class TwinKeyProperty {
   int distinct() const { return distinct_; }
 
  private:
+  /// Runs one mutator on `d`; it must move the generation.
+  void apply(const std::string& name, const Op& op, DeviceT& d,
+             std::mt19937_64& rng) {
+    const spice::ParamBank& bank = system_.circuit().param_bank();
+    const std::uint64_t before = bank.generation();
+    op(d, rng);
+    EXPECT_NE(bank.generation(), before)
+        << name << " left the mutation generation where it was";
+  }
+
   void accept(DeviceT& d, std::mt19937_64& rng, spice::AnalysisMode mode,
               double dt) {
     linalg::Vector x(system_.num_unknowns(), 0.0);
