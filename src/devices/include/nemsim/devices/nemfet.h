@@ -227,7 +227,6 @@ class Nemfet : public spice::Device {
   /// equal twin_keys and equal accepted role values (MnaSystem::accept,
   /// DESIGN.md §7k).
   void adopt_state(const Nemfet& twin);
-  void begin_step(double time, double dt) override;
   void accept_step(const spice::AcceptContext& ctx) override;
   void reset_state() override;
   void stamp_ac(spice::AcStampContext& ctx) const override;

@@ -609,13 +609,6 @@ void Nemfet::kernel_descriptor(const spice::KernelLayout& layout,
   out.add_j(4, 4);
 }
 
-void Nemfet::begin_step(double time, double dt) {
-  (void)time;
-  (void)dt;
-  // History (x_state_, v_state_) is the accepted state; nothing else to
-  // capture, and repeated calls with shrinking dt are naturally safe.
-}
-
 void Nemfet::adopt_state(const Nemfet& twin) {
   x_state_ = twin.x_state_;
   v_state_ = twin.v_state_;

@@ -10,7 +10,10 @@
 // pivot search — and solve() reuses the triangles for many right-hand
 // sides.  When a frozen pivot no longer dominates its column (some
 // multiplier |L(i,k)| exceeds 1/kRefactorTau), refactor() returns false
-// and the caller re-runs factor() to re-pivot.
+// and the caller re-runs factor() to re-pivot.  The engine's pattern
+// never changes under a solver (it is fixed with the system's kernel
+// plan, nemsim/spice/engine.h), so re-pivoting is the only reason the
+// analysis is redone.
 #pragma once
 
 #include <cstddef>
@@ -21,18 +24,13 @@
 
 namespace nemsim::linalg {
 
-/// Non-owning view of a square CSR matrix (adapts SparseMatrix/CsrMatrix).
+/// Non-owning view of a square CSR matrix.
 struct CsrView {
   std::size_t n = 0;
   const std::size_t* row_start = nullptr;
   const std::size_t* col_index = nullptr;
   const double* values = nullptr;
 };
-
-inline CsrView csr_view(const SparseMatrix& a) {
-  return {a.rows(), a.row_start().data(), a.col_index().data(),
-          a.values().data()};
-}
 
 inline CsrView csr_view(const CsrMatrix& a) {
   return {a.size(), a.row_start().data(), a.col_index().data(),
@@ -60,7 +58,6 @@ class SparseLuFactorization {
   /// elimination schedule) and numeric values.  Throws SingularMatrixError
   /// when a pivot column has no usable entry.
   void factor(const CsrView& a);
-  void factor(const SparseMatrix& a) { factor(csr_view(a)); }
   void factor(const CsrMatrix& a) { factor(csr_view(a)); }
 
   /// Numeric-only refactorization reusing the cached symbolic analysis.
@@ -69,7 +66,6 @@ class SparseLuFactorization {
   /// (rejected_row() names it), or when the pattern differs — the caller
   /// should fall back to factor() for a fresh pivot order.
   bool refactor(const CsrView& a);
-  bool refactor(const SparseMatrix& a) { return refactor(csr_view(a)); }
   bool refactor(const CsrMatrix& a) { return refactor(csr_view(a)); }
 
   bool analyzed() const { return n_ > 0; }

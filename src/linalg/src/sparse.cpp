@@ -1,175 +1,11 @@
 #include "nemsim/linalg/sparse.h"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
+#include <cassert>
 
 #include "nemsim/util/error.h"
 
 namespace nemsim::linalg {
-
-SparseMatrix::SparseMatrix(std::size_t rows, std::size_t cols,
-                           std::vector<Triplet> triplets)
-    : rows_(rows), cols_(cols) {
-  for (const Triplet& t : triplets) {
-    require(t.row < rows && t.col < cols, "SparseMatrix: triplet out of range");
-  }
-  std::sort(triplets.begin(), triplets.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
-  row_start_.assign(rows_ + 1, 0);
-  for (std::size_t i = 0; i < triplets.size();) {
-    std::size_t j = i;
-    double sum = 0.0;
-    while (j < triplets.size() && triplets[j].row == triplets[i].row &&
-           triplets[j].col == triplets[i].col) {
-      sum += triplets[j].value;
-      ++j;
-    }
-    if (sum != 0.0) {
-      col_index_.push_back(triplets[i].col);
-      values_.push_back(sum);
-      ++row_start_[triplets[i].row + 1];
-    }
-    i = j;
-  }
-  for (std::size_t r = 0; r < rows_; ++r) row_start_[r + 1] += row_start_[r];
-}
-
-SparseMatrix SparseMatrix::from_dense(const Matrix& dense) {
-  std::vector<Triplet> triplets;
-  for (std::size_t r = 0; r < dense.rows(); ++r) {
-    for (std::size_t c = 0; c < dense.cols(); ++c) {
-      if (dense(r, c) != 0.0) triplets.push_back({r, c, dense(r, c)});
-    }
-  }
-  return SparseMatrix(dense.rows(), dense.cols(), std::move(triplets));
-}
-
-double SparseMatrix::at(std::size_t row, std::size_t col) const {
-  require(row < rows_ && col < cols_, "SparseMatrix::at: out of range");
-  for (std::size_t k = row_start_[row]; k < row_start_[row + 1]; ++k) {
-    if (col_index_[k] == col) return values_[k];
-  }
-  return 0.0;
-}
-
-Vector SparseMatrix::multiply(const Vector& x) const {
-  require(x.size() == cols_, "SparseMatrix::multiply: shape mismatch");
-  Vector y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double sum = 0.0;
-    for (std::size_t k = row_start_[r]; k < row_start_[r + 1]; ++k) {
-      sum += values_[k] * x[col_index_[k]];
-    }
-    y[r] = sum;
-  }
-  return y;
-}
-
-Matrix SparseMatrix::to_dense() const {
-  Matrix out(rows_, cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = row_start_[r]; k < row_start_[r + 1]; ++k) {
-      out(r, col_index_[k]) = values_[k];
-    }
-  }
-  return out;
-}
-
-Vector SparseMatrix::gauss_seidel(const Vector& b, double tol,
-                                  int max_iterations) const {
-  require(rows_ == cols_, "gauss_seidel: matrix must be square");
-  require(b.size() == rows_, "gauss_seidel: rhs size mismatch");
-  Vector x(rows_, 0.0);
-  const double bnorm = std::max(b.inf_norm(), 1e-300);
-  for (int iter = 0; iter < max_iterations; ++iter) {
-    for (std::size_t r = 0; r < rows_; ++r) {
-      double diag = 0.0;
-      double sum = b[r];
-      for (std::size_t k = row_start_[r]; k < row_start_[r + 1]; ++k) {
-        if (col_index_[k] == r) {
-          diag = values_[k];
-        } else {
-          sum -= values_[k] * x[col_index_[k]];
-        }
-      }
-      require(diag != 0.0, "gauss_seidel: zero diagonal");
-      x[r] = sum / diag;
-    }
-    // Residual check.
-    Vector res = multiply(x);
-    res -= b;
-    if (res.inf_norm() / bnorm < tol) return x;
-  }
-  throw ConvergenceError("gauss_seidel: did not converge");
-}
-
-Vector SparseMatrix::lu_solve(const Vector& b) const {
-  require(rows_ == cols_, "lu_solve: matrix must be square");
-  require(b.size() == rows_, "lu_solve: rhs size mismatch");
-  const std::size_t n = rows_;
-
-  // Row-map working copy (fill-in inserts into the maps).
-  std::vector<std::map<std::size_t, double>> rows(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t k = row_start_[r]; k < row_start_[r + 1]; ++k) {
-      rows[r][col_index_[k]] = values_[k];
-    }
-  }
-  std::vector<double> rhs(n);
-  for (std::size_t i = 0; i < n; ++i) rhs[i] = b[i];
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-
-  for (std::size_t k = 0; k < n; ++k) {
-    // Partial pivot among remaining rows on column k.
-    std::size_t best = k;
-    double best_mag = 0.0;
-    for (std::size_t r = k; r < n; ++r) {
-      auto it = rows[order[r]].find(k);
-      if (it != rows[order[r]].end() && std::abs(it->second) > best_mag) {
-        best_mag = std::abs(it->second);
-        best = r;
-      }
-    }
-    if (best_mag == 0.0) {
-      throw SingularMatrixError("lu_solve: singular at column " +
-                                std::to_string(k));
-    }
-    std::swap(order[k], order[best]);
-    const std::size_t prow = order[k];
-    const double pivot = rows[prow][k];
-
-    for (std::size_t r = k + 1; r < n; ++r) {
-      const std::size_t row = order[r];
-      auto it = rows[row].find(k);
-      if (it == rows[row].end()) continue;
-      const double factor = it->second / pivot;
-      rows[row].erase(it);
-      for (auto pit = rows[prow].upper_bound(k); pit != rows[prow].end();
-           ++pit) {
-        rows[row][pit->first] -= factor * pit->second;
-      }
-      rhs[row] -= factor * rhs[prow];
-    }
-  }
-
-  // Back substitution in pivot order.
-  Vector x(n, 0.0);
-  for (std::size_t ki = n; ki-- > 0;) {
-    const std::size_t row = order[ki];
-    double sum = rhs[row];
-    for (auto it = rows[row].upper_bound(ki); it != rows[row].end(); ++it) {
-      sum -= it->second * x[it->first];
-    }
-    x[ki] = sum / rows[row][ki];
-  }
-  return x;
-}
-
-// ------------------------------------------------------------- CsrMatrix
 
 CsrMatrix::CsrMatrix(std::size_t n,
                      std::vector<std::pair<std::size_t, std::size_t>> entries)

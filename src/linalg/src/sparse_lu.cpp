@@ -69,9 +69,8 @@ void SparseLuFactorization::factor(const CsrView& a) {
   std::vector<std::size_t> inv(n);
   for (std::size_t k = 0; k < n; ++k) inv[col_perm_[k]] = k;
 
-  // Map-based working rows in the permuted space, as in
-  // SparseMatrix::lu_solve, but keeping the L factors in place (columns
-  // < the row's elimination step).
+  // Map-based working rows in the permuted space, keeping the L factors
+  // in place (columns < the row's elimination step).
   std::vector<std::map<std::size_t, double>> rows(n);
   for (std::size_t r = 0; r < n; ++r) {
     for (std::size_t k = a.row_start[r]; k < a.row_start[r + 1]; ++k) {

@@ -2,12 +2,13 @@
 //
 // `compile()` consumes a finished Circuit and returns an immutable
 // CompiledCircuit: the elaborated device list in stamp order, the frozen
-// unknown table and Jacobian sparsity pattern, lint/analyze findings
-// memoized from a single compile-time pass, and a per-tstop breakpoint
-// schedule cache.  Structural mutation of the compiled circuit throws;
-// parameter writes stay open through SoA bank overlays, which is what
-// makes N Monte-Carlo variants N cheap patches over one compiled
-// program instead of N rebuilt circuits (DESIGN.md section 7h).
+// unknown table, and lint/analyze findings memoized from a single
+// compile-time pass.  The kernel plan and the Jacobian sparsity pattern
+// are built by the first run and serve every later one: the device list
+// they derive from is frozen.  Structural mutation of the compiled
+// circuit throws; parameter writes stay open through SoA bank overlays,
+// which is what makes N Monte-Carlo variants N cheap patches over one
+// compiled program instead of N rebuilt circuits (DESIGN.md section 7h).
 //
 // Execution contract: every run_* entry point resets committed device
 // state first, so runs are order-independent — run A then B produces
@@ -17,7 +18,6 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <span>
 #include <vector>
@@ -65,7 +65,8 @@ class CompiledCircuit {
   /// nodes throws NetlistError); parameter setters remain usable.
   Circuit& circuit() { return *circuit_; }
   const Circuit& circuit() const { return *circuit_; }
-  /// The frozen MNA view (unknown table, sparsity pattern).
+  /// The frozen MNA view (unknown table; sparsity pattern from the first
+  /// run on).
   MnaSystem& system() { return *system_; }
   const MnaSystem& system() const { return *system_; }
   /// The SoA parameter bank (shared with circuit().param_bank()).
@@ -88,12 +89,6 @@ class CompiledCircuit {
   void set_overlay(const ParamPatch& patch);
   /// Back to the compile-time base parameters.
   void clear_overlay();
-
-  /// Drops memoized breakpoint schedules.  Needed only if a source's
-  /// waveform is replaced (set_wave) on the compiled circuit — bank
-  /// overlays never invalidate breakpoints (DC levels, widths, R/C
-  /// values contribute none).
-  void invalidate_breakpoints() { breakpoint_memo_.clear(); }
 
   /// Per-run entry points.  Each resets committed device state first,
   /// then runs the legacy driver with lint/analyze forced off (already
@@ -120,15 +115,12 @@ class CompiledCircuit {
   lint::LintReport lint_findings_;
   lint::LintReport analyze_findings_;
   ParamBank::Snapshot base_params_;
-  /// tstop -> sorted breakpoint schedule (map node addresses are stable,
-  /// so a run can hold a pointer into the memo).
-  std::map<double, std::vector<double>> breakpoint_memo_;
 };
 
 /// Compiles `circuit` (consumed) into an executable program: runs the
 /// lint/analyze gates once, builds the unknown table, freezes the
-/// Jacobian sparsity pattern and the circuit structure, and snapshots
-/// the parameter bank as the overlay base.
+/// circuit structure, and snapshots the parameter bank as the overlay
+/// base.
 CompiledCircuit compile(Circuit&& circuit, const CompileOptions& options = {});
 
 }  // namespace nemsim::spice

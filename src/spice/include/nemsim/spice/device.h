@@ -155,11 +155,6 @@ class Device {
   /// overrides stamp_ac must override this to return true.
   virtual bool has_ac_model() const { return false; }
 
-  /// Called once before each transient step's Newton solve; `dt` is the
-  /// step about to be taken and `time` its end point.  Devices capture
-  /// whatever history their companion model needs.
-  virtual void begin_step(double time, double dt) { (void)time; (void)dt; }
-
   /// Commits state after a converged solve (OP or transient step).
   virtual void accept_step(const AcceptContext& ctx) { (void)ctx; }
 

@@ -66,8 +66,8 @@ class Solution {
 /// Stamping interface passed to Device::stamp.
 ///
 /// The Jacobian sink is pluggable: dense matrix, CSR matrix (per-entry
-/// slot search; misses are reported so the pattern can grow), pattern
-/// recorder (symbolic pass), or none (residual-only assembly).  Devices
+/// slot search; a cell outside the pattern throws), pattern recorder
+/// (symbolic pass), or none (residual-only assembly).  Devices
 /// see the same add_f/add_J interface in every case.  The engine's own
 /// assembly runs the kernel lanes (nemsim/spice/kernels.h) and uses a
 /// StampContext only for the sinks and for devices without a kernel
@@ -79,13 +79,12 @@ class StampContext {
                linalg::Matrix& jacobian, linalg::Vector& residual,
                linalg::Vector& residual_scale);
 
-  /// Sparse (CSR) Jacobian sink; entries outside the frozen pattern are
-  /// appended to `missed` instead of being dropped.  Pass
+  /// Sparse (CSR) Jacobian sink; an entry outside the frozen pattern
+  /// throws InvalidArgument naming its row and column unknowns.  Pass
   /// `jacobian == nullptr` for residual-only assembly.
   StampContext(const MnaSystem& system, const linalg::Vector& x,
                linalg::CsrMatrix* jacobian, linalg::Vector& residual,
-               linalg::Vector& residual_scale,
-               std::vector<std::pair<std::size_t, std::size_t>>* missed);
+               linalg::Vector& residual_scale);
 
   /// Disables residual/scale accumulation (Jacobian-only assembly).
   void disable_residual() { want_residual_ = false; }
@@ -134,9 +133,6 @@ class StampContext {
   const double* iterate_data() const { return x_.data(); }
   linalg::Matrix* dense_sink() const { return dense_jacobian_; }
   linalg::CsrMatrix* sparse_sink() const { return sparse_jacobian_; }
-  std::vector<std::pair<std::size_t, std::size_t>>* missed_sink() const {
-    return missed_;
-  }
   double* residual_data() { return residual_.data(); }
   double* residual_scale_data() { return residual_scale_.data(); }
 
@@ -148,7 +144,6 @@ class StampContext {
   const linalg::Vector& x_;
   linalg::Matrix* dense_jacobian_ = nullptr;
   linalg::CsrMatrix* sparse_jacobian_ = nullptr;
-  std::vector<std::pair<std::size_t, std::size_t>>* missed_ = nullptr;
   std::vector<std::pair<std::size_t, std::size_t>>* pattern_ = nullptr;
   linalg::Vector& residual_;
   linalg::Vector& residual_scale_;
@@ -228,14 +223,14 @@ class MnaSystem {
 
   // --- Sparse fast path (pattern-frozen CSR assembly) ------------------
   //
-  // The Jacobian sparsity pattern is captured once by a symbolic stamping
-  // pass (union of OP and transient stamps plus all diagonals) and grows
-  // lazily if a device later stamps an unseen position (e.g. a MOSFET
-  // source/drain swap flips an asymmetric entry).  Growth bumps the
-  // pattern epoch; callers rebuild their CsrMatrix workspace and retry.
+  // The Jacobian sparsity pattern is fixed when the kernel plan is built
+  // and never changes afterwards: the plan's declared cells (every cell
+  // an in-tree device can stamp, in any mode and orientation), the full
+  // diagonal, and the cells the descriptor-less devices stamp in one OP
+  // and one transient recording pass at the cold-start iterate.  A
+  // descriptor-less device must stamp a fixed cell set: a write outside
+  // the pattern throws InvalidArgument.
 
-  /// Monotonic counter bumped whenever the pattern grows.
-  std::uint64_t jacobian_pattern_epoch() const;
   /// Raw structural Jacobian pattern of one recording stamp pass in
   /// `mode`: exactly the (row, col) positions devices stamp, with no
   /// gmin shunts and no forced diagonals (unlike the solver pattern,
@@ -244,14 +239,16 @@ class MnaSystem {
   /// (zero rows/columns, structural rank — nemsim/spice/lint.h).
   std::vector<std::pair<std::size_t, std::size_t>> structural_pattern(
       AnalysisMode mode) const;
-  /// A zero-valued CSR skeleton over the current pattern.
+  /// A zero-valued CSR skeleton over the solver's pattern (builds the
+  /// kernel plan on first use).  The sparse assembly entry points take
+  /// only this system's skeletons: one of another size or nonzero count
+  /// throws InvalidArgument.
   linalg::CsrMatrix make_sparse_jacobian() const;
 
   /// Full sparse assembly (residual + Jacobian).  With a non-null
-  /// `linear_baseline` (from assemble_linear_jacobian, same pattern
-  /// epoch), linear devices' Jacobian values are taken from the baseline
-  /// and only nonlinear devices are re-stamped into the Jacobian.
-  /// Returns false when the pattern grew (retry with a fresh skeleton).
+  /// `linear_baseline` (from assemble_linear_jacobian), linear devices'
+  /// Jacobian values are taken from the baseline and only nonlinear
+  /// devices are re-stamped into the Jacobian.  Always returns true.
   bool assemble_sparse(const linalg::Vector& x, linalg::CsrMatrix& jacobian,
                        linalg::Vector& residual,
                        linalg::Vector& residual_scale, AnalysisMode mode,
@@ -270,18 +267,9 @@ class MnaSystem {
                                 AnalysisMode mode, double time, double dt,
                                 double gmin, double source_factor) const;
 
-  /// Jacobian-only sparse assembly (residual untouched); same baseline
-  /// and return-value semantics as assemble_sparse.
-  bool assemble_jacobian_sparse(const linalg::Vector& x,
-                                linalg::CsrMatrix& jacobian,
-                                AnalysisMode mode, double time, double dt,
-                                double gmin, double source_factor,
-                                const std::vector<double>* linear_baseline
-                                = nullptr) const;
-
   /// Stamps only the linear devices' Jacobian into `jacobian` (values
   /// valid for the whole Newton solve at fixed mode/time/dt) and copies
-  /// them into `baseline`.  Returns false when the pattern grew.
+  /// them into `baseline`.  Always returns true.
   bool assemble_linear_jacobian(const linalg::Vector& x,
                                 linalg::CsrMatrix& jacobian,
                                 std::vector<double>& baseline,
@@ -297,9 +285,9 @@ class MnaSystem {
   /// assembly runs through: devices with a kernel descriptor are
   /// evaluated in lanes that scatter f/J straight into CSR/dense storage
   /// through frozen slot maps; the rest are stamped through Device::stamp
-  /// after them.  Built on first use (the first assembly or Newton
-  /// solve), which pre-grows the Jacobian pattern with every declared
-  /// cell and may bump the pattern epoch.  Exposed for tests and the
+  /// after them.  Built on first use (the first assembly, Newton solve or
+  /// make_sparse_jacobian), together with the solver's Jacobian pattern
+  /// and the lanes' CSR slots into it.  Exposed for tests and the
   /// per-bucket counters.
   const KernelPlan& kernel_plan() const;
   /// Regroups the plan's lanes into candidate classes for exact
@@ -315,8 +303,6 @@ class MnaSystem {
   /// (ParamBank::generation, DESIGN.md §7k).
   std::int64_t twin_rekeys() const { return twin_rekeys_; }
 
-  /// Calls begin_step on every device.
-  void begin_step(double time, double dt);
   /// Commits the converged solution `x`: accept_step on every device,
   /// once per distinct state within a sharing class (DESIGN.md §7k).  A
   /// class member whose state id and accepted role values equal those of
@@ -348,37 +334,18 @@ class MnaSystem {
   /// Records the Jacobian positions of one Device::stamp pass over every
   /// device into `ctx`'s pattern recorder.
   void record_devices(StampContext& ctx) const;
-  /// Builds the kernel plan (lanes, rows, declared cells, dense slots).
+  /// Builds the kernel plan: lanes, rows, declared cells, dense slots,
+  /// the Jacobian pattern (KernelPlan::skeleton) and the CSR slots.
   void build_kernel_plan() const;
   /// Keys the class members' twin state ids unless they already hold for
   /// the circuit's current mutation generation.
   void key_twins_if_stale(KernelPlan& plan) const;
-  /// Resolves every lane's CSR slots against `csr`; on success stamps the
-  /// plan with the current pattern epoch.  Unresolvable cells are
-  /// appended to `missed` (pattern grows, caller retries).
-  void resolve_kernel_sparse_slots(
-      KernelPlan& plan, const linalg::CsrMatrix& csr,
-      std::vector<std::pair<std::size_t, std::size_t>>* missed) const;
   /// Adds the gmin shunt's Jacobian part, gmin on the diagonal of every
-  /// node row of `jacobian`.  Diagonals outside the pattern are appended
-  /// to `missed`.  Runs after stamp_devices on the same CSR, which
-  /// resolved the plan's diagonal slots against it.
-  void stamp_gmin_sparse(
-      double gmin, linalg::CsrMatrix& jacobian,
-      std::vector<std::pair<std::size_t, std::size_t>>& missed) const;
+  /// node row of `jacobian`.
+  void stamp_gmin_sparse(double gmin, linalg::CsrMatrix& jacobian) const;
   /// The gmin shunt's residual part: gmin * x on every node row.
   void stamp_gmin_residual(const linalg::Vector& x, double gmin,
                            linalg::Vector& residual) const;
-  /// Grows the pattern with whichever of `cells` it lacks; bumps the
-  /// epoch only when something was genuinely new.  No-op when the
-  /// pattern has not been built yet (ensure_pattern folds the kernel
-  /// plan's declared cells in at build time instead, when the plan
-  /// exists by then).
-  void ensure_pattern_contains(
-      const std::vector<std::pair<std::size_t, std::size_t>>& cells) const;
-  void ensure_pattern() const;
-  void grow_pattern(
-      const std::vector<std::pair<std::size_t, std::size_t>>& missed) const;
 
   Circuit& circuit_;
   std::vector<UnknownInfo> unknowns_;
@@ -389,12 +356,8 @@ class MnaSystem {
   std::vector<std::uint8_t> device_linear_;
   /// Backs nonlinear_evals() (mutable: assembly is logically const).
   mutable std::int64_t nonlinear_evals_ = 0;
-  // Jacobian sparsity pattern, built lazily and grown on demand.
-  mutable std::vector<std::pair<std::size_t, std::size_t>> pattern_;
-  mutable bool pattern_built_ = false;
-  mutable std::uint64_t pattern_epoch_ = 0;
-  // Type-bucketed kernel plan, built on first use (lane counters and
-  // sparse-slot resolution mutate it during const assembly).
+  // Type-bucketed kernel plan and Jacobian pattern, built on first use
+  // (lane counters and twin state ids mutate it during const assembly).
   mutable std::unique_ptr<KernelPlan> kernel_plan_;
   /// Backs twin_rekeys().
   mutable std::int64_t twin_rekeys_ = 0;

@@ -13,9 +13,8 @@
 //    f/J straight into the sink storage.  No virtual call per device, no
 //    NodeId-to-unknown hashing, no slot search per entry.
 //  - StampSink (one device over a StampContext): what the in-tree
-//    Device::stamp overrides run.  It serves pattern recording (the
-//    sparse skeleton and lint's mode-exact structural_pattern) and any
-//    caller that stamps a device by hand.
+//    Device::stamp overrides run.  It serves lint's mode-exact
+//    structural_pattern and any caller that stamps a device by hand.
 //
 // A third sink, RecordingSink, serves exact evaluation sharing between
 // identical devices of a lane (DESIGN.md §7k): a device whose complete
@@ -430,7 +429,7 @@ struct KernelLane {
   /// undeclared or ground-dropped cells.  count * roles * roles.
   std::vector<std::pair<std::size_t, std::size_t>> rowcol;
   std::vector<std::size_t> dense_slots;   ///< row * n + col
-  std::vector<std::size_t> sparse_slots;  ///< CSR nzval slots (per epoch)
+  std::vector<std::size_t> sparse_slots;  ///< nzval slots of KernelPlan::skeleton
   /// Cumulative device evaluations in Newton assembly passes; counted
   /// for nonlinear lanes only (the ones NewtonStats::nonlinear_evals
   /// counts), so linear lanes stay at 0.
@@ -447,26 +446,24 @@ struct KernelLane {
   }
 };
 
-/// The frozen evaluation plan for one MnaSystem: built once at the first
-/// assembly (never by the constructor or compile()), CSR slots
-/// re-resolved whenever the Jacobian pattern epoch moves.
+/// The frozen evaluation plan for one MnaSystem: built once on first use
+/// (never by the constructor or compile()), together with the solver's
+/// Jacobian pattern, against which every CSR slot is resolved once.
 struct KernelPlan {
   std::vector<KernelLane> lanes;  ///< bucket creation order
   /// Devices with no (usable) descriptor, stamped through Device::stamp
   /// after the lanes; split by linearity to serve DeviceSet passes.
   std::vector<std::size_t> leftover_linear;
   std::vector<std::size_t> leftover_nonlinear;
-  /// Union of all lanes' declared (row, col) cells, deduplicated — the
-  /// positions the Jacobian pattern is pre-grown to contain.
+  /// Union of all lanes' declared (row, col) cells, sorted and
+  /// deduplicated.
   std::vector<std::pair<std::size_t, std::size_t>> declared_cells;
-  /// CSR slot of every diagonal (i, i) for the gmin shunt (CsrMatrix::npos
-  /// when outside the pattern), resolved with the lanes' sparse_slots.
+  /// Zero-valued CSR over the solver's Jacobian pattern: declared_cells,
+  /// the full diagonal and the leftover devices' recorded cells (OP and
+  /// transient).  MnaSystem::make_sparse_jacobian hands out copies.
+  linalg::CsrMatrix skeleton;
+  /// Slot of every diagonal (i, i) in `skeleton`, for the gmin shunt.
   std::vector<std::size_t> diagonal_slots;
-  /// Pattern epoch `sparse_slots` and `diagonal_slots` were resolved
-  /// against; kNoEpoch when never resolved (or resolution failed and
-  /// must be retried).
-  static constexpr std::uint64_t kNoEpoch = ~std::uint64_t{0};
-  std::uint64_t sparse_epoch = kNoEpoch;
   /// Some lane has a sharing class (MnaSystem::regroup_twins).
   bool shares = false;
   /// Devices outside every sharing class, in circuit order: the ones

@@ -2,8 +2,9 @@
 // source stepping fallbacks for hard DC problems (classic SPICE homotopy
 // ladder).
 //
-// Every production solve runs on the sparse path: pattern-frozen CSR
-// assembly plus SparseLuFactorization, whose symbolic analysis (pivot
+// Every production solve runs on the sparse path: CSR assembly on the
+// pattern fixed with the system's kernel plan (nemsim/spice/engine.h)
+// plus SparseLuFactorization, whose symbolic analysis (pivot
 // order + fill pattern) is computed once and reused across iterations,
 // sweep points and transient steps with a numeric-only refactorization.
 // On the paper circuits that beats a dense LU at every size, down to the
@@ -154,10 +155,11 @@ struct NewtonStats {
 ///
 /// Keep one NewtonSolver alive for a whole analysis (every point of a DC
 /// sweep, the bias point and every step of a transient): the sparse
-/// workspace (CSR skeleton, symbolic LU, linear-device baseline) persists
-/// between solve calls and is rebuilt only when the Jacobian pattern
-/// grows, and the iteration vectors are reused, so after the first solve
-/// the Newton loop allocates nothing.
+/// workspace (CSR skeleton, symbolic LU, linear-device baseline) is made
+/// at the first sparse solve and persists between solve calls — the
+/// system's Jacobian pattern never changes — and the iteration vectors
+/// are reused, so after the first solve the Newton loop allocates
+/// nothing.
 class NewtonSolver {
  public:
   /// One solver serves one analysis, so constructing it is the analysis
@@ -203,9 +205,6 @@ class NewtonSolver {
   template <class Backend>
   linalg::Vector damped_newton(Backend& backend, const linalg::Vector& x0,
                                const Point& at, NewtonStats* stats);
-  /// (Re)builds the CSR skeleton when the system's pattern epoch moved;
-  /// invalidates the cached symbolic LU on rebuild.
-  void ensure_sparse_skeleton();
 
   MnaSystem& system_;
   NewtonOptions options_;
@@ -222,9 +221,8 @@ class NewtonSolver {
   linalg::SparseLuFactorization sparse_lu_;
   linalg::Vector lu_scratch_;  ///< solve_in_place's pivot-order vector
   std::vector<double> linear_baseline_;
-  std::uint64_t sparse_epoch_ = 0;  ///< pattern epoch of sparse_jac_
-  bool sparse_ready_ = false;       ///< sparse_jac_ matches current pattern
-  bool lu_ready_ = false;           ///< sparse_lu_ analysis matches sparse_jac_
+  bool sparse_ready_ = false;  ///< sparse_jac_ holds the system's skeleton
+  bool lu_ready_ = false;      ///< sparse_lu_ holds an analysis of sparse_jac_
   /// Per-lane eval and replay counts at the start of the current solve
   /// (reused, so the snapshot allocates nothing after the first solve).
   std::vector<std::uint64_t> lane_evals_before_;

@@ -28,11 +28,6 @@ struct TransientOptions : AnalysisCommon {
   /// step.  Empty records everything (bitwise-identical default).
   /// Unknown names throw InvalidArgument before the run starts.
   std::vector<std::string> record_signals;
-  /// Optional breakpoint schedule computed ahead of time (compiled
-  /// execution memoizes MnaSystem::breakpoints per tstop).  Must be the
-  /// sorted distinct breakpoints in (0, tstop] for THIS system and
-  /// tstop; the driver uses it verbatim instead of re-collecting.
-  const std::vector<double>* precomputed_breakpoints = nullptr;
 };
 
 /// Runs a transient from the DC operating point at t = 0.

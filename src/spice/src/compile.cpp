@@ -16,11 +16,6 @@ CompiledCircuit compile(Circuit&& circuit, const CompileOptions& options) {
   compiled.analyze_findings_ = analyze::analyze_gate(
       *compiled.circuit_, options.analyze, options.report);
 
-  // Freeze the Jacobian sparsity pattern now: the structural stamping
-  // pass is deterministic in the device list, so prebuilding it here is
-  // bitwise-neutral and every variant run skips the lazy build.
-  (void)compiled.system_->make_sparse_jacobian();
-
   // From here on the device list and unknown table must stay valid.
   compiled.circuit_->freeze_structure();
   compiled.base_params_ = compiled.circuit_->param_bank().snapshot();
@@ -55,9 +50,6 @@ OpResult CompiledCircuit::run_op(OpOptions options) {
 
 Waveform CompiledCircuit::run_transient(TransientOptions options) {
   prepare_run(options);
-  auto [it, inserted] = breakpoint_memo_.try_emplace(options.tstop);
-  if (inserted) it->second = system_->breakpoints(options.tstop);
-  options.precomputed_breakpoints = &it->second;
   return transient(*system_, options);
 }
 

@@ -60,15 +60,13 @@ StampContext::StampContext(const MnaSystem& system, const linalg::Vector& x,
       residual_(residual),
       residual_scale_(residual_scale) {}
 
-StampContext::StampContext(
-    const MnaSystem& system, const linalg::Vector& x,
-    linalg::CsrMatrix* jacobian, linalg::Vector& residual,
-    linalg::Vector& residual_scale,
-    std::vector<std::pair<std::size_t, std::size_t>>* missed)
+StampContext::StampContext(const MnaSystem& system, const linalg::Vector& x,
+                           linalg::CsrMatrix* jacobian,
+                           linalg::Vector& residual,
+                           linalg::Vector& residual_scale)
     : system_(system),
       x_(x),
       sparse_jacobian_(jacobian),
-      missed_(missed),
       residual_(residual),
       residual_scale_(residual_scale) {}
 
@@ -118,10 +116,12 @@ void StampContext::raw_J(UnknownId eq, UnknownId var, double value) {
   if (sparse_jacobian_ != nullptr) {
     const std::size_t slot = sparse_jacobian_->slot(eq.index, var.index);
     if (slot == linalg::CsrMatrix::npos) {
-      // Outside the frozen pattern (e.g. a MOSFET source/drain swap hit
-      // a new asymmetric position): report it so the pattern can grow.
-      if (missed_ != nullptr) missed_->emplace_back(eq.index, var.index);
-      return;
+      throw InvalidArgument(
+          "Jacobian cell (" + system_.unknown_info(eq.index).name + ", " +
+          system_.unknown_info(var.index).name +
+          ") is outside the sparsity pattern: a device without a kernel "
+          "descriptor must stamp the cells it stamped when the pattern "
+          "was recorded");
     }
     sparse_jacobian_->values()[slot] += value;
     return;
@@ -419,13 +419,48 @@ void MnaSystem::build_kernel_plan() const {
   plan->declared_cells.erase(
       std::unique(plan->declared_cells.begin(), plan->declared_cells.end()),
       plan->declared_cells.end());
+
+  // The solver's Jacobian pattern: the declared cells, the full diagonal
+  // (gmin shunts stamp (i, i) on node rows, and a structurally present
+  // diagonal helps the LU pivot search), and whatever the leftover
+  // devices stamp in one OP and one transient recording pass at the
+  // cold-start iterate.
+  std::vector<std::pair<std::size_t, std::size_t>> pattern =
+      plan->declared_cells;
+  for (std::size_t i = 0; i < n; ++i) pattern.emplace_back(i, i);
+  const linalg::Vector x0 = initial_guess();
+  linalg::Vector scratch_f(n, 0.0);
+  linalg::Vector scratch_scale(n, 0.0);
+  StampContext ctx(*this, x0, /*jacobian=*/nullptr, scratch_f, scratch_scale);
+  ctx.record_pattern(pattern);
+  ctx.disable_residual();
+  for (const AnalysisMode mode :
+       {AnalysisMode::kDcOperatingPoint, AnalysisMode::kTransient}) {
+    const double dt = mode == AnalysisMode::kTransient ? kSymbolicDt : 0.0;
+    ctx.configure(mode, dt, dt, /*gmin=*/0.0, /*source_factor=*/1.0);
+    for (const std::vector<std::size_t>* leftovers :
+         {&plan->leftover_linear, &plan->leftover_nonlinear}) {
+      for (std::size_t di : *leftovers) circuit_.device(di).stamp(ctx);
+    }
+  }
+  plan->skeleton = linalg::CsrMatrix(n, std::move(pattern));
+
+  // Every declared cell and diagonal is in the pattern, so each slot
+  // resolves.
+  for (KernelLane& lane : plan->lanes) {
+    for (std::size_t cell = 0; cell < lane.rowcol.size(); ++cell) {
+      const auto& [row, col] = lane.rowcol[cell];
+      if (row != kKernelAbsent) {
+        lane.sparse_slots[cell] = plan->skeleton.slot(row, col);
+      }
+    }
+  }
+  plan->diagonal_slots.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    plan->diagonal_slots[i] = plan->skeleton.slot(i, i);
+  }
   group_twins(*plan, circuit_.num_devices());
   kernel_plan_ = std::move(plan);
-  // The sparse pattern must contain every declared cell so slot
-  // resolution can freeze the scatter maps; when the pattern does not
-  // exist yet, ensure_pattern folds the cells in at build time instead
-  // (no extra epoch bump).
-  if (pattern_built_) ensure_pattern_contains(kernel_plan_->declared_cells);
 }
 
 void MnaSystem::regroup_twins() const {
@@ -442,61 +477,12 @@ void MnaSystem::key_twins_if_stale(KernelPlan& plan) const {
   ++twin_rekeys_;
 }
 
-void MnaSystem::ensure_pattern_contains(
-    const std::vector<std::pair<std::size_t, std::size_t>>& cells) const {
-  if (!pattern_built_) return;
-  // pattern_ is sorted and unique; collect only the genuinely new cells
-  // so the epoch is not bumped (skeletons not invalidated) for no-ops.
-  std::vector<std::pair<std::size_t, std::size_t>> missing;
-  for (const auto& cell : cells) {
-    if (!std::binary_search(pattern_.begin(), pattern_.end(), cell)) {
-      missing.push_back(cell);
-    }
-  }
-  grow_pattern(missing);
-}
-
-void MnaSystem::resolve_kernel_sparse_slots(
-    KernelPlan& plan, const linalg::CsrMatrix& csr,
-    std::vector<std::pair<std::size_t, std::size_t>>* missed) const {
-  bool complete = true;
-  for (KernelLane& lane : plan.lanes) {
-    for (std::size_t cell = 0; cell < lane.rowcol.size(); ++cell) {
-      const auto& [row, col] = lane.rowcol[cell];
-      if (row == kKernelAbsent) {
-        lane.sparse_slots[cell] = kKernelAbsent;
-        continue;
-      }
-      const std::size_t slot = csr.slot(row, col);
-      if (slot == linalg::CsrMatrix::npos) {
-        lane.sparse_slots[cell] = kKernelAbsent;
-        complete = false;
-        if (missed != nullptr) missed->emplace_back(row, col);
-      } else {
-        lane.sparse_slots[cell] = slot;
-      }
-    }
-  }
-  plan.diagonal_slots.resize(csr.size());
-  for (std::size_t i = 0; i < csr.size(); ++i) {
-    plan.diagonal_slots[i] = csr.slot(i, i);
-  }
-  plan.sparse_epoch = complete ? pattern_epoch_ : KernelPlan::kNoEpoch;
-}
-
-void MnaSystem::stamp_gmin_sparse(
-    double gmin, linalg::CsrMatrix& jacobian,
-    std::vector<std::pair<std::size_t, std::size_t>>& missed) const {
-  // The device pass before this one resolved the diagonal slots against
-  // this CSR (stamp_devices re-resolves whenever the epoch moved).
+void MnaSystem::stamp_gmin_sparse(double gmin,
+                                  linalg::CsrMatrix& jacobian) const {
   const std::vector<std::size_t>& diagonal = kernel_plan_->diagonal_slots;
   for (std::size_t i = 0; i < num_unknowns(); ++i) {
-    if (unknowns_[i].kind != UnknownKind::kNodeVoltage) continue;
-    const std::size_t slot = diagonal[i];
-    if (slot != linalg::CsrMatrix::npos) {
-      jacobian.values()[slot] += gmin;
-    } else {
-      missed.emplace_back(i, i);
+    if (unknowns_[i].kind == UnknownKind::kNodeVoltage) {
+      jacobian.values()[diagonal[i]] += gmin;
     }
   }
 }
@@ -517,15 +503,7 @@ void MnaSystem::stamp_devices(StampContext& ctx, DeviceSet set,
     ectx.jacobian = dense->data();
   } else if (linalg::CsrMatrix* csr = ctx.sparse_sink()) {
     sparse = true;
-    if (plan.sparse_epoch != pattern_epoch_) {
-      resolve_kernel_sparse_slots(plan, *csr, ctx.missed_sink());
-    }
-    // Declared cells missing from this skeleton (resolution failed) were
-    // reported as misses above: the caller grows the pattern and retries,
-    // so this pass only completes its (discarded) residual.
-    if (plan.sparse_epoch == pattern_epoch_) {
-      ectx.jacobian = csr->values().data();
-    }
+    ectx.jacobian = csr->values().data();
   }
   ectx.mode = ctx.mode();
   ectx.time = ctx.time();
@@ -597,8 +575,7 @@ void MnaSystem::assemble_residual(const linalg::Vector& x,
   residual.assign(n, 0.0);
   residual_scale.assign(n, 0.0);
 
-  StampContext ctx(*this, x, /*jacobian=*/nullptr, residual, residual_scale,
-                   /*missed=*/nullptr);
+  StampContext ctx(*this, x, /*jacobian=*/nullptr, residual, residual_scale);
   ctx.configure(mode, time, dt, gmin, source_factor);
   stamp_devices(ctx, DeviceSet::kAll, /*hot=*/true);
   stamp_gmin_residual(x, gmin, residual);
@@ -615,8 +592,7 @@ void MnaSystem::assemble_sparse_residual(const linalg::Vector& x,
   residual.assign(n, 0.0);
   residual_scale.assign(n, 0.0);
 
-  StampContext ctx(*this, x, /*jacobian=*/nullptr, residual, residual_scale,
-                   /*missed=*/nullptr);
+  StampContext ctx(*this, x, /*jacobian=*/nullptr, residual, residual_scale);
   ctx.configure(mode, time, dt, gmin, source_factor);
   // assemble_sparse's order with a linear baseline.
   stamp_devices(ctx, DeviceSet::kNonlinear, /*hot=*/true);
@@ -638,48 +614,6 @@ void MnaSystem::stamp_gmin_residual(const linalg::Vector& x, double gmin,
 
 // ------------------------------------------------- sparse fast path
 
-void MnaSystem::ensure_pattern() const {
-  if (pattern_built_) return;
-  const std::size_t n = num_unknowns();
-  pattern_.clear();
-
-  // Symbolic stamping passes at the cold-start iterate: one in OP mode
-  // (capacitors open, inductors short) and one in transient mode (all
-  // companion conductances active).  The union covers mode-dependent
-  // stamps; iterate-dependent positions (device operating-region flips)
-  // are caught later by lazy growth.
-  const linalg::Vector x0 = initial_guess();
-  linalg::Vector scratch_f(n, 0.0);
-  linalg::Vector scratch_scale(n, 0.0);
-  StampContext ctx(*this, x0, /*jacobian=*/nullptr, scratch_f, scratch_scale,
-                   /*missed=*/nullptr);
-  ctx.record_pattern(pattern_);
-  ctx.disable_residual();
-  ctx.configure(AnalysisMode::kDcOperatingPoint, 0.0, 0.0, 0.0, 1.0);
-  record_devices(ctx);
-  ctx.configure(AnalysisMode::kTransient, kSymbolicDt, kSymbolicDt, 0.0, 1.0);
-  record_devices(ctx);
-
-  // Every diagonal: gmin shunts stamp (i, i) on node rows, and keeping
-  // the full diagonal structurally present helps the LU pivot search.
-  for (std::size_t i = 0; i < n; ++i) pattern_.emplace_back(i, i);
-
-  // The kernel plan's declared scatter cells are part of the pattern by
-  // construction (orientation unions the symbolic passes cannot see),
-  // folded in here when the plan already exists; a plan built later
-  // grows the pattern itself (ensure_pattern_contains).
-  if (kernel_plan_ != nullptr) {
-    pattern_.insert(pattern_.end(), kernel_plan_->declared_cells.begin(),
-                    kernel_plan_->declared_cells.end());
-  }
-
-  std::sort(pattern_.begin(), pattern_.end());
-  pattern_.erase(std::unique(pattern_.begin(), pattern_.end()),
-                 pattern_.end());
-  pattern_built_ = true;
-  ++pattern_epoch_;
-}
-
 std::vector<std::pair<std::size_t, std::size_t>>
 MnaSystem::structural_pattern(AnalysisMode mode) const {
   const std::size_t n = num_unknowns();
@@ -688,8 +622,7 @@ MnaSystem::structural_pattern(AnalysisMode mode) const {
   const linalg::Vector x0 = initial_guess();
   linalg::Vector scratch_f(n, 0.0);
   linalg::Vector scratch_scale(n, 0.0);
-  StampContext ctx(*this, x0, /*jacobian=*/nullptr, scratch_f, scratch_scale,
-                   /*missed=*/nullptr);
+  StampContext ctx(*this, x0, /*jacobian=*/nullptr, scratch_f, scratch_scale);
   ctx.record_pattern(pattern);
   ctx.disable_residual();
   const double dt = mode == AnalysisMode::kTransient ? kSymbolicDt : 0.0;
@@ -701,24 +634,8 @@ MnaSystem::structural_pattern(AnalysisMode mode) const {
   return pattern;
 }
 
-void MnaSystem::grow_pattern(
-    const std::vector<std::pair<std::size_t, std::size_t>>& missed) const {
-  if (missed.empty()) return;
-  pattern_.insert(pattern_.end(), missed.begin(), missed.end());
-  std::sort(pattern_.begin(), pattern_.end());
-  pattern_.erase(std::unique(pattern_.begin(), pattern_.end()),
-                 pattern_.end());
-  ++pattern_epoch_;
-}
-
-std::uint64_t MnaSystem::jacobian_pattern_epoch() const {
-  ensure_pattern();
-  return pattern_epoch_;
-}
-
 linalg::CsrMatrix MnaSystem::make_sparse_jacobian() const {
-  ensure_pattern();
-  return linalg::CsrMatrix(num_unknowns(), pattern_);
+  return kernel_plan().skeleton;
 }
 
 bool MnaSystem::assemble_sparse(
@@ -728,12 +645,13 @@ bool MnaSystem::assemble_sparse(
     double source_factor, const std::vector<double>* linear_baseline) const {
   const std::size_t n = num_unknowns();
   require(x.size() == n, "assemble_sparse: iterate size mismatch");
-  require(jacobian.size() == n, "assemble_sparse: jacobian size mismatch");
+  require(jacobian.size() == n &&
+              jacobian.nonzeros() == kernel_plan().skeleton.nonzeros(),
+          "assemble_sparse: not a skeleton of this system's pattern");
   residual.assign(n, 0.0);
   residual_scale.assign(n, 0.0);
 
-  std::vector<std::pair<std::size_t, std::size_t>> missed;
-  StampContext ctx(*this, x, &jacobian, residual, residual_scale, &missed);
+  StampContext ctx(*this, x, &jacobian, residual, residual_scale);
   ctx.configure(mode, time, dt, gmin, source_factor);
 
   if (linear_baseline != nullptr) {
@@ -744,7 +662,7 @@ bool MnaSystem::assemble_sparse(
     // Linear devices: residual still depends on the iterate, but their
     // Jacobian values are already in the baseline.
     StampContext rctx(*this, x, /*jacobian=*/nullptr, residual,
-                      residual_scale, /*missed=*/nullptr);
+                      residual_scale);
     rctx.configure(mode, time, dt, gmin, source_factor);
     stamp_devices(rctx, DeviceSet::kLinear, /*hot=*/false);
   } else {
@@ -752,48 +670,8 @@ bool MnaSystem::assemble_sparse(
     stamp_devices(ctx, DeviceSet::kAll, /*hot=*/true);
   }
 
-  if (gmin > 0.0) stamp_gmin_sparse(gmin, jacobian, missed);
+  if (gmin > 0.0) stamp_gmin_sparse(gmin, jacobian);
   stamp_gmin_residual(x, gmin, residual);
-
-  if (!missed.empty()) {
-    grow_pattern(missed);
-    return false;
-  }
-  return true;
-}
-
-bool MnaSystem::assemble_jacobian_sparse(
-    const linalg::Vector& x, linalg::CsrMatrix& jacobian, AnalysisMode mode,
-    double time, double dt, double gmin, double source_factor,
-    const std::vector<double>* linear_baseline) const {
-  const std::size_t n = num_unknowns();
-  require(x.size() == n, "assemble_jacobian_sparse: iterate size mismatch");
-  require(jacobian.size() == n,
-          "assemble_jacobian_sparse: jacobian size mismatch");
-  linalg::Vector scratch_f(n, 0.0);
-  linalg::Vector scratch_scale(n, 0.0);
-
-  std::vector<std::pair<std::size_t, std::size_t>> missed;
-  StampContext ctx(*this, x, &jacobian, scratch_f, scratch_scale, &missed);
-  ctx.disable_residual();
-  ctx.configure(mode, time, dt, gmin, source_factor);
-
-  if (linear_baseline != nullptr) {
-    require(linear_baseline->size() == jacobian.values().size(),
-            "assemble_jacobian_sparse: baseline/pattern mismatch");
-    jacobian.values() = *linear_baseline;
-    stamp_devices(ctx, DeviceSet::kNonlinear, /*hot=*/true);
-  } else {
-    jacobian.zero_values();
-    stamp_devices(ctx, DeviceSet::kAll, /*hot=*/true);
-  }
-
-  if (gmin > 0.0) stamp_gmin_sparse(gmin, jacobian, missed);
-
-  if (!missed.empty()) {
-    grow_pattern(missed);
-    return false;
-  }
   return true;
 }
 
@@ -804,34 +682,23 @@ bool MnaSystem::assemble_linear_jacobian(const linalg::Vector& x,
                                          double dt) const {
   const std::size_t n = num_unknowns();
   require(x.size() == n, "assemble_linear_jacobian: iterate size mismatch");
-  require(jacobian.size() == n,
-          "assemble_linear_jacobian: jacobian size mismatch");
+  require(jacobian.size() == n &&
+              jacobian.nonzeros() == kernel_plan().skeleton.nonzeros(),
+          "assemble_linear_jacobian: not a skeleton of this system's pattern");
   linalg::Vector scratch_f(n, 0.0);
   linalg::Vector scratch_scale(n, 0.0);
 
-  std::vector<std::pair<std::size_t, std::size_t>> missed;
-  StampContext ctx(*this, x, &jacobian, scratch_f, scratch_scale, &missed);
+  StampContext ctx(*this, x, &jacobian, scratch_f, scratch_scale);
   ctx.disable_residual();
   ctx.configure(mode, time, dt, 0.0, 1.0);
 
   jacobian.zero_values();
   stamp_devices(ctx, DeviceSet::kLinear, /*hot=*/false);
-
-  if (!missed.empty()) {
-    grow_pattern(missed);
-    return false;
-  }
   baseline = jacobian.values();
   return true;
 }
 
 // ----------------------------------------------------- step lifecycle
-
-void MnaSystem::begin_step(double time, double dt) {
-  for (std::size_t i = 0; i < circuit_.num_devices(); ++i) {
-    circuit_.device(i).begin_step(time, dt);
-  }
-}
 
 std::size_t MnaSystem::accept(const linalg::Vector& x, AnalysisMode mode,
                               double time, double dt) {

@@ -114,21 +114,23 @@ class NewtonSolver::SparseBackend {
   SparseBackend(NewtonSolver& solver, const Point& at, NewtonStats* stats,
                 const linalg::Vector& x0)
       : s_(solver), at_(at), stats_(stats) {
-    s_.ensure_sparse_skeleton();
-    refresh_baseline(x0);
+    if (!s_.sparse_ready_) {
+      s_.sparse_jac_ = s_.system_.make_sparse_jacobian();
+      s_.sparse_ready_ = true;
+    }
+    // Linear devices' Jacobian values are constant for the whole solve
+    // (fixed mode/time/dt and committed device state): stamp them once.
+    s_.system_.assemble_linear_jacobian(x0, s_.sparse_jac_,
+                                        s_.linear_baseline_, at_.mode,
+                                        at_.time, at_.dt);
   }
 
-  /// Residual + Jacobian at `x`.  On a pattern miss the system grows its
-  /// pattern; rebuild the skeleton and baseline and assemble again.
+  /// Residual + Jacobian at `x`.
   void assemble(const linalg::Vector& x, linalg::Vector& f,
                 linalg::Vector& scale) {
-    while (!s_.system_.assemble_sparse(x, s_.sparse_jac_, f, scale, at_.mode,
-                                       at_.time, at_.dt, at_.gmin,
-                                       at_.source_factor,
-                                       &s_.linear_baseline_)) {
-      s_.ensure_sparse_skeleton();
-      refresh_baseline(x);
-    }
+    s_.system_.assemble_sparse(x, s_.sparse_jac_, f, scale, at_.mode,
+                               at_.time, at_.dt, at_.gmin, at_.source_factor,
+                               &s_.linear_baseline_);
   }
 
   /// Residual + scale at `x`, bit for bit those of assemble().
@@ -140,8 +142,8 @@ class NewtonSolver::SparseBackend {
 
   /// Solves J dx = rhs in place.  The symbolic analysis (pivot order +
   /// fill pattern) is reused; only the numeric sweep runs, unless a frozen
-  /// pivot no longer dominates its column or the pattern changed — then a
-  /// full factorization recovers.
+  /// pivot no longer dominates its column — then a full factorization
+  /// recovers.
   void solve(linalg::Vector& dx) {
     const linalg::CsrView view = linalg::csr_view(s_.sparse_jac_);
     if (s_.lu_ready_ && s_.sparse_lu_.refactor(view)) {
@@ -164,15 +166,6 @@ class NewtonSolver::SparseBackend {
   }
 
  private:
-  // Linear devices' Jacobian values are constant for the whole solve
-  // (fixed mode/time/dt and committed device state): stamp them once.
-  void refresh_baseline(const linalg::Vector& x) {
-    while (!s_.system_.assemble_linear_jacobian(
-        x, s_.sparse_jac_, s_.linear_baseline_, at_.mode, at_.time, at_.dt)) {
-      s_.ensure_sparse_skeleton();
-    }
-  }
-
   NewtonSolver& s_;
   const Point& at_;
   NewtonStats* stats_;
@@ -223,8 +216,6 @@ linalg::Vector NewtonSolver::solve_plain(const linalg::Vector& x0,
           "NewtonSolver: initial guess size mismatch");
   // Fold the system's eval/lane deltas into the stats block even when
   // the solve throws — homotopy ladder retries must not lose counts.
-  // Building the plan here (on the first solve) also grows the pattern
-  // before the sparse skeleton is made.
   const KernelPlan& plan = system_.kernel_plan();
   const std::int64_t evals_before = system_.nonlinear_evals();
   const std::int64_t rekeys_before = system_.twin_rekeys();
@@ -374,16 +365,6 @@ linalg::Vector NewtonSolver::damped_newton(Backend& backend,
       failure_diagnostics(system_, residual_, scale_, reltol, at.time, at.dt,
                           options_.max_iterations, res_norm,
                           last_update_norm, "plain"));
-}
-
-void NewtonSolver::ensure_sparse_skeleton() {
-  const std::uint64_t epoch = system_.jacobian_pattern_epoch();
-  if (!sparse_ready_ || sparse_epoch_ != epoch) {
-    sparse_jac_ = system_.make_sparse_jacobian();
-    sparse_epoch_ = system_.jacobian_pattern_epoch();
-    sparse_ready_ = true;
-    lu_ready_ = false;
-  }
 }
 
 linalg::Vector NewtonSolver::solve(const linalg::Vector& x0, AnalysisMode mode,

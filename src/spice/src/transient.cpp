@@ -136,9 +136,7 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
   };
   record(0.0, x);
 
-  std::vector<double> breakpoints = options.precomputed_breakpoints
-                                        ? *options.precomputed_breakpoints
-                                        : system.breakpoints(options.tstop);
+  const std::vector<double> breakpoints = system.breakpoints(options.tstop);
   std::size_t next_bp = 0;
 
   // Rolling history of the last few accepted points for the predictor:
@@ -203,7 +201,6 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
     }
 
     const double t_new = t + dt_eff;
-    system.begin_step(t_new, dt_eff);
 
     extrapolate(hist_t, hist_x, hist_n, t_new, guess);
     bool solved = false;

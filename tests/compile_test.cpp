@@ -2,6 +2,7 @@
 // overlay-vs-setter equivalence, and the compile-once Monte-Carlo loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -144,11 +145,37 @@ TEST(Compile, TransientMatchesLegacyAndRerunsBitwise) {
 
   CompiledCircuit compiled = spice::compile(make_hybrid_inverter());
   const Waveform first = compiled.run_transient(o);
-  // Second run reuses the memoized breakpoint schedule and must not
-  // inherit any committed state from the first.
+  // The second run must not inherit any committed state from the first.
   const Waveform second = compiled.run_transient(o);
   expect_bitwise(expect, first);
   expect_bitwise(first, second);
+}
+
+TEST(Compile, TransientLandsOnAnEdgeMovedBetweenRuns) {
+  // A source waveform replaced between two compiled runs moves the
+  // breakpoints: the second run must land on the new edge, exactly as a
+  // legacy run on a circuit built with that waveform does.
+  spice::TransientOptions o;
+  o.tstop = 2e-9;
+  CompiledCircuit compiled = spice::compile(make_hybrid_inverter());
+  (void)compiled.run_transient(o);
+  const double edge = 0.73e-9;
+  const SourceWave moved =
+      SourceWave::pulse(0.0, 1.2, edge, 50e-12, 50e-12, 0.5e-9);
+  compiled.circuit().find<VoltageSource>("Vin").set_wave(moved);
+  const Waveform second = compiled.run_transient(o);
+  for (const double t : {edge, edge + 50e-12}) {
+    EXPECT_TRUE(std::any_of(second.times().begin(), second.times().end(),
+                            [&](double s) {
+                              return std::abs(s - t) <= 1e-12 * t;
+                            }))
+        << "no sample on the edge at " << t;
+  }
+
+  Circuit legacy = make_hybrid_inverter();
+  legacy.find<VoltageSource>("Vin").set_wave(moved);
+  spice::MnaSystem system(legacy);
+  expect_bitwise(spice::transient(system, o), second);
 }
 
 TEST(Compile, OverlayMatchesRebuiltCircuitBitwise) {

@@ -109,7 +109,6 @@ void check_circuit(Circuit& ckt, const std::string& label,
     // a scanned branch solution whose derivative is only piecewise-smooth
     // (the scan/bisection introduces quantization the FD check would
     // flag spuriously), so DC is checked separately below for the others.
-    system.begin_step(1e-10, 1e-12);
     check_jacobian(system, x, AnalysisMode::kTransient, 1e-10, 1e-12,
                    label + " tran#" + std::to_string(trial));
   }

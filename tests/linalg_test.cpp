@@ -2,11 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "nemsim/linalg/lu.h"
 #include "nemsim/linalg/matrix.h"
 #include "nemsim/linalg/polyfit.h"
 #include "nemsim/linalg/sparse.h"
+#include "nemsim/linalg/sparse_lu.h"
 #include "nemsim/util/error.h"
 
 namespace nemsim::linalg {
@@ -174,98 +177,46 @@ TEST(Polyfit, UnderdeterminedThrows) {
   EXPECT_THROW(polyfit(xs, ys, 2), InvalidArgument);
 }
 
-// ---------------------------------------------------------------- sparse
-
-TEST(Sparse, TripletsSumDuplicates) {
-  SparseMatrix m(2, 2, {{0, 0, 1.0}, {0, 0, 2.0}, {1, 1, 4.0}});
-  EXPECT_EQ(m.nonzeros(), 2u);
-  EXPECT_DOUBLE_EQ(m.at(0, 0), 3.0);
-  EXPECT_DOUBLE_EQ(m.at(0, 1), 0.0);
-}
-
-TEST(Sparse, CancellingStampsDropEntry) {
-  SparseMatrix m(2, 2, {{0, 1, 5.0}, {0, 1, -5.0}, {0, 0, 1.0}, {1, 1, 1.0}});
-  EXPECT_EQ(m.nonzeros(), 2u);
-}
-
-TEST(Sparse, MatVecMatchesDense) {
-  Matrix d{{2.0, 0.0, 1.0}, {0.0, 3.0, 0.0}, {1.0, 0.0, 4.0}};
-  SparseMatrix s = SparseMatrix::from_dense(d);
-  Vector x{1.0, 2.0, 3.0};
-  Vector ys = s.multiply(x);
-  Vector yd = d * x;
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_DOUBLE_EQ(ys[i], yd[i]);
-}
-
-TEST(Sparse, ToDenseRoundTrip) {
-  Matrix d{{0.0, 1.5}, {2.5, 0.0}};
-  Matrix back = SparseMatrix::from_dense(d).to_dense();
-  EXPECT_DOUBLE_EQ(back(0, 1), 1.5);
-  EXPECT_DOUBLE_EQ(back(1, 0), 2.5);
-  EXPECT_DOUBLE_EQ(back(0, 0), 0.0);
-}
-
-TEST(Sparse, GaussSeidelSolvesDiagonallyDominant) {
-  Matrix d{{4.0, 1.0, 0.0}, {1.0, 5.0, 2.0}, {0.0, 2.0, 6.0}};
-  SparseMatrix s = SparseMatrix::from_dense(d);
-  Vector x_true{1.0, -2.0, 0.5};
-  Vector b = d * x_true;
-  Vector x = s.gauss_seidel(b, 1e-12);
-  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
-}
-
-TEST(SparseLu, MatchesDenseSolve) {
-  Matrix d{{4.0, 1.0, 0.0, 2.0},
-           {1.0, 5.0, 2.0, 0.0},
-           {0.0, 2.0, 6.0, 1.0},
-           {2.0, 0.0, 1.0, 7.0}};
-  SparseMatrix s = SparseMatrix::from_dense(d);
-  Vector b{1.0, -2.0, 3.0, 0.5};
-  Vector xs = s.lu_solve(b);
-  Vector xd = solve(d, b);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(xs[i], xd[i], 1e-12);
-}
+// ------------------------------------------------------------- sparse LU
 
 TEST(SparseLu, RequiresPivoting) {
-  Matrix d{{0.0, 2.0}, {3.0, 0.0}};
-  SparseMatrix s = SparseMatrix::from_dense(d);
-  Vector b{4.0, 6.0};
-  Vector x = s.lu_solve(b);
+  // Zero diagonal: the elimination must pick the off-diagonal pivots.
+  CsrMatrix a(2, {{0, 1}, {1, 0}});
+  a.values()[a.slot(0, 1)] = 2.0;
+  a.values()[a.slot(1, 0)] = 3.0;
+  SparseLuFactorization lu;
+  lu.factor(a);
+  const Vector x = lu.solve(Vector{4.0, 6.0});
   EXPECT_NEAR(x[0], 2.0, 1e-12);
   EXPECT_NEAR(x[1], 2.0, 1e-12);
 }
 
-TEST(SparseLu, SingularThrows) {
-  Matrix d{{1.0, 2.0}, {2.0, 4.0}};
-  SparseMatrix s = SparseMatrix::from_dense(d);
-  Vector b{1.0, 2.0};
-  EXPECT_THROW(s.lu_solve(b), SingularMatrixError);
-}
-
 TEST(SparseLu, LargeLadderNetwork) {
-  // Tridiagonal (resistor ladder) system: genuinely sparse, where the
-  // sparse path shines.  Verify against the known solution of
-  // -x[i-1] + 2 x[i] - x[i+1] = h^2 (discrete Poisson with f = 1).
+  // Tridiagonal (resistor ladder) system: genuinely sparse.  Verify
+  // against -x[i-1] + 2 x[i] - x[i+1] = 1 (discrete Poisson with f = 1).
   const std::size_t n = 200;
-  std::vector<Triplet> trips;
+  std::vector<std::pair<std::size_t, std::size_t>> entries;
   for (std::size_t i = 0; i < n; ++i) {
-    trips.push_back({i, i, 2.0});
-    if (i > 0) trips.push_back({i, i - 1, -1.0});
-    if (i + 1 < n) trips.push_back({i, i + 1, -1.0});
+    entries.emplace_back(i, i);
+    if (i > 0) entries.emplace_back(i, i - 1);
+    if (i + 1 < n) entries.emplace_back(i, i + 1);
   }
-  SparseMatrix a(n, n, std::move(trips));
-  Vector b(n, 1.0);
-  Vector x = a.lu_solve(b);
+  CsrMatrix a(n, std::move(entries));
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t s = a.row_start()[i]; s < a.row_start()[i + 1]; ++s) {
+      a.values()[s] = a.col_index()[s] == i ? 2.0 : -1.0;
+    }
+  }
+  SparseLuFactorization lu;
+  lu.factor(a);
+  const Vector b(n, 1.0);
+  const Vector x = lu.solve(b);
   // Residual check.
   Vector r = a.multiply(x);
   r -= b;
   EXPECT_LT(r.inf_norm(), 1e-10);
   // Parabolic profile: maximum at the center.
   EXPECT_GT(x[n / 2], x[5]);
-}
-
-TEST(Sparse, OutOfRangeTripletThrows) {
-  EXPECT_THROW(SparseMatrix(2, 2, {{5, 0, 1.0}}), InvalidArgument);
 }
 
 }  // namespace

@@ -99,7 +99,7 @@ void check_transient_rerun(const spice::TransientOptions& o) {
 
 // TransientPlain (dense: the inverter is below the sparse threshold) and
 // TransientForcedSparse run the kernel lanes on both Jacobian sinks: the
-// plan (lanes, scatter maps, per-bucket counters, CSR slot epoch) lives
+// plan (lanes, scatter maps, per-bucket counters, CSR pattern) lives
 // on the MnaSystem and survives the first run, and must not leak into
 // the second.
 TEST(RerunState, TransientPlain) {

@@ -285,10 +285,8 @@ void expect_assembly_match(const MnaSystem& system, const linalg::Vector& x,
 
   linalg::CsrMatrix j_sparse = system.make_sparse_jacobian();
   linalg::Vector f_sparse, s_sparse;
-  while (!system.assemble_sparse(x, j_sparse, f_sparse, s_sparse, mode, time,
-                                 dt, gmin, 1.0)) {
-    j_sparse = system.make_sparse_jacobian();
-  }
+  ASSERT_TRUE(system.assemble_sparse(x, j_sparse, f_sparse, s_sparse, mode,
+                                     time, dt, gmin, 1.0));
 
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(f_dense[i], f_sparse[i], 1e-18 + 1e-12 * std::abs(f_dense[i]))
@@ -317,7 +315,6 @@ TEST(SparseAssembly, MatchesDenseOnDynamicOr) {
 
     // At a solved operating point with companion state, transient mode.
     spice::OpResult op = spice::operating_point(system);
-    system.begin_step(1e-12, 1e-12);
     expect_assembly_match(system, op.raw(), spice::AnalysisMode::kTransient,
                           1e-12, 1e-12, 1e-15);
   }
