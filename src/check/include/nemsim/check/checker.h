@@ -118,11 +118,9 @@ struct CheckOptions {
   double analyze_reltol = 1e-6;
   std::size_t sweep_points = 9;        ///< DC sweep 0..vdd point count
   std::size_t sweep_threads = 4;       ///< "N threads" leg of kParallelSweep
-  /// Optional sinks: mismatches become report notes; with forensics
-  /// enabled each mismatch dumps the offending deck + detail through
-  /// write_failure_forensics (tagged per seed/analysis/contract).
+  /// Optional sink: mismatches become report notes.  Each Mismatch
+  /// carries its deck (nemsim-fuzz writes it under --out).
   spice::RunReport* report = nullptr;
-  spice::ForensicsOptions forensics;
 };
 
 struct Mismatch {

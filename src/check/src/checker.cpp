@@ -576,7 +576,7 @@ CheckCaseResult run_check_case(std::uint64_t seed, const CheckOptions& opts) {
   result.seed = seed;
 
   GeneratedInfo info;
-  spice::Circuit probe = generate_circuit(seed, opts.generator, &info);
+  const spice::Circuit probe = generate_circuit(seed, opts.generator, &info);
   const std::string deck =
       spice::netlist_string(probe, "nemsim-fuzz seed " + std::to_string(seed));
 
@@ -617,16 +617,6 @@ CheckCaseResult run_check_case(std::uint64_t seed, const CheckOptions& opts) {
         opts.report->add_note(std::string("check mismatch: seed ") +
                               std::to_string(seed) + " " + to_string(analysis) +
                               "/" + to_string(contract) + ": " + cmp->detail);
-      }
-      if (opts.forensics.enabled) {
-        spice::ForensicsOptions f = opts.forensics;
-        f.tag += "_seed" + std::to_string(seed) + "_" + to_string(analysis) +
-                 "_" + to_string(contract);
-        spice::write_failure_forensics(
-            f, probe, nullptr,
-            std::string("differential mismatch (") + to_string(analysis) +
-                "/" + to_string(contract) + "): " + cmp->detail,
-            nullptr);
       }
       result.mismatches.push_back(std::move(m));
     }

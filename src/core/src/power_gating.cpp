@@ -108,14 +108,17 @@ GatedBlockResult measure_gated_block(const GatedBlockConfig& config) {
     Circuit ckt;
     spice::NodeId vdd_n = ckt.node("vdd");
     spice::NodeId in = ckt.node("in");
-    spice::NodeId sleep_g = ckt.node("sleepg");
+    // Only the gated chain has a sleep switch and its gate drive.
+    spice::NodeId sleep_g = gated ? ckt.node("sleepg") : ckt.gnd();
     spice::NodeId vgnd = gated ? ckt.node("vgnd") : ckt.gnd();
     ckt.add<VoltageSource>("Vdd", vdd_n, ckt.gnd(), SourceWave::dc(vdd));
     ckt.add<VoltageSource>(
         "Vin", in, ckt.gnd(),
         SourceWave::pulse(0.0, vdd, 0.5e-9, 20e-12, 20e-12, 2e-9));
-    ckt.add<VoltageSource>("Vsleepg", sleep_g, ckt.gnd(),
-                           SourceWave::dc(vdd));
+    if (gated) {
+      ckt.add<VoltageSource>("Vsleepg", sleep_g, ckt.gnd(),
+                             SourceWave::dc(vdd));
+    }
     std::vector<spice::NodeId> outs =
         add_inverter_chain(ckt, "CH", in, vdd_n, vgnd, config.stages);
     if (gated) {

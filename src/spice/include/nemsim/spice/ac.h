@@ -61,8 +61,8 @@ class AcStampContext {
 };
 
 /// Newton settings (for the embedded operating-point solve), report
-/// sink, forensics, and lint gate live in the shared AnalysisCommon base
-/// (nemsim/spice/analysis.h).  The lint gate runs once before the
+/// sink, and the lint and analyze gates live in the shared AnalysisCommon
+/// base (nemsim/spice/analysis.h).  The lint gate runs once before the
 /// bias-point solve, which itself does not lint again.
 struct AcOptions : AnalysisCommon {};
 

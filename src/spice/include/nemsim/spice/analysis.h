@@ -1,10 +1,10 @@
 // Options shared by every analysis driver.
 //
 // Each of {Op,Transient,DcSweep,Ac}Options used to carry its own copy of
-// the Newton settings, the RunReport sink, the forensics hook, and the
-// lint-gate mode; they are one struct now so a caller can configure the
-// common knobs once and reuse them across analyses.  The per-analysis
-// Options structs inherit AnalysisCommon, so existing field access
+// the Newton settings, the RunReport sink, and the lint and analyze gate
+// modes; they are one struct now so a caller can configure the common
+// knobs once and reuse them across analyses.  The per-analysis Options
+// structs inherit AnalysisCommon, so existing field access
 // (`options.newton.max_iterations`, `options.report`) is unchanged.
 #pragma once
 
@@ -19,9 +19,6 @@ struct AnalysisCommon {
   /// Optional diagnostics sink (stage records, histograms, timings).
   /// Zero overhead when left null; the run is bitwise identical.
   RunReport* report = nullptr;
-  /// Opt-in failure dump (netlist snapshot + failure description; the
-  /// transient driver adds the recent waveform window).
-  ForensicsOptions forensics;
   /// Pre-solve structural lint gate (nemsim/spice/lint.h).  kWarn logs
   /// findings and embeds them in `report`; kStrict throws LintError on
   /// errors before any Newton work; kOff skips the analyzer entirely

@@ -32,14 +32,12 @@
 //     step-count spread; the global conductance scale spread predicts
 //     Jacobian ill-conditioning.  Both come with concrete suggestions
 //     (dt_initial, scaling, gmin) instead of a bare number.
-//  4. Controllability / observability cones.  Union-find over non-ground
-//     terminal co-incidence: a connected component with no independent
-//     source is provably dead (settles to the zero solution); with an
-//     observed-node set given, components no measurement can see are
-//     flagged unobserved.
+//  4. Controllability cones.  Union-find over non-ground terminal
+//     co-incidence: a connected component with no independent source is
+//     provably dead (settles to the zero solution).
 //
 // All findings use the lint severity/report machinery, so the CLI, the
-// analysis-gate, RunReport JSON and forensics render them uniformly.
+// analysis gate and RunReport JSON render them uniformly.
 #pragma once
 
 #include <string>
@@ -54,14 +52,6 @@ struct RunReport;
 }  // namespace nemsim::spice
 
 namespace nemsim::analyze {
-
-struct AnalyzeOptions {
-  /// Node names a measurement actually reads.  Empty: observability
-  /// cones are skipped (controllability / dead-device still runs).
-  std::vector<std::string> observed_nodes;
-  /// Findings kept in the report; counters keep counting past the cap.
-  std::size_t max_findings = 256;
-};
 
 /// Everything the pass computed, alongside the findings that summarize
 /// it.  `intervals` is indexed by NodeId and always sized to the
@@ -80,8 +70,8 @@ struct AnalyzeReport {
 
 /// Runs the full pass.  Pure analysis: no device or circuit state is
 /// modified and no MnaSystem is built — this is a topology/params walk.
-AnalyzeReport analyze_circuit(const spice::Circuit& circuit,
-                              const AnalyzeOptions& options = {});
+/// The findings keep the first LintReport::kMaxFindings entries.
+AnalyzeReport analyze_circuit(const spice::Circuit& circuit);
 
 /// Analysis-entry gate used by the op/transient/dc_sweep/ac drivers,
 /// mirroring lint::lint_gate:
@@ -97,7 +87,6 @@ AnalyzeReport analyze_circuit(const spice::Circuit& circuit,
 ///   mode wants rejected before burning a homotopy ladder on it.
 lint::LintReport analyze_gate(const spice::Circuit& circuit,
                               lint::LintMode mode,
-                              spice::RunReport* run_report,
-                              const AnalyzeOptions& options = {});
+                              spice::RunReport* run_report);
 
 }  // namespace nemsim::analyze

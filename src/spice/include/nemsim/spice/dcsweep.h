@@ -15,9 +15,9 @@
 
 namespace nemsim::spice {
 
-/// Newton settings, report sink, forensics, and lint gate live in the
-/// shared AnalysisCommon base (nemsim/spice/analysis.h).  The lint gate
-/// runs once per sweep, not per point.
+/// Newton settings, report sink, and the lint and analyze gates live in
+/// the shared AnalysisCommon base (nemsim/spice/analysis.h).  The gates
+/// run once per sweep, not per point.
 struct DcSweepOptions : AnalysisCommon {};
 
 /// Applies `set_param(value)` then solves an operating point, for each

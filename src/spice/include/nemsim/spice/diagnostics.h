@@ -1,5 +1,5 @@
-// Simulation observability: per-analysis run reports and convergence
-// forensics.
+// Simulation observability: per-analysis run reports and structured
+// convergence failures.
 //
 // Every analysis driver (operating point, transient, DC sweep, Monte
 // Carlo) accepts an optional RunReport sink.  When attached, the driver
@@ -11,10 +11,9 @@
 //
 // On failure, ConvergenceError (util/error.h) carries a structured
 // ConvergenceDiagnostics payload naming the worst weighted-residual rows
-// via the MNA unknown table.  The opt-in forensics hook additionally
-// dumps the recent waveform window, a netlist snapshot (via
-// spice/netlist_export.h) and the failure description to disk for
-// offline reproduction.
+// via the MNA unknown table.  A failing circuit is reproduced offline
+// from its export_netlist deck (spice/netlist_export.h); nemsim-fuzz
+// writes one for every mismatch it finds.
 #pragma once
 
 #include <cstddef>
@@ -30,9 +29,6 @@
 #include "nemsim/util/instrument.h"
 
 namespace nemsim::spice {
-
-class Circuit;
-class Waveform;
 
 /// One rung of the Newton homotopy ladder (plain solve, one gmin decade,
 /// one source-stepping factor), with its iteration cost.
@@ -145,28 +141,5 @@ struct RunReport {
 /// so the consumers can't drift apart.
 void write_findings_json(std::ostream& os,
                          const std::vector<lint::LintFinding>& findings);
-
-/// Opt-in failure forensics: where and what to dump when an analysis
-/// fails.  Attached to {Op,Transient,MonteCarlo}Options.
-struct ForensicsOptions {
-  bool enabled = false;
-  std::string directory = ".";   ///< created if missing
-  std::string tag = "nemsim";    ///< file-name prefix
-};
-
-/// Writes the forensics bundle for a failed analysis:
-///   <dir>/<tag>.failure.txt  — what() plus the structured payload
-///   <dir>/<tag>.netlist.sp   — netlist snapshot for offline repro
-///   <dir>/<tag>.wave.csv     — last 256 waveform samples (when wave given)
-/// When `lint` is non-null and non-clean its findings are appended to the
-/// failure description — convergence failures very often have a
-/// structural cause the analyzer can name.  Returns the paths written.
-/// IO errors are logged and swallowed — a forensics dump must never mask
-/// the original failure.
-std::vector<std::string> write_failure_forensics(
-    const ForensicsOptions& options, const Circuit& circuit,
-    const Waveform* wave, const std::string& what,
-    const ConvergenceDiagnostics* diag,
-    const lint::LintReport* lint = nullptr);
 
 }  // namespace nemsim::spice

@@ -53,27 +53,16 @@ struct RunReport;
 
 namespace nemsim::lint {
 
-struct LintOptions {
-  /// Enables the MNA-pattern rules (zero rows/columns, structural rank).
-  /// These need a structural stamping pass — still microseconds, but the
-  /// only part of lint that is not a pure graph walk.
-  bool structural_checks = true;
-  /// Findings kept in the report; severity counters keep counting past
-  /// the cap (mirrors RunReport::kMaxRecords).
-  std::size_t max_findings = 256;
-};
-
 /// Runs every rule over an existing MNA system (no re-setup; this is
 /// what the analysis drivers call).  Pure analysis: no device or system
 /// state is modified, and the subsequent solve is bitwise identical.
-LintReport lint_system(const spice::MnaSystem& system,
-                       const LintOptions& options = {});
+/// The report keeps the first LintReport::kMaxFindings findings.
+LintReport lint_system(const spice::MnaSystem& system);
 
 /// Convenience entry point over a bare circuit.  Builds a temporary
 /// MnaSystem, which (re)runs Device::setup — idempotent, but the
 /// non-const reference is why this overload exists separately.
-LintReport lint_circuit(spice::Circuit& circuit,
-                        const LintOptions& options = {});
+LintReport lint_circuit(spice::Circuit& circuit);
 
 /// Analysis-entry gate used by the op/transient/dc_sweep/ac drivers.
 ///

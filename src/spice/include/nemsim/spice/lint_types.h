@@ -47,10 +47,13 @@ struct LintFinding {
 };
 
 /// Severity-tiered result of a lint pass.  The counters keep counting
-/// even after the findings vector is capped (LintOptions::max_findings),
-/// so a pathological circuit cannot grow the report unboundedly while
+/// even after the findings vector is capped (kMaxFindings), so a
+/// pathological circuit cannot grow the report unboundedly while
 /// `clean()` stays truthful.
 struct LintReport {
+  /// Findings a report keeps (the same cap as RunReport::kMaxRecords).
+  static constexpr std::size_t kMaxFindings = 256;
+
   std::vector<LintFinding> findings;
   std::size_t errors = 0;
   std::size_t warnings = 0;

@@ -39,10 +39,6 @@ struct NewtonOptions {
   /// Shunt conductance left in place even in the final solve; 0 for a
   /// clean system.  A tiny nonzero value (1e-15) guards floating nodes.
   double gmin_final = 1e-15;
-  /// Enables the gmin-ramp fallback when the plain solve fails.
-  bool gmin_stepping = true;
-  /// Enables the source-ramp fallback when gmin stepping also fails.
-  bool source_stepping = true;
   /// Linear-solver selection (see JacobianSolver).
   JacobianSolver solver = JacobianSolver::kSparse;
 };

@@ -6,8 +6,8 @@
 // SubcircuitScope::instantiate) *flattens* the definition into the parent
 // Circuit immediately — there is no hierarchical solver.  Every local
 // device and node gets a dot-scoped name ("Xcol.Xcell3.ql"), so the MNA
-// engine, Newton, the sparse fast path, RunReport, forensics, and lint
-// all work unchanged but report hierarchical paths.
+// engine, Newton, the sparse fast path, RunReport, lint and analyze all
+// work unchanged but report hierarchical paths.
 //
 // Scoping rules:
 //  - Instance names must start with 'X' (SPICE convention; required for

@@ -13,8 +13,8 @@
 
 namespace nemsim::spice {
 
-/// Newton settings, report sink, forensics, and lint gate live in the
-/// shared AnalysisCommon base (nemsim/spice/analysis.h).
+/// Newton settings, report sink, and the lint and analyze gates live in
+/// the shared AnalysisCommon base (nemsim/spice/analysis.h).
 struct TransientOptions : AnalysisCommon {
   double tstop = 0.0;          ///< required: end time (seconds)
   double dt_initial = 1e-12;   ///< first step and post-breakpoint restart
@@ -22,12 +22,6 @@ struct TransientOptions : AnalysisCommon {
   double dt_max = 0.0;         ///< 0 → tstop / 50
   double lte_reltol = 2e-3;    ///< LTE target relative to signal magnitude
   double reject_factor = 8.0;  ///< reject a step when LTE ratio exceeds this
-  /// Opt-in signal subset: when non-empty, only these unknowns (by
-  /// display name, e.g. "v(out)") are recorded into the waveform, so big
-  /// structural circuits stop copying every unknown on every accepted
-  /// step.  Empty records everything (bitwise-identical default).
-  /// Unknown names throw InvalidArgument before the run starts.
-  std::vector<std::string> record_signals;
 };
 
 /// Runs a transient from the DC operating point at t = 0.

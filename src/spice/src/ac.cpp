@@ -168,7 +168,6 @@ AcResult ac_analysis(MnaSystem& system, std::span<const double> frequencies,
   OpOptions op_options;
   op_options.newton = options.newton;
   op_options.report = options.report;
-  op_options.forensics = options.forensics;
   op_options.lint = lint::LintMode::kOff;
   OpResult op = operating_point(system, op_options);
   Solution bias = op.solution();

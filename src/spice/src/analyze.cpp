@@ -8,7 +8,7 @@
 #include "nemsim/spice/circuit.h"
 #include "nemsim/spice/device.h"
 #include "nemsim/spice/diagnostics.h"
-#include "nemsim/util/logging.h"
+#include "findings_internal.h"
 
 namespace nemsim::spice {
 
@@ -57,42 +57,9 @@ std::string Interval::to_string() const {
 
 namespace {
 
-using lint::LintFinding;
 using lint::LintReport;
 using lint::LintSeverity;
-
-/// Findings accumulator: caps the stored vector while the severity
-/// counters keep counting, then orders errors > warnings > hints
-/// (stable, so rule emission order breaks ties) — the same contract
-/// lint's builder keeps.
-class ReportBuilder {
- public:
-  explicit ReportBuilder(std::size_t cap) : cap_(cap) {}
-
-  void add(LintFinding finding) {
-    switch (finding.severity) {
-      case LintSeverity::kError: ++report_.errors; break;
-      case LintSeverity::kWarning: ++report_.warnings; break;
-      case LintSeverity::kHint: ++report_.hints; break;
-    }
-    if (report_.findings.size() < cap_) {
-      report_.findings.push_back(std::move(finding));
-    }
-  }
-
-  LintReport take() {
-    std::stable_sort(report_.findings.begin(), report_.findings.end(),
-                     [](const LintFinding& a, const LintFinding& b) {
-                       return static_cast<int>(a.severity) >
-                              static_cast<int>(b.severity);
-                     });
-    return std::move(report_);
-  }
-
- private:
-  LintReport report_;
-  std::size_t cap_;
-};
+using lint::ReportBuilder;
 
 struct UnionFind {
   std::vector<std::size_t> parent;
@@ -303,16 +270,16 @@ void run_magnitude_scan(const Circuit& circuit,
   }
 }
 
-/// Controllability / observability cones via terminal co-incidence.
-/// Influence propagates through every edge kind and through a device's
-/// body (a VCVS couples its control pair to its output pair), so the
+/// Controllability cones via terminal co-incidence.  Influence
+/// propagates through every edge kind and through a device's body (a
+/// VCVS couples its control pair to its output pair), so the
 /// conservative move — union all non-ground terminals of each device —
 /// can only merge components, never invent a false "dead" verdict.
 /// Ground itself conducts no influence: it is a fixed rail, so two
 /// subnetworks meeting only at ground stay separate components.
 void run_reachability(const Circuit& circuit,
                       const std::vector<DeviceTopology>& topos,
-                      const AnalyzeOptions& options, ReportBuilder& out) {
+                      ReportBuilder& out) {
   const std::size_t nn = circuit.num_nodes();
   UnionFind uf(nn);
   std::vector<char> sourced(nn, 0);
@@ -339,31 +306,13 @@ void run_reachability(const Circuit& circuit,
     if (sourced[i]) component_sourced[uf.find(i)] = 1;
   }
 
-  std::vector<char> component_observed(nn, 0);
-  bool have_observed = false;
-  for (const std::string& name : options.observed_nodes) {
-    if (!circuit.has_node(name)) {
-      out.add({LintSeverity::kHint, "observed-node-unknown", name,
-               "observed node '" + name +
-                   "' does not exist in the circuit; the observability "
-                   "cone ignores it"});
-      continue;
-    }
-    const NodeId n = circuit.find_node(name);
-    if (n.is_ground()) continue;  // v(0) is 0 by definition, observes nothing
-    component_observed[uf.find(n.index)] = 1;
-    have_observed = true;
-  }
-
   for (std::size_t d = 0; d < circuit.num_devices(); ++d) {
     const DeviceTopology& topo = topos[d];
-    bool touches_circuit = false, reachable = false, observed = false;
+    bool touches_circuit = false, reachable = false;
     for (const DeviceTopology::Terminal& t : topo.terminals) {
       if (t.node.is_ground()) continue;
       touches_circuit = true;
-      const std::size_t root = uf.find(t.node.index);
-      reachable |= component_sourced[root] != 0;
-      observed |= component_observed[root] != 0;
+      reachable |= component_sourced[uf.find(t.node.index)] != 0;
     }
     if (!touches_circuit) continue;  // all terminals grounded: inert anyway
     if (!reachable) {
@@ -373,20 +322,13 @@ void run_reachability(const Circuit& circuit,
                "connected component has no excitation): every solution "
                "is the zero solution, and it burns stamps and unknowns "
                "for nothing"});
-    } else if (have_observed && !observed) {
-      out.add({LintSeverity::kHint, "unobserved-device",
-               circuit.device(d).name(),
-               "no observed node can see this device (it is outside every "
-               "measurement's cone); its contribution to the recorded "
-               "signals is exactly zero"});
     }
   }
 }
 
 }  // namespace
 
-AnalyzeReport analyze_circuit(const Circuit& circuit,
-                              const AnalyzeOptions& options) {
+AnalyzeReport analyze_circuit(const Circuit& circuit) {
   AnalyzeReport rpt;
   const std::size_t nn = circuit.num_nodes();
   rpt.intervals = IntervalSet(nn);
@@ -407,38 +349,23 @@ AnalyzeReport analyze_circuit(const Circuit& circuit,
     circuit.device(d).interval_check(rpt.intervals, rpt.verdicts);
   }
 
-  ReportBuilder builder(options.max_findings);
+  ReportBuilder builder;
   for (const RegionVerdict& v : rpt.verdicts) {
     builder.add({v.severity, v.region, v.device, v.message});
   }
   run_magnitude_scan(circuit, topos, rpt, builder);
-  run_reachability(circuit, topos, options, builder);
+  run_reachability(circuit, topos, builder);
   rpt.findings = builder.take();
   return rpt;
 }
 
 LintReport analyze_gate(const Circuit& circuit, lint::LintMode mode,
-                        spice::RunReport* run_report,
-                        const AnalyzeOptions& options) {
+                        spice::RunReport* run_report) {
   if (mode == lint::LintMode::kOff) return {};
-  AnalyzeReport rpt = analyze_circuit(circuit, options);
-  if (run_report != nullptr) {
-    run_report->analyze_findings.insert(run_report->analyze_findings.end(),
-                                        rpt.findings.findings.begin(),
-                                        rpt.findings.findings.end());
-  }
-  if (!rpt.findings.clean()) {
-    log_warn("analyze: circuit has findings\n" + rpt.findings.summary());
-  }
-  if (mode == lint::LintMode::kStrict &&
-      (rpt.findings.has_errors() || rpt.findings.warnings != 0)) {
-    std::string what =
-        "analyze rejected circuit (strict mode): " +
-        std::to_string(rpt.findings.errors + rpt.findings.warnings) +
-        " finding(s); first: " + rpt.findings.findings.front().to_string();
-    throw lint::LintError(what, std::move(rpt.findings));
-  }
-  return rpt.findings;
+  return lint::gate_findings(
+      analyze_circuit(circuit).findings, "analyze", mode,
+      /*strict_rejects_warnings=*/true,
+      run_report ? &run_report->analyze_findings : nullptr);
 }
 
 }  // namespace nemsim::analyze

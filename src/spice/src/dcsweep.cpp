@@ -32,7 +32,6 @@ Waveform dc_sweep(MnaSystem& system,
   NewtonSolver newton(system, options.newton);
   OpOptions op_options;
   op_options.report = report;
-  op_options.forensics = options.forensics;
   op_options.lint = lint::LintMode::kOff;
 
   // Continuation: the first point starts from the initial guess (read

@@ -1,14 +1,8 @@
 #include "nemsim/spice/diagnostics.h"
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <ostream>
 #include <sstream>
-
-#include "nemsim/spice/netlist_export.h"
-#include "nemsim/spice/waveform.h"
-#include "nemsim/util/logging.h"
 
 namespace nemsim::spice {
 
@@ -331,65 +325,6 @@ void write_findings_json(std::ostream& os,
     os << "}";
   }
   os << "]";
-}
-
-std::vector<std::string> write_failure_forensics(
-    const ForensicsOptions& options, const Circuit& circuit,
-    const Waveform* wave, const std::string& what,
-    const ConvergenceDiagnostics* diag, const lint::LintReport* lint) {
-  std::vector<std::string> written;
-  if (!options.enabled) return written;
-  try {
-    namespace fs = std::filesystem;
-    const fs::path dir(options.directory);
-    fs::create_directories(dir);
-    const std::string prefix = (dir / options.tag).string();
-
-    {
-      const std::string path = prefix + ".failure.txt";
-      std::ofstream os(path);
-      os << what << "\n";
-      if (diag != nullptr) os << diag->describe() << "\n";
-      if (lint != nullptr && !lint->findings.empty()) {
-        os << "\nlint findings (structural analysis of the circuit):\n"
-           << lint->summary() << "\n";
-      }
-      if (os) written.push_back(path);
-    }
-    {
-      const std::string path = prefix + ".netlist.sp";
-      std::ofstream os(path);
-      export_netlist(circuit, os, "forensics snapshot: " + options.tag);
-      if (os) written.push_back(path);
-    }
-    if (wave != nullptr && !wave->empty()) {
-      const std::string path = prefix + ".wave.csv";
-      std::ofstream os(path);
-      os.precision(17);  // round-trippable doubles for exact repro
-      // Recent window only: the samples leading up to the failure are
-      // what a repro needs; full traces can be arbitrarily large.
-      constexpr std::size_t kWindowSamples = 256;
-      const std::size_t n = wave->num_samples();
-      const std::size_t first = n > kWindowSamples ? n - kWindowSamples : 0;
-      os << "t";
-      for (const std::string& name : wave->signal_names()) os << "," << name;
-      os << "\n";
-      for (std::size_t k = first; k < n; ++k) {
-        os << wave->times()[k];
-        for (std::size_t s = 0; s < wave->num_signals(); ++s) {
-          os << "," << wave->sample(s, k);
-        }
-        os << "\n";
-      }
-      if (os) written.push_back(path);
-    }
-    log_warn("forensics: wrote " + std::to_string(written.size()) +
-             " file(s) under " + options.directory + " (tag " + options.tag +
-             ")");
-  } catch (const std::exception& e) {
-    log_warn(std::string("forensics: dump failed: ") + e.what());
-  }
-  return written;
 }
 
 }  // namespace nemsim::spice

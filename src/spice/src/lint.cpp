@@ -16,6 +16,7 @@
 #include "nemsim/spice/engine.h"
 #include "nemsim/spice/subcircuit.h"
 #include "nemsim/util/logging.h"
+#include "findings_internal.h"
 
 namespace nemsim::lint {
 
@@ -68,41 +69,6 @@ struct NodeFacts {
   std::size_t voltage = 0;
   std::size_t current = 0;
   std::size_t capacitive = 0;
-};
-
-/// Builds the report while enforcing the findings cap; the severity
-/// counters keep counting past it.
-class ReportBuilder {
- public:
-  explicit ReportBuilder(const LintOptions& options) : options_(options) {}
-
-  void add(LintSeverity severity, std::string rule, std::string subject,
-           std::string message) {
-    switch (severity) {
-      case LintSeverity::kError: ++report_.errors; break;
-      case LintSeverity::kWarning: ++report_.warnings; break;
-      case LintSeverity::kHint: ++report_.hints; break;
-    }
-    if (report_.findings.size() < options_.max_findings) {
-      report_.findings.push_back({severity, std::move(rule),
-                                  std::move(subject), std::move(message)});
-    }
-  }
-
-  LintReport take() {
-    // Errors first, then warnings, then hints; stable within a tier so
-    // rules keep their deliberate emission order.
-    std::stable_sort(report_.findings.begin(), report_.findings.end(),
-                     [](const LintFinding& a, const LintFinding& b) {
-                       return static_cast<int>(a.severity) >
-                              static_cast<int>(b.severity);
-                     });
-    return std::move(report_);
-  }
-
- private:
-  const LintOptions& options_;
-  LintReport report_;
 };
 
 const char* edge_kind_name(EdgeKind kind) {
@@ -178,7 +144,7 @@ void run_graph_rules(const Circuit& circuit,
               << "' closes a loop of voltage-defined branches (voltage "
                  "sources / VCVS outputs / inductors, which are DC "
                  "shorts); the MNA system is singular";
-          out.add(LintSeverity::kError, "voltage-loop", dev_name, msg.str());
+          out.add({LintSeverity::kError, "voltage-loop", dev_name, msg.str()});
         }
       }
     }
@@ -210,8 +176,8 @@ void run_graph_rules(const Circuit& circuit,
             << circuit.node_name(NodeId{pair.first}) << "'/'"
             << circuit.node_name(NodeId{pair.second})
             << "' with conflicting values";
-        out.add(LintSeverity::kWarning, "parallel-voltage-sources",
-                sources[i].first, msg.str());
+        out.add({LintSeverity::kWarning, "parallel-voltage-sources",
+                 sources[i].first, msg.str()});
       }
     }
   }
@@ -232,7 +198,7 @@ void run_graph_rules(const Circuit& circuit,
           << "current-defined branches (" << f.current
           << " attached); its KCL row fixes a sum of prescribed currents "
              "and its voltage is structurally undetermined";
-      out.add(LintSeverity::kError, "current-cutset", node_name, msg.str());
+      out.add({LintSeverity::kError, "current-cutset", node_name, msg.str()});
       flagged_nodes.insert(n);
     } else if (!dc_reach.same(n, ground)) {
       if (f.capacitive > 0 && full_reach.same(n, ground)) {
@@ -241,8 +207,8 @@ void run_graph_rules(const Circuit& circuit,
             << "' reaches ground only through capacitive couplings; its "
                "DC voltage exists only thanks to the gmin shunt and the "
                "operating point will lean on the homotopy ladder";
-        out.add(LintSeverity::kWarning, "capacitive-only-node", node_name,
-                msg.str());
+        out.add({LintSeverity::kWarning, "capacitive-only-node", node_name,
+                 msg.str()});
       } else {
         std::ostringstream msg;
         msg << "node '" << node_name
@@ -251,7 +217,7 @@ void run_graph_rules(const Circuit& circuit,
           msg << " (only sensing terminals attach to it)";
         }
         msg << "; its voltage is structurally undetermined";
-        out.add(LintSeverity::kError, "floating-node", node_name, msg.str());
+        out.add({LintSeverity::kError, "floating-node", node_name, msg.str()});
         flagged_nodes.insert(n);
       }
     }
@@ -273,7 +239,7 @@ void run_graph_rules(const Circuit& circuit,
       msg << "node '" << node_name << "' dangles: only one device "
           << "terminal attaches to it";
       if (only_edge_kind) msg << " (a " << only_edge_kind << " branch)";
-      out.add(LintSeverity::kWarning, "dangling-node", node_name, msg.str());
+      out.add({LintSeverity::kWarning, "dangling-node", node_name, msg.str()});
     }
   }
 }
@@ -326,8 +292,8 @@ void run_structural_rules(const MnaSystem& system, ReportBuilder& out,
       msg << "equation row of unknown '" << system.unknown_info(i).name
           << "' has no structural entries: nothing the devices stamp "
              "constrains it";
-      out.add(LintSeverity::kError, "zero-mna-row",
-              system.unknown_info(i).name, msg.str());
+      out.add({LintSeverity::kError, "zero-mna-row",
+               system.unknown_info(i).name, msg.str()});
     }
     if (col_entries[i] == 0) {
       degenerate[i] = true;
@@ -335,8 +301,8 @@ void run_structural_rules(const MnaSystem& system, ReportBuilder& out,
       std::ostringstream msg;
       msg << "unknown '" << system.unknown_info(i).name
           << "' appears in no equation: no device stamp depends on it";
-      out.add(LintSeverity::kError, "zero-mna-column",
-              system.unknown_info(i).name, msg.str());
+      out.add({LintSeverity::kError, "zero-mna-column",
+               system.unknown_info(i).name, msg.str()});
     }
   }
 
@@ -389,7 +355,8 @@ void run_structural_rules(const MnaSystem& system, ReportBuilder& out,
       msg << " and " << (fresh.size() - kMaxNamed) << " more";
     }
     msg << "; the Jacobian is singular for every numeric value";
-    out.add(LintSeverity::kError, "structural-rank", fresh.front(), msg.str());
+    out.add({LintSeverity::kError, "structural-rank", fresh.front(),
+             msg.str()});
   }
 }
 
@@ -425,7 +392,7 @@ void run_name_rules(const Circuit& circuit,
           << "element letter '" << letter << "'; re-parsing an exported "
           << "netlist would dispatch it as a different element";
     }
-    out.add(LintSeverity::kHint, "name-convention", name, msg.str());
+    out.add({LintSeverity::kHint, "name-convention", name, msg.str()});
   }
 }
 
@@ -471,16 +438,16 @@ void run_hierarchy_rules(const Circuit& circuit,
         msg << "port '" << formal << "' of subcircuit instance '" << rec.name
             << "' (" << rec.subckt << ") is bound to node '" << node_name
             << "', which nothing outside the instance connects to";
-        out.add(LintSeverity::kWarning, "unconnected-subckt-port", rec.name,
-                msg.str());
+        out.add({LintSeverity::kWarning, "unconnected-subckt-port", rec.name,
+                 msg.str()});
       } else if (inside == 0) {
         std::ostringstream msg;
         msg << "port '" << formal << "' of subcircuit instance '" << rec.name
             << "' (" << rec.subckt << ") is never used inside the "
             << "subcircuit body; node '" << node_name
             << "' only connects through the other side";
-        out.add(LintSeverity::kWarning, "unconnected-subckt-port", rec.name,
-                msg.str());
+        out.add({LintSeverity::kWarning, "unconnected-subckt-port", rec.name,
+                 msg.str()});
       }
     }
   }
@@ -521,9 +488,9 @@ std::string LintReport::summary() const {
   return os.str();
 }
 
-LintReport lint_system(const MnaSystem& system, const LintOptions& options) {
+LintReport lint_system(const MnaSystem& system) {
   const Circuit& circuit = system.circuit();
-  ReportBuilder out(options);
+  ReportBuilder out;
 
   std::vector<DeviceTopology> topologies;
   topologies.reserve(circuit.num_devices());
@@ -540,50 +507,56 @@ LintReport lint_system(const MnaSystem& system, const LintOptions& options) {
     circuit.device(d).self_check(ctx, device_findings);
     for (auto& finding : device_findings) {
       if (finding.subject.empty()) finding.subject = circuit.device(d).name();
-      out.add(finding.severity, std::move(finding.rule),
-              std::move(finding.subject), std::move(finding.message));
+      out.add(std::move(finding));
     }
   }
 
   std::unordered_set<std::size_t> flagged_nodes;
   run_graph_rules(circuit, topologies, out, flagged_nodes);
-  if (options.structural_checks) {
-    run_structural_rules(system, out, flagged_nodes);
-  }
+  run_structural_rules(system, out, flagged_nodes);
   run_hierarchy_rules(circuit, topologies, out);
   run_name_rules(circuit, topologies, out);
 
   return out.take();
 }
 
-LintReport lint_circuit(Circuit& circuit, const LintOptions& options) {
+LintReport lint_circuit(Circuit& circuit) {
   MnaSystem system(circuit);
-  return lint_system(system, options);
+  return lint_system(system);
 }
 
-LintReport lint_gate(const MnaSystem& system, LintMode mode,
-                     spice::RunReport* run_report) {
-  if (mode == LintMode::kOff) return {};
-  LintReport report = lint_system(system);
-  if (run_report) {
-    run_report->lint_findings.insert(run_report->lint_findings.end(),
-                                     report.findings.begin(),
-                                     report.findings.end());
+LintReport gate_findings(LintReport report, const char* pass, LintMode mode,
+                         bool strict_rejects_warnings,
+                         std::vector<LintFinding>* sink) {
+  if (sink != nullptr) {
+    sink->insert(sink->end(), report.findings.begin(), report.findings.end());
   }
   // Hints stay silent here (they are embedded in the run report): the
   // shipped experiment circuits deliberately use the paper's device
   // names ("AL", "INV0.P"), and a warn-level line on every analysis of
   // a perfectly simulable circuit would train users to ignore the log.
   if (!report.clean()) {
-    log_warn("lint: circuit has findings\n" + report.summary());
+    log_warn(std::string(pass) + ": circuit has findings\n" +
+             report.summary());
   }
-  if (mode == LintMode::kStrict && report.has_errors()) {
-    std::string what = "lint rejected circuit (strict mode): " +
-                       std::to_string(report.errors) + " error(s); first: " +
+  const std::size_t rejected =
+      report.errors + (strict_rejects_warnings ? report.warnings : 0);
+  if (mode == LintMode::kStrict && rejected != 0) {
+    const char* noun = strict_rejects_warnings ? " finding(s)" : " error(s)";
+    std::string what = std::string(pass) + " rejected circuit (strict mode): " +
+                       std::to_string(rejected) + noun + "; first: " +
                        report.findings.front().to_string();
     throw LintError(what, std::move(report));
   }
   return report;
+}
+
+LintReport lint_gate(const MnaSystem& system, LintMode mode,
+                     spice::RunReport* run_report) {
+  if (mode == LintMode::kOff) return {};
+  return gate_findings(lint_system(system), "lint", mode,
+                       /*strict_rejects_warnings=*/false,
+                       run_report ? &run_report->lint_findings : nullptr);
 }
 
 }  // namespace nemsim::lint

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
-#include <optional>
 
 #include "nemsim/linalg/lu.h"
 #include "nemsim/spice/diagnostics.h"
@@ -406,79 +405,60 @@ linalg::Vector NewtonSolver::solve(const linalg::Vector& x0, AnalysisMode mode,
     }
   };
 
-  // Keeps the most informative failure so the final error can carry its
-  // structured payload even after later strategies also fail.
-  std::optional<ConvergenceError> last_error;
-
   try {
     return run_stage(SteppingStageRecord::Kind::kPlain, options_.gmin_final,
                      x0, options_.gmin_final, 1.0);
-  } catch (const ConvergenceError& e) {
-    last_error = e;
+  } catch (const ConvergenceError&) {
     log_debug("Newton: plain solve failed, trying gmin stepping");
   }
 
-  if (options_.gmin_stepping) {
+  try {
+    linalg::Vector x = x0;
+    // Ramp the shunt conductance down decade by decade, reusing each
+    // converged point as the next start.
+    for (double gmin = 1e-3; gmin >= options_.gmin_final * 0.99 &&
+                             gmin >= 1e-15;
+         gmin *= 0.1) {
+      if (st) ++st->gmin_steps;
+      x = run_stage(SteppingStageRecord::Kind::kGminStep, gmin, x, gmin,
+                    1.0);
+    }
+    return run_stage(SteppingStageRecord::Kind::kGminStep,
+                     options_.gmin_final, x, options_.gmin_final, 1.0);
+  } catch (const ConvergenceError&) {
+    log_debug("Newton: gmin stepping failed, trying source stepping");
+  }
+
+  // Source stepping, the last rung: it reaches factor 1 or throws
+  // "stalled".  At factor 0 all sources are off; x = 0 is the exact
+  // solution for most circuits, so Newton converges immediately and we
+  // walk up.
+  linalg::Vector x(system_.num_unknowns(), 0.0);
+  double factor = 0.0;
+  double step = 0.1;
+  while (factor < 1.0) {
+    const double next = std::min(1.0, factor + step);
     try {
-      linalg::Vector x = x0;
-      // Ramp the shunt conductance down decade by decade, reusing each
-      // converged point as the next start.
-      for (double gmin = 1e-3; gmin >= options_.gmin_final * 0.99 &&
-                               gmin >= 1e-15;
-           gmin *= 0.1) {
-        if (st) ++st->gmin_steps;
-        x = run_stage(SteppingStageRecord::Kind::kGminStep, gmin, x, gmin,
-                      1.0);
-      }
-      return run_stage(SteppingStageRecord::Kind::kGminStep,
-                       options_.gmin_final, x, options_.gmin_final, 1.0);
+      if (st) ++st->source_steps;
+      x = run_stage(SteppingStageRecord::Kind::kSourceStep, next, x,
+                    options_.gmin_final, next);
+      factor = next;
+      step = std::min(0.25, step * 1.5);
     } catch (const ConvergenceError& e) {
-      last_error = e;
-      log_debug("Newton: gmin stepping failed, trying source stepping");
-    }
-  }
-
-  if (options_.source_stepping) {
-    linalg::Vector x(system_.num_unknowns(), 0.0);
-    double factor = 0.0;
-    double step = 0.1;
-    // At factor 0 all sources are off; x = 0 is the exact solution for
-    // most circuits, so Newton converges immediately and we walk up.
-    while (factor < 1.0) {
-      const double next = std::min(1.0, factor + step);
-      try {
-        if (st) ++st->source_steps;
-        x = run_stage(SteppingStageRecord::Kind::kSourceStep, next, x,
-                      options_.gmin_final, next);
-        factor = next;
-        step = std::min(0.25, step * 1.5);
-      } catch (const ConvergenceError& e) {
-        last_error = e;
-        step *= 0.5;
-        if (step < 1e-4) {
-          const std::string msg = "Newton: source stepping stalled at factor " +
-                                  std::to_string(factor);
-          if (last_error->has_diagnostics()) {
-            ConvergenceDiagnostics diag = *last_error->diagnostics();
-            diag.strategy = "source";
-            throw ConvergenceError(msg, std::move(diag));
-          }
-          throw ConvergenceError(msg);
+      step *= 0.5;
+      if (step < 1e-4) {
+        const std::string msg = "Newton: source stepping stalled at factor " +
+                                std::to_string(factor);
+        if (e.has_diagnostics()) {
+          ConvergenceDiagnostics diag = *e.diagnostics();
+          diag.strategy = "source";
+          throw ConvergenceError(msg, std::move(diag));
         }
+        throw ConvergenceError(msg);
       }
     }
-    return x;
   }
-
-  const std::string msg =
-      std::string("Newton: all strategies failed (last: ") +
-      last_error->what() + ")";
-  if (last_error->has_diagnostics()) {
-    ConvergenceDiagnostics diag = *last_error->diagnostics();
-    diag.strategy = options_.gmin_stepping ? "gmin" : "plain";
-    throw ConvergenceError(msg, std::move(diag));
-  }
-  throw ConvergenceError(msg);
+  return x;
 }
 
 }  // namespace nemsim::spice

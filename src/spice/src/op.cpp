@@ -68,8 +68,7 @@ linalg::Vector solve_operating_point(MnaSystem& system,
   // Strict mode throws LintError here — before the solver runs, so a
   // structurally singular circuit never enters the gmin/source homotopy
   // ladder.
-  const lint::LintReport lint_report =
-      lint::lint_gate(system, options.lint, report);
+  lint::lint_gate(system, options.lint, report);
   // Semantic gate (interval reachability, operating regions); strict
   // mode rejects on warnings here for the same fail-before-Newton reason.
   analyze::analyze_gate(system.circuit(), options.analyze, report);
@@ -87,23 +86,8 @@ linalg::Vector solve_operating_point(MnaSystem& system,
       x = newton.solve(x0, AnalysisMode::kDcOperatingPoint, /*time=*/0.0,
                        /*dt=*/0.0);
     }
-  } catch (const ConvergenceError& e) {
+  } catch (const ConvergenceError&) {
     if (report) ++report->newton_failures;
-    // Convergence failures often have a structural cause lint can name;
-    // attach its findings to the dump.  With the gate off, the analyzer
-    // runs here only for the dump (the failure is being thrown anyway,
-    // so the solve itself stays untouched).
-    lint::LintReport forensic_lint;
-    const lint::LintReport* lint_ptr = nullptr;
-    if (options.forensics.enabled) {
-      forensic_lint = options.lint == lint::LintMode::kOff
-                          ? lint::lint_system(system)
-                          : lint_report;
-      lint_ptr = &forensic_lint;
-    }
-    write_failure_forensics(options.forensics, system.circuit(),
-                            /*wave=*/nullptr, e.what(), e.diagnostics(),
-                            lint_ptr);
     throw;
   }
   const std::size_t shared =

@@ -62,22 +62,10 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
   RunReport* report = options.report;
   if (report && report->analysis.empty()) report->analysis = "transient";
 
-  // Lint once at analysis entry; strict mode throws before any solve.
-  const lint::LintReport lint_report =
-      lint::lint_gate(system, options.lint, report);
-  // Semantic gate.  The recorded signals feed the observability cones:
-  // an opt-in record_signals subset means everything outside those
-  // nodes' cones provably never reaches the output waveform.
-  {
-    analyze::AnalyzeOptions analyze_options;
-    for (const std::string& s : options.record_signals) {
-      if (s.size() > 3 && s.compare(0, 2, "v(") == 0 && s.back() == ')') {
-        analyze_options.observed_nodes.push_back(s.substr(2, s.size() - 3));
-      }
-    }
-    analyze::analyze_gate(system.circuit(), options.analyze, report,
-                          analyze_options);
-  }
+  // Lint and analyze once at analysis entry; strict mode throws before
+  // any solve.
+  lint::lint_gate(system, options.lint, report);
+  analyze::analyze_gate(system.circuit(), options.analyze, report);
 
   // One Newton solver for the bias point and every step, so the
   // stepping inherits the bias point's symbolic LU.
@@ -85,31 +73,19 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
 
   // Bias point at t = 0 (commits device state).  The report is shared so
   // the op phase lands in the same sink ("phase.op" timing, op stage
-  // records); op also honors the forensics hook if the bias point fails.
-  // The gate above already ran, so the embedded op must not lint again.
+  // records).  The gate above already ran, so the embedded op must not
+  // lint again.
   OpOptions op_options;
   op_options.report = report;
-  op_options.forensics = options.forensics;
   op_options.lint = lint::LintMode::kOff;
   linalg::Vector x = solve_operating_point(system, system.initial_guess(),
                                            op_options, newton);
 
-  // Column layout: every unknown by default, or the opt-in subset from
-  // record_signals (resolved up front so a typo fails before stepping).
-  std::vector<std::size_t> record_cols;
+  // One column per unknown, in unknown order.
   std::vector<std::string> names;
-  if (options.record_signals.empty()) {
-    names.reserve(system.num_unknowns());
-    for (std::size_t i = 0; i < system.num_unknowns(); ++i) {
-      names.push_back(system.unknown_info(i).name);
-    }
-  } else {
-    names.reserve(options.record_signals.size());
-    record_cols.reserve(options.record_signals.size());
-    for (const std::string& signal : options.record_signals) {
-      record_cols.push_back(system.unknown_by_name(signal).index);
-      names.push_back(signal);
-    }
+  names.reserve(system.num_unknowns());
+  for (std::size_t i = 0; i < system.num_unknowns(); ++i) {
+    names.push_back(system.unknown_info(i).name);
   }
   Waveform wave(std::move(names));
   // Capacity hint: adaptive stepping settles near dt_max with bursts of
@@ -123,18 +99,7 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
         (std::size_t{1} << 20) / std::max<std::size_t>(wave.num_signals(), 1);
     wave.reserve(std::min(rows, std::max<std::size_t>(row_cap, 64)));
   }
-  linalg::Vector record_row(record_cols.size());
-  auto record = [&](double tt, const linalg::Vector& xx) {
-    if (record_cols.empty()) {
-      wave.append(tt, xx);
-      return;
-    }
-    for (std::size_t i = 0; i < record_cols.size(); ++i) {
-      record_row[i] = xx[record_cols[i]];
-    }
-    wave.append(tt, record_row);
-  };
-  record(0.0, x);
+  wave.append(0.0, x);
 
   const std::vector<double> breakpoints = system.breakpoints(options.tstop);
   std::size_t next_bp = 0;
@@ -281,25 +246,14 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
       if (dt_retry < options.dt_min) {
         const std::string msg = "transient: step failed at t = " +
                                 std::to_string(t) + " with dt below dt_min";
-        ConvergenceError error(msg);
         if (have_last_diag) {
           ConvergenceDiagnostics diag = last_diag;
           diag.strategy = "transient-step";
           diag.time = t_new;
           diag.dt = dt_eff;
-          error = ConvergenceError(msg, std::move(diag));
+          throw ConvergenceError(msg, std::move(diag));
         }
-        lint::LintReport forensic_lint;
-        const lint::LintReport* lint_ptr = nullptr;
-        if (options.forensics.enabled) {
-          forensic_lint = options.lint == lint::LintMode::kOff
-                              ? lint::lint_system(system)
-                              : lint_report;
-          lint_ptr = &forensic_lint;
-        }
-        write_failure_forensics(options.forensics, system.circuit(), &wave,
-                                msg, error.diagnostics(), lint_ptr);
-        throw error;
+        throw ConvergenceError(msg);
       }
       dt = dt_retry;
       continue;
@@ -316,7 +270,7 @@ Waveform transient(MnaSystem& system, const TransientOptions& options) {
       report->max_dt = std::max(report->max_dt, dt_eff);
       report->newton.shared_accepts += static_cast<std::int64_t>(shared);
     }
-    record(t_new, x_new);
+    wave.append(t_new, x_new);
     t = t_new;
     std::swap(x, x_new);
 

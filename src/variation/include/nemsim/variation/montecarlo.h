@@ -16,20 +16,20 @@ namespace nemsim::variation {
 
 /// Applies independent N(0, sigma) threshold shifts to every MOSFET and
 /// NEMFET in the circuit.  `sigma_fraction` is sigma_Vth/mu_Vth; each
-/// device's own nominal threshold magnitude sets its mu.
+/// device's own nominal threshold magnitude sets its mu.  Writes
+/// vth_variation_patch's draw into the circuit's parameter bank.
 void apply_vth_variation(spice::Circuit& circuit, double sigma_fraction,
                          Rng& rng);
 
-/// Restores all threshold shifts to zero.
+/// Restores all threshold shifts to zero (writes 0 into the same bank
+/// slots).
 void clear_vth_variation(spice::Circuit& circuit);
 
-/// The same variation draw as apply_vth_variation, expressed as a bank
-/// overlay patch instead of device mutation.  Draws from `rng` in the
-/// identical order (all MOSFETs, then all NEMFETs, in registration
-/// order), and each entry targets the device's vth-shift bank slot —
-/// so applying the patch to a CompiledCircuit produces bitwise the same
-/// parameters as apply_vth_variation on the same circuit with the same
-/// RNG stream.
+/// The variation draw behind apply_vth_variation, as a bank overlay
+/// patch: one entry per device's vth-shift bank slot, drawn from `rng`
+/// for all MOSFETs, then all NEMFETs, in registration order.  Applying it
+/// to a CompiledCircuit's overlay gives bitwise the same parameters as
+/// apply_vth_variation on the same circuit with the same RNG stream.
 spice::ParamPatch vth_variation_patch(const spice::Circuit& circuit,
                                       double sigma_fraction, Rng& rng);
 
@@ -41,10 +41,6 @@ struct MonteCarloOptions {
   /// trial carrying the structured convergence payload (worst residual
   /// rows) instead of just a log line.
   spice::RunReport* report = nullptr;
-  /// Opt-in per-trial failure dump.  Each failed trial writes a bundle
-  /// tagged "<tag>_trial<N>" with the *varied* circuit's netlist, so the
-  /// exact failing sample can be replayed offline.
-  spice::ForensicsOptions forensics;
 };
 
 struct MonteCarloResult {

@@ -5,7 +5,6 @@
 
 #include "nemsim/devices/mosfet.h"
 #include "nemsim/devices/nemfet.h"
-#include "nemsim/spice/lint.h"
 #include "nemsim/util/error.h"
 #include "nemsim/util/logging.h"
 
@@ -13,27 +12,28 @@ namespace nemsim::variation {
 
 namespace {
 
-/// Builds the failure note / forensics bundle for one failed trial.  The
-/// circuit still carries the trial's threshold shifts here, so the dumped
-/// netlist reproduces the exact failing sample.
-std::string record_trial_failure(const MonteCarloOptions& options,
-                                 spice::Circuit& circuit, std::size_t trial,
-                                 const Error& e) {
-  const auto* conv = dynamic_cast<const ConvergenceError*>(&e);
-  const ConvergenceDiagnostics* diag =
-      conv != nullptr ? conv->diagnostics() : nullptr;
+/// Visits every MOSFET's and then every NEMFET's vth-shift bank slot, in
+/// registration order (the draw order), with the magnitude of the
+/// device's nominal threshold.
+template <typename Fn>
+void for_each_vth_slot(const spice::Circuit& circuit, Fn&& fn) {
+  circuit.for_each<devices::Mosfet>([&](const devices::Mosfet& m) {
+    fn(m.vth_shift_slot(), std::abs(m.params().vth0));
+  });
+  circuit.for_each<devices::Nemfet>([&](const devices::Nemfet& x) {
+    fn(x.vth_shift_slot(), std::abs(x.params().vth_ch));
+  });
+}
+
+/// The report note for one failed trial, with the structured
+/// convergence payload when the failure carries one.
+std::string trial_failure_note(std::size_t trial, const Error& e) {
   std::string note =
       "trial " + std::to_string(trial) + " failed: " + e.what();
-  if (diag != nullptr) note += "\n" + diag->describe();
-  if (options.forensics.enabled) {
-    spice::ForensicsOptions trial_forensics = options.forensics;
-    trial_forensics.tag += "_trial" + std::to_string(trial);
-    // Lint the varied circuit so the dump can name a structural cause
-    // (a variation-shifted device tripping a parameter check, say).
-    const lint::LintReport lint_report = lint::lint_circuit(circuit);
-    spice::write_failure_forensics(trial_forensics, circuit,
-                                   /*wave=*/nullptr, e.what(), diag,
-                                   &lint_report);
+  if (const auto* conv = dynamic_cast<const ConvergenceError*>(&e)) {
+    if (conv->has_diagnostics()) {
+      note += "\n" + conv->diagnostics()->describe();
+    }
   }
   return note;
 }
@@ -43,36 +43,23 @@ std::string record_trial_failure(const MonteCarloOptions& options,
 void apply_vth_variation(spice::Circuit& circuit, double sigma_fraction,
                          Rng& rng) {
   require(sigma_fraction >= 0.0, "apply_vth_variation: sigma must be >= 0");
-  circuit.for_each<devices::Mosfet>([&](devices::Mosfet& m) {
-    const double sigma = sigma_fraction * std::abs(m.params().vth0);
-    m.set_vth_shift(rng.normal(0.0, sigma));
-  });
-  circuit.for_each<devices::Nemfet>([&](devices::Nemfet& x) {
-    const double sigma = sigma_fraction * std::abs(x.params().vth_ch);
-    x.set_vth_shift(rng.normal(0.0, sigma));
-  });
+  circuit.param_bank().apply(
+      vth_variation_patch(circuit, sigma_fraction, rng));
 }
 
 void clear_vth_variation(spice::Circuit& circuit) {
-  circuit.for_each<devices::Mosfet>(
-      [](devices::Mosfet& m) { m.set_vth_shift(0.0); });
-  circuit.for_each<devices::Nemfet>(
-      [](devices::Nemfet& x) { x.set_vth_shift(0.0); });
+  spice::ParamBank& bank = circuit.param_bank();
+  for_each_vth_slot(circuit, [&](spice::ParamSlot slot, double) {
+    bank.set_value(slot, 0.0);
+  });
 }
 
 spice::ParamPatch vth_variation_patch(const spice::Circuit& circuit,
                                       double sigma_fraction, Rng& rng) {
   require(sigma_fraction >= 0.0, "vth_variation_patch: sigma must be >= 0");
   spice::ParamPatch patch;
-  // Draw order must match apply_vth_variation exactly so the same RNG
-  // stream yields the same per-device shifts.
-  circuit.for_each<devices::Mosfet>([&](const devices::Mosfet& m) {
-    const double sigma = sigma_fraction * std::abs(m.params().vth0);
-    patch.push_back({m.vth_shift_slot(), rng.normal(0.0, sigma)});
-  });
-  circuit.for_each<devices::Nemfet>([&](const devices::Nemfet& x) {
-    const double sigma = sigma_fraction * std::abs(x.params().vth_ch);
-    patch.push_back({x.vth_shift_slot(), rng.normal(0.0, sigma)});
+  for_each_vth_slot(circuit, [&](spice::ParamSlot slot, double vth) {
+    patch.push_back({slot, rng.normal(0.0, sigma_fraction * vth)});
   });
   return patch;
 }
@@ -96,10 +83,7 @@ MonteCarloResult monte_carlo(
       result.stats.add(value);
       result.samples.push_back(value);
     } catch (const Error& e) {
-      // Capture the structured failure (and the varied netlist, when
-      // forensics is on) before the shifts are cleared below.
-      const std::string note =
-          record_trial_failure(options, circuit, trial, e);
+      const std::string note = trial_failure_note(trial, e);
       if (report) {
         ++report->failed_points;
         report->add_note("monte_carlo: " + note);

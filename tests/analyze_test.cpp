@@ -23,7 +23,6 @@
 namespace nemsim {
 namespace {
 
-using analyze::AnalyzeOptions;
 using analyze::AnalyzeReport;
 using analyze::Interval;
 using analyze::IntervalSet;
@@ -315,26 +314,6 @@ TEST(AnalyzeReachability, SourceFreeIslandIsDead) {
   EXPECT_TRUE(has(rpt.findings, "dead-subcircuit", "R3"));
   EXPECT_TRUE(has(rpt.findings, "dead-subcircuit", "R4"));
   EXPECT_FALSE(has(rpt.findings, "dead-subcircuit", "R1"));
-}
-
-TEST(AnalyzeReachability, ObservabilityConeFlagsTheOtherBranch) {
-  // Two sourced components; only one is observed.  The other branch is
-  // alive (it has its own source) but outside every measurement's cone.
-  spice::Circuit ckt = tech::parse_netlist(
-      "V1 in 0 DC 1.0\n"
-      "R1 in mid 1k\n"
-      "R2 mid 0 2k\n"
-      "V2 b 0 DC 1.0\n"
-      "R3 b c 1k\n"
-      "R4 c 0 2k\n"
-      ".op\n.end\n");
-  AnalyzeOptions options;
-  options.observed_nodes = {"mid", "ghost"};
-  const AnalyzeReport rpt = analyze::analyze_circuit(ckt, options);
-  EXPECT_TRUE(has(rpt.findings, "unobserved-device", "R3"));
-  EXPECT_TRUE(has(rpt.findings, "unobserved-device", "R4"));
-  EXPECT_FALSE(has(rpt.findings, "unobserved-device", "R1"));
-  EXPECT_TRUE(has(rpt.findings, "observed-node-unknown", "ghost"));
 }
 
 // ------------------------------------------------------ analysis gating

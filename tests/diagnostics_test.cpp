@@ -1,10 +1,9 @@
-// Convergence forensics and run-diagnostics tests: crossing semantics,
-// structured ConvergenceError payloads, RunReport accounting, forensics
-// dumps, and the coincident-breakpoint regression.
+// Run-diagnostics tests: crossing semantics, structured ConvergenceError
+// payloads, RunReport accounting, and the coincident-breakpoint
+// regression.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 #include <limits>
 #include <sstream>
 
@@ -107,15 +106,18 @@ TEST(ConvergencePayload, NamesWorstRowsOnOpFailure) {
   MnaSystem system(ckt);
   spice::OpOptions options;
   options.newton.max_iterations = 1;
-  options.newton.gmin_stepping = false;
-  options.newton.source_stepping = false;
   try {
     spice::operating_point(system, options);
     FAIL() << "expected ConvergenceError";
   } catch (const ConvergenceError& e) {
+    // Every rung of the homotopy ladder fails; the last one to give up
+    // is source stepping.
+    EXPECT_NE(std::string(e.what()).find("source stepping stalled"),
+              std::string::npos)
+        << e.what();
     ASSERT_TRUE(e.has_diagnostics());
     const ConvergenceDiagnostics& diag = *e.diagnostics();
-    EXPECT_EQ(diag.strategy, "plain");
+    EXPECT_EQ(diag.strategy, "source");
     EXPECT_GT(diag.iterations, 0);
     ASSERT_FALSE(diag.worst_rows.empty());
     for (const auto& row : diag.worst_rows) {
@@ -124,6 +126,27 @@ TEST(ConvergencePayload, NamesWorstRowsOnOpFailure) {
     // describe() renders every named row.
     const std::string text = diag.describe();
     EXPECT_NE(text.find(diag.worst_rows.front().name), std::string::npos);
+  }
+}
+
+TEST(ConvergencePayload, PlainSolveNamesItsStrategy) {
+  Circuit ckt = hard_diode_circuit();
+  MnaSystem system(ckt);
+  spice::NewtonOptions options;
+  options.max_iterations = 1;
+  spice::NewtonSolver solver(system, options);
+  try {
+    solver.solve_plain(system.initial_guess(),
+                       spice::AnalysisMode::kDcOperatingPoint, /*time=*/0.0,
+                       /*dt=*/0.0, options.gmin_final, /*source_factor=*/1.0);
+    FAIL() << "expected ConvergenceError";
+  } catch (const ConvergenceError& e) {
+    ASSERT_TRUE(e.has_diagnostics());
+    const ConvergenceDiagnostics& diag = *e.diagnostics();
+    EXPECT_EQ(diag.strategy, "plain");
+    EXPECT_EQ(diag.iterations, 1);
+    ASSERT_FALSE(diag.worst_rows.empty());
+    EXPECT_FALSE(diag.worst_rows.front().name.empty());
   }
 }
 
@@ -304,9 +327,9 @@ TEST(RunReport, ResetClearsEverything) {
   EXPECT_TRUE(report.metrics.snapshot().empty());
 }
 
-// ------------------------------------------------------------ forensics
+// ------------------------------------------------ transient step failure
 
-TEST(Forensics, TransientFailureDumpsWaveAndNetlist) {
+TEST(ConvergencePayload, TransientStepFailureNamesTheStep) {
   // NEMFET pull-in driven into non-convergence: the pull-in snap needs
   // tiny steps, and a dt_min floor far above them turns the retry ladder
   // into a terminal failure.
@@ -321,19 +344,11 @@ TEST(Forensics, TransientFailureDumpsWaveAndNetlist) {
                   1.0_um);
   MnaSystem system(ckt);
 
-  const std::string dir =
-      (std::filesystem::path(::testing::TempDir()) / "nemsim_forensics")
-          .string();
-  std::filesystem::remove_all(dir);
-
   TransientOptions options;
   options.tstop = 1.0_ns;
   options.dt_initial = 2.0_ps;
   options.dt_min = 2.0_ps;   // far above what the pull-in snap needs
   options.newton.max_iterations = 4;
-  options.forensics.enabled = true;
-  options.forensics.directory = dir;
-  options.forensics.tag = "pullin";
 
   try {
     spice::transient(system, options);
@@ -349,24 +364,6 @@ TEST(Forensics, TransientFailureDumpsWaveAndNetlist) {
     ASSERT_FALSE(diag.worst_rows.empty());
     EXPECT_FALSE(diag.worst_rows.front().name.empty());
   }
-
-  namespace fs = std::filesystem;
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "pullin.failure.txt"));
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "pullin.netlist.sp"));
-  EXPECT_TRUE(fs::exists(fs::path(dir) / "pullin.wave.csv"));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(Forensics, DisabledWritesNothing) {
-  Circuit ckt = hard_diode_circuit();
-  spice::ForensicsOptions options;  // enabled defaults to false
-  options.directory =
-      (std::filesystem::path(::testing::TempDir()) / "nemsim_no_forensics")
-          .string();
-  const auto written =
-      spice::write_failure_forensics(options, ckt, nullptr, "x", nullptr);
-  EXPECT_TRUE(written.empty());
-  EXPECT_FALSE(std::filesystem::exists(options.directory));
 }
 
 // ---------------------------------------- coincident-breakpoint regression

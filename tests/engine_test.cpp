@@ -109,21 +109,6 @@ TEST(Newton, StatsCountIterations) {
   EXPECT_GT(x[system.unknown_of(a).index], 0.4);
 }
 
-TEST(Newton, DisabledFallbacksStillSolveEasyCircuits) {
-  Circuit ckt;
-  spice::NodeId a = ckt.node("a");
-  ckt.add<VoltageSource>("V1", a, ckt.gnd(), SourceWave::dc(1.0));
-  ckt.add<Resistor>("R1", a, ckt.gnd(), 1e3);
-  MnaSystem system(ckt);
-  spice::NewtonOptions options;
-  options.gmin_stepping = false;
-  options.source_stepping = false;
-  spice::NewtonSolver solver(system, options);
-  EXPECT_NO_THROW(solver.solve(system.initial_guess(),
-                               spice::AnalysisMode::kDcOperatingPoint, 0.0,
-                               0.0));
-}
-
 TEST(Newton, TinyIterationBudgetFailsCleanly) {
   Circuit ckt;
   spice::NodeId in = ckt.node("in");
@@ -134,8 +119,6 @@ TEST(Newton, TinyIterationBudgetFailsCleanly) {
   MnaSystem system(ckt);
   spice::NewtonOptions options;
   options.max_iterations = 1;
-  options.gmin_stepping = false;
-  options.source_stepping = false;
   spice::NewtonSolver solver(system, options);
   EXPECT_THROW(solver.solve(system.initial_guess(),
                             spice::AnalysisMode::kDcOperatingPoint, 0.0,

@@ -291,23 +291,11 @@ TEST(Lint, RankDeficitNamesBranchUnknowns) {
   EXPECT_TRUE(has(r, "structural-rank", "i(")) << r.summary();
 }
 
-TEST(Lint, FullRankCircuitPassesAndSkipsWhenDisabled) {
+TEST(Lint, FullRankCircuitPasses) {
   spice::Circuit ckt;
   build_divider(ckt);
   LintReport r = lint::lint_circuit(ckt);
   EXPECT_EQ(count_rule(r, "structural-rank"), 0u);
-  // With structural checks off, graph rules still run but the matching
-  // does not; a singular circuit then reports only graph findings.
-  spice::Circuit broken;
-  spice::NodeId a = broken.node("a");
-  broken.add<VoltageSource>("V1", a, broken.gnd(), SourceWave::dc(1.0));
-  broken.add<VoltageSource>("V2", a, broken.gnd(), SourceWave::dc(2.0));
-  broken.add<Resistor>("R1", a, broken.gnd(), 1e3);
-  lint::LintOptions no_structural;
-  no_structural.structural_checks = false;
-  LintReport r2 = lint::lint_circuit(broken, no_structural);
-  EXPECT_EQ(count_rule(r2, "structural-rank"), 0u) << r2.summary();
-  EXPECT_TRUE(has(r2, "voltage-loop", "'V2'"));
 }
 
 // ------------------------------------------------------- name-convention
@@ -349,14 +337,22 @@ TEST(Lint, FindingsAreSortedBySeverityAndCapped) {
   const std::string line = r.findings.front().to_string();
   EXPECT_NE(line.find("error["), std::string::npos) << line;
 
-  // The cap truncates the findings list but not the counters.
-  lint::LintOptions capped;
-  capped.max_findings = 2;
-  LintReport rc = lint::lint_circuit(ckt, capped);
-  EXPECT_EQ(rc.findings.size(), 2u);
-  EXPECT_EQ(rc.errors + rc.warnings + rc.hints,
-            r.errors + r.warnings + r.hints);
-  EXPECT_NE(rc.summary().find("shown"), std::string::npos) << rc.summary();
+  EXPECT_EQ(r.summary().find("shown"), std::string::npos) << r.summary();
+
+  // The cap truncates the findings list but not the counters: one
+  // name-convention hint per misnamed resistor, more than the cap keeps.
+  const std::size_t misnamed = LintReport::kMaxFindings + 10;
+  for (std::size_t i = 0; i < misnamed; ++i) {
+    const std::string index = std::to_string(i);
+    ckt.add<Resistor>("XR" + index, ckt.node("in"), ckt.gnd(), 1e4);
+  }
+  LintReport rc = lint::lint_circuit(ckt);
+  EXPECT_EQ(rc.findings.size(), LintReport::kMaxFindings);
+  EXPECT_EQ(rc.errors, r.errors);
+  EXPECT_EQ(rc.warnings, r.warnings);
+  EXPECT_EQ(rc.hints, r.hints + misnamed);
+  EXPECT_EQ(rc.findings.front().severity, LintSeverity::kError);
+  EXPECT_NE(rc.summary().find("shown"), std::string::npos);
 }
 
 // ------------------------------------------------------ analysis gating

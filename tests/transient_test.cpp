@@ -1,17 +1,14 @@
-// Transient integration accuracy tests against closed-form solutions,
-// plus the record_signals column subset.
+// Transient integration accuracy tests against closed-form solutions.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <numbers>
 
-#include "nemsim/devices/mosfet.h"
 #include "nemsim/devices/passives.h"
 #include "nemsim/devices/sources.h"
 #include "nemsim/spice/circuit.h"
 #include "nemsim/spice/measure.h"
 #include "nemsim/spice/transient.h"
-#include "nemsim/tech/cards.h"
 #include "nemsim/util/units.h"
 
 namespace nemsim {
@@ -20,8 +17,6 @@ namespace {
 using namespace nemsim::literals;
 using devices::Capacitor;
 using devices::Inductor;
-using devices::Mosfet;
-using devices::MosPolarity;
 using devices::Resistor;
 using devices::SourceWave;
 using devices::VoltageSource;
@@ -193,60 +188,6 @@ TEST(Transient, RejectsNonPositiveStop) {
   TransientOptions options;
   options.tstop = 0.0;
   EXPECT_THROW(spice::transient(system, options), InvalidArgument);
-}
-
-// -------------------------------------------------- record_signals subset
-
-/// A CMOS inverter driving a load cap, with a pulse input: nonlinear,
-/// has companion state, and is cheap enough to run many times.
-Circuit make_inverter() {
-  Circuit ckt;
-  spice::NodeId vdd = ckt.node("vdd");
-  spice::NodeId in = ckt.node("in");
-  spice::NodeId out = ckt.node("out");
-  ckt.add<VoltageSource>("Vdd", vdd, ckt.gnd(), SourceWave::dc(1.2));
-  ckt.add<VoltageSource>(
-      "Vin", in, ckt.gnd(),
-      SourceWave::pulse(0.0, 1.2, 0.3e-9, 30e-12, 30e-12, 0.6e-9));
-  ckt.add<Mosfet>("MP", out, in, vdd, MosPolarity::kPmos, tech::pmos_90nm(),
-                  0.4e-6, 1e-7);
-  ckt.add<Mosfet>("MN", out, in, ckt.gnd(), MosPolarity::kNmos,
-                  tech::nmos_90nm(), 0.2e-6, 1e-7);
-  ckt.add<Capacitor>("CL", out, ckt.gnd(), 5e-15);
-  return ckt;
-}
-
-TEST(TransientRecordSignals, SubsetMatchesFullRun) {
-  Circuit full_ckt = make_inverter();
-  MnaSystem full_system(full_ckt);
-  spice::TransientOptions options;
-  options.tstop = 1.5e-9;
-  options.dt_initial = 1e-13;
-  const spice::Waveform full = spice::transient(full_system, options);
-
-  Circuit sub_ckt = make_inverter();
-  MnaSystem sub_system(sub_ckt);
-  options.record_signals = {"v(out)", "v(in)"};
-  const spice::Waveform sub = spice::transient(sub_system, options);
-
-  ASSERT_EQ(sub.num_signals(), 2u);
-  EXPECT_EQ(sub.signal_names()[0], "v(out)");
-  ASSERT_EQ(sub.num_samples(), full.num_samples());
-  for (std::size_t k = 0; k < sub.num_samples(); ++k) {
-    ASSERT_EQ(sub.times()[k], full.times()[k]);
-    EXPECT_EQ(sub.sample(0, k),
-              full.sample(full.signal_index("v(out)"), k));
-    EXPECT_EQ(sub.sample(1, k), full.sample(full.signal_index("v(in)"), k));
-  }
-}
-
-TEST(TransientRecordSignals, UnknownNameThrowsBeforeRun) {
-  Circuit ckt = make_inverter();
-  MnaSystem system(ckt);
-  spice::TransientOptions options;
-  options.tstop = 1e-9;
-  options.record_signals = {"v(no_such_node)"};
-  EXPECT_THROW(spice::transient(system, options), std::exception);
 }
 
 }  // namespace
