@@ -13,6 +13,14 @@
 
 namespace nemsim::linalg {
 
+/// Sorts the (row, col) cells of an n-row pattern by row, then column,
+/// and drops duplicates, in place: a counting sort by row, then a sort of
+/// each row's few columns.  Linear in the cells for circuit patterns,
+/// where one comparison sort of all of them is not.  Throws
+/// InvalidArgument on a cell outside the n × n square.
+void sort_unique_cells(std::size_t n,
+                       std::vector<std::pair<std::size_t, std::size_t>>& cells);
+
 /// Square CSR matrix with a frozen sparsity pattern and mutable values.
 ///
 /// Built once from the set of structurally-possible (row, col) positions;

@@ -7,14 +7,32 @@
 
 namespace nemsim::linalg {
 
+void sort_unique_cells(std::size_t n,
+                       std::vector<std::pair<std::size_t, std::size_t>>& cells) {
+  std::vector<std::size_t> start(n + 1, 0);
+  for (const auto& [r, c] : cells) {
+    require(r < n && c < n, "sort_unique_cells: cell out of range");
+    ++start[r + 1];
+  }
+  for (std::size_t r = 0; r < n; ++r) start[r + 1] += start[r];
+  std::vector<std::size_t> cols(cells.size());
+  std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+  for (const auto& [r, c] : cells) cols[fill[r]++] = c;
+
+  cells.clear();
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto first = cols.begin() + static_cast<std::ptrdiff_t>(start[r]);
+    auto last = cols.begin() + static_cast<std::ptrdiff_t>(start[r + 1]);
+    std::sort(first, last);
+    last = std::unique(first, last);
+    for (auto it = first; it != last; ++it) cells.emplace_back(r, *it);
+  }
+}
+
 CsrMatrix::CsrMatrix(std::size_t n,
                      std::vector<std::pair<std::size_t, std::size_t>> entries)
     : n_(n) {
-  for (const auto& [r, c] : entries) {
-    require(r < n && c < n, "CsrMatrix: entry out of range");
-  }
-  std::sort(entries.begin(), entries.end());
-  entries.erase(std::unique(entries.begin(), entries.end()), entries.end());
+  sort_unique_cells(n_, entries);
   row_start_.assign(n_ + 1, 0);
   col_index_.reserve(entries.size());
   for (const auto& [r, c] : entries) {

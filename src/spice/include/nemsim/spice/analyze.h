@@ -78,7 +78,8 @@ AnalyzeReport analyze_circuit(const spice::Circuit& circuit);
 ///
 /// kOff (the default): returns an empty report without doing any work.
 /// kWarn: runs the pass; findings are logged at warn level and copied
-///   into `run_report->analyze_findings` (if attached).
+///   into `run_report->analyze_findings` (if attached).  An attached
+///   report also gets the gate's wall time as "phase.analyze".
 /// kStrict: like kWarn, but throws LintError when the report has errors
 ///   OR warnings.  Unlike the lint gate (whose warnings are "simulable
 ///   but suspicious" and must not block the shipped decks), every

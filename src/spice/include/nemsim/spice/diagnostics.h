@@ -107,8 +107,9 @@ struct RunReport {
   /// timing contract as lint_findings: filled before any Newton work.
   std::vector<lint::LintFinding> analyze_findings;
 
-  /// Phase wall-clock ("phase.op", "phase.stepping") and free-form
-  /// counters.  Mutex-guarded, so parallel workers may add to it.
+  /// Phase wall-clock ("phase.lint", "phase.analyze", "phase.op",
+  /// "phase.stepping") and free-form counters.  Mutex-guarded, so
+  /// parallel workers may add to it.
   util::MetricRegistry metrics;
 
   /// Records one Newton solve's iteration count into the histogram.

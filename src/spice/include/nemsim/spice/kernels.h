@@ -34,7 +34,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <string>
 #include <utility>
@@ -176,10 +175,14 @@ class TwinKey {
   std::span<const std::uint64_t> words() const {
     return {words_, overflowed() ? 0 : size_};
   }
+  // A plain word loop: keys are a few words long, where a libc memcmp
+  // call costs more than the compare.
   bool operator==(const TwinKey& other) const {
-    return size_ == other.size_ && !overflowed() &&
-           std::memcmp(words_, other.words_, size_ * sizeof(std::uint64_t)) ==
-               0;
+    if (size_ != other.size_ || overflowed()) return false;
+    for (std::size_t i = 0; i < size_; ++i) {
+      if (words_[i] != other.words_[i]) return false;
+    }
+    return true;
   }
 
  private:

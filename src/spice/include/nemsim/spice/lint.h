@@ -43,6 +43,10 @@
 // nodes and devices by their full hierarchical path ("Xcol.Xcell3.ql").
 #pragma once
 
+#include <cstddef>
+#include <span>
+#include <vector>
+
 #include "nemsim/spice/lint_types.h"
 
 namespace nemsim::spice {
@@ -64,11 +68,29 @@ LintReport lint_system(const spice::MnaSystem& system);
 /// non-const reference is why this overload exists separately.
 LintReport lint_circuit(spice::Circuit& circuit);
 
+/// The rows of a square structural pattern that no matching of rows to
+/// columns can cover, ascending.  The pattern is in CSR form: row r's
+/// columns are col_index[row_start[r] .. row_start[r + 1]), in any order
+/// and without duplicates.  The structural rank is
+/// `row_start.size() - 1` minus the number of rows returned.  The rows
+/// are the ones Kuhn's augmenting-path matching leaves unmatched when it
+/// takes the rows in index order, so the structural-rank finding names
+/// the same unknowns on every pattern.  Each row first tries its
+/// diagonal, then its first free column; only then does it run an
+/// iterative depth-first search for an augmenting path (Duff's MC21),
+/// with visit stamps in place of a per-row reset.  Near-linear on
+/// circuit patterns, with no recursion however long the path.
+std::vector<std::size_t> structurally_unmatched_rows(
+    std::span<const std::size_t> row_start,
+    std::span<const std::size_t> col_index);
+
 /// Analysis-entry gate used by the op/transient/dc_sweep/ac drivers.
 ///
 /// kOff: returns an empty report without doing any work.
 /// kWarn: runs the analyzer; when findings exist they are logged at warn
 ///   level and copied into `run_report->lint_findings` (if attached).
+///   An attached report also gets the gate's wall time as "phase.lint";
+///   without one the clock is never read.
 /// kStrict: like kWarn, but throws LintError when the report has errors
 ///   — before any Newton work, so a structurally singular circuit never
 ///   enters the gmin/source homotopy ladder.

@@ -8,6 +8,7 @@
 #include "nemsim/spice/circuit.h"
 #include "nemsim/spice/device.h"
 #include "nemsim/spice/diagnostics.h"
+#include "nemsim/util/instrument.h"
 #include "findings_internal.h"
 
 namespace nemsim::spice {
@@ -362,6 +363,8 @@ AnalyzeReport analyze_circuit(const Circuit& circuit) {
 LintReport analyze_gate(const Circuit& circuit, lint::LintMode mode,
                         spice::RunReport* run_report) {
   if (mode == lint::LintMode::kOff) return {};
+  util::ScopedTimer timer(run_report ? &run_report->metrics : nullptr,
+                          "phase.analyze");
   return lint::gate_findings(
       analyze_circuit(circuit).findings, "analyze", mode,
       /*strict_rejects_warnings=*/true,

@@ -415,10 +415,7 @@ void MnaSystem::build_kernel_plan() const {
       plan->declared_cells.emplace_back(row, col);
     }
   }
-  std::sort(plan->declared_cells.begin(), plan->declared_cells.end());
-  plan->declared_cells.erase(
-      std::unique(plan->declared_cells.begin(), plan->declared_cells.end()),
-      plan->declared_cells.end());
+  linalg::sort_unique_cells(n, plan->declared_cells);
 
   // The solver's Jacobian pattern: the declared cells, the full diagonal
   // (gmin shunts stamp (i, i) on node rows, and a structurally present
@@ -629,8 +626,7 @@ MnaSystem::structural_pattern(AnalysisMode mode) const {
   ctx.configure(mode, dt, dt, /*gmin=*/0.0, /*source_factor=*/1.0);
   record_devices(ctx);
 
-  std::sort(pattern.begin(), pattern.end());
-  pattern.erase(std::unique(pattern.begin(), pattern.end()), pattern.end());
+  linalg::sort_unique_cells(n, pattern);
   return pattern;
 }
 

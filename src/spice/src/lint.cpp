@@ -4,7 +4,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdint>
-#include <functional>
+#include <iterator>
 #include <map>
 #include <numeric>
 #include <sstream>
@@ -15,6 +15,7 @@
 #include "nemsim/spice/diagnostics.h"
 #include "nemsim/spice/engine.h"
 #include "nemsim/spice/subcircuit.h"
+#include "nemsim/util/instrument.h"
 #include "nemsim/util/logging.h"
 #include "findings_internal.h"
 
@@ -245,7 +246,7 @@ void run_graph_rules(const Circuit& circuit,
 }
 
 /// MNA-pattern rules: zero rows/columns and the full structural rank
-/// check (Kuhn's augmenting-path bipartite matching on the pattern).
+/// check (a maximum bipartite matching on the pattern).
 void run_structural_rules(const MnaSystem& system, ReportBuilder& out,
                           const std::unordered_set<std::size_t>& flagged_nodes) {
   const std::size_t n = system.num_unknowns();
@@ -253,14 +254,15 @@ void run_structural_rules(const MnaSystem& system, ReportBuilder& out,
 
   // Union of the OP and transient structural stamps: an entry present in
   // either mode counts (a capacitor fixes a transient row even though it
-  // vanishes at DC — DC-only singularity is the graph rules' job).
-  auto pattern = system.structural_pattern(spice::AnalysisMode::kDcOperatingPoint);
-  {
-    auto tran = system.structural_pattern(spice::AnalysisMode::kTransient);
-    pattern.insert(pattern.end(), tran.begin(), tran.end());
-    std::sort(pattern.begin(), pattern.end());
-    pattern.erase(std::unique(pattern.begin(), pattern.end()), pattern.end());
-  }
+  // vanishes at DC — DC-only singularity is the graph rules' job).  Both
+  // are sorted and duplicate-free, so one merge gives their union.
+  const auto op =
+      system.structural_pattern(spice::AnalysisMode::kDcOperatingPoint);
+  const auto tran = system.structural_pattern(spice::AnalysisMode::kTransient);
+  std::vector<std::pair<std::size_t, std::size_t>> pattern;
+  pattern.reserve(op.size() + tran.size());
+  std::set_union(op.begin(), op.end(), tran.begin(), tran.end(),
+                 std::back_inserter(pattern));
 
   // Map each node-voltage unknown back to its node index so defects
   // already reported by the graph rules are not re-reported here.
@@ -275,17 +277,19 @@ void run_structural_rules(const MnaSystem& system, ReportBuilder& out,
            flagged_nodes.count(unknown_to_node[unknown]) != 0;
   };
 
-  std::vector<std::vector<std::size_t>> adj(n);  // row -> cols
-  std::vector<std::size_t> row_entries(n, 0), col_entries(n, 0);
+  // CSR adjacency (row -> cols); the pattern is already in row order.
+  std::vector<std::size_t> row_start(n + 1, 0), col_index, col_entries(n, 0);
+  col_index.reserve(pattern.size());
   for (const auto& [row, col] : pattern) {
-    adj[row].push_back(col);
-    ++row_entries[row];
+    col_index.push_back(col);
+    ++row_start[row + 1];
     ++col_entries[col];
   }
+  for (std::size_t i = 0; i < n; ++i) row_start[i + 1] += row_start[i];
 
   std::vector<bool> degenerate(n, false);
   for (std::size_t i = 0; i < n; ++i) {
-    if (row_entries[i] == 0) {
+    if (row_start[i + 1] == row_start[i]) {
       degenerate[i] = true;
       if (already_flagged(i)) continue;
       std::ostringstream msg;
@@ -306,34 +310,12 @@ void run_structural_rules(const MnaSystem& system, ReportBuilder& out,
     }
   }
 
-  // Structural rank via maximum bipartite matching (Kuhn's algorithm).
   // A perfect matching of rows to columns is necessary for the Jacobian
   // to be generically nonsingular; its absence is a singularity no
   // numeric pivoting can fix.
-  std::vector<std::size_t> match_col(n, SIZE_MAX);  // col -> row
-  std::vector<bool> visited(n);
-  std::function<bool(std::size_t)> try_match = [&](std::size_t row) -> bool {
-    for (std::size_t col : adj[row]) {
-      if (visited[col]) continue;
-      visited[col] = true;
-      if (match_col[col] == SIZE_MAX || try_match(match_col[col])) {
-        match_col[col] = row;
-        return true;
-      }
-    }
-    return false;
-  };
-
-  std::vector<std::size_t> unmatched_rows;
-  std::size_t matched = 0;
-  for (std::size_t row = 0; row < n; ++row) {
-    std::fill(visited.begin(), visited.end(), false);
-    if (try_match(row)) {
-      ++matched;
-    } else {
-      unmatched_rows.push_back(row);
-    }
-  }
+  const std::vector<std::size_t> unmatched_rows =
+      structurally_unmatched_rows(row_start, col_index);
+  const std::size_t matched = n - unmatched_rows.size();
 
   // Report the rank deficit once, naming a few unmatched unknowns that
   // were not already explained by a zero row/column or a graph error.
@@ -405,7 +387,8 @@ void run_hierarchy_rules(const Circuit& circuit,
                          ReportBuilder& out) {
   if (circuit.instances().empty()) return;
 
-  // Terminal attachments per node, as (device index) multiset.
+  // Terminal attachments per node, as a (device index) multiset in
+  // ascending order.
   std::vector<std::vector<std::size_t>> attached(circuit.num_nodes());
   for (std::size_t d = 0; d < topologies.size(); ++d) {
     for (const auto& term : topologies[d].terminals) {
@@ -421,12 +404,16 @@ void run_hierarchy_rules(const Circuit& circuit,
       // Nodes from Circuit::internal_node are declared private: a cell
       // output deliberately left unloaded (chain tail, probe-only wire).
       if (circuit.node_is_internal(node)) continue;
-      std::size_t inside = 0, outside = 0;
-      for (std::size_t d : attached[node.index]) {
-        const bool in_range = d >= rec.first_device &&
-                              d < rec.first_device + rec.num_devices;
-        (in_range ? inside : outside) += 1;
-      }
+      // The instance's devices are one index range, so two binary
+      // searches count them: a bitline shared by every cell of a column
+      // is not rescanned once per cell.
+      const std::vector<std::size_t>& devices = attached[node.index];
+      const auto first = std::lower_bound(devices.begin(), devices.end(),
+                                          rec.first_device);
+      const auto last = std::lower_bound(first, devices.end(),
+                                         rec.first_device + rec.num_devices);
+      const auto inside = static_cast<std::size_t>(last - first);
+      const std::size_t outside = devices.size() - inside;
       const std::string formal =
           def_it != circuit.subckt_defs().end() &&
                   p < def_it->second->ports().size()
@@ -454,6 +441,77 @@ void run_hierarchy_rules(const Circuit& circuit,
 }
 
 }  // namespace
+
+std::vector<std::size_t> structurally_unmatched_rows(
+    std::span<const std::size_t> row_start,
+    std::span<const std::size_t> col_index) {
+  constexpr std::size_t kNone = SIZE_MAX;
+  const std::size_t n = row_start.empty() ? 0 : row_start.size() - 1;
+  std::vector<std::size_t> row_of_col(n, kNone);
+  // Where each row's search for a free column resumes.  A matched column
+  // stays matched, so the cursor only moves forward.
+  const auto row_firsts = row_start.first(n);
+  std::vector<std::size_t> lookahead(row_firsts.begin(), row_firsts.end());
+  auto free_column = [&](std::size_t row) {
+    while (lookahead[row] < row_start[row + 1]) {
+      const std::size_t col = col_index[lookahead[row]++];
+      if (row_of_col[col] == kNone) return col;
+    }
+    return kNone;
+  };
+
+  // Depth-first search state: the alternating path's rows, the column
+  // that leads from each path row to the next, each row's next column to
+  // descend through, and the root whose search last visited each column.
+  std::vector<std::size_t> path, via, next(n), visited_by(n, kNone);
+  std::vector<std::size_t> unmatched;
+  for (std::size_t root = 0; root < n; ++root) {
+    const auto cols = col_index.subspan(
+        row_start[root], row_start[root + 1] - row_start[root]);
+    const std::size_t cheap =
+        row_of_col[root] == kNone && std::ranges::find(cols, root) != cols.end()
+            ? root
+            : free_column(root);
+    if (cheap != kNone) {
+      row_of_col[cheap] = root;
+      continue;
+    }
+
+    path.assign(1, root);
+    via.clear();
+    next[root] = row_start[root];
+    while (!path.empty()) {
+      const std::size_t row = path.back();
+      const std::size_t col = free_column(row);
+      if (col != kNone) {
+        // Augment: every path row moves to the column that led onward.
+        row_of_col[col] = row;
+        for (std::size_t k = via.size(); k-- > 0;) row_of_col[via[k]] = path[k];
+        break;
+      }
+      // Every column of `row` is matched now: descend to an owner that
+      // this search has not visited, or backtrack.
+      bool descended = false;
+      while (next[row] < row_start[row + 1]) {
+        const std::size_t c = col_index[next[row]++];
+        if (visited_by[c] == root) continue;
+        visited_by[c] = root;
+        const std::size_t owner = row_of_col[c];
+        via.push_back(c);
+        path.push_back(owner);
+        next[owner] = row_start[owner];
+        descended = true;
+        break;
+      }
+      if (!descended) {
+        path.pop_back();
+        if (!via.empty()) via.pop_back();
+      }
+    }
+    if (path.empty()) unmatched.push_back(root);
+  }
+  return unmatched;
+}
 
 const char* lint_severity_name(LintSeverity severity) {
   switch (severity) {
@@ -554,6 +612,8 @@ LintReport gate_findings(LintReport report, const char* pass, LintMode mode,
 LintReport lint_gate(const MnaSystem& system, LintMode mode,
                      spice::RunReport* run_report) {
   if (mode == LintMode::kOff) return {};
+  util::ScopedTimer timer(run_report ? &run_report->metrics : nullptr,
+                          "phase.lint");
   return gate_findings(lint_system(system), "lint", mode,
                        /*strict_rejects_warnings=*/false,
                        run_report ? &run_report->lint_findings : nullptr);

@@ -233,6 +233,28 @@ TEST(RunReportOp, StageIterationsSumToTotal) {
   EXPECT_GE(report.metrics.get("phase.op").count, 1);
 }
 
+TEST(RunReportOp, GatesTimeThemselvesOnlyIntoAnAttachedReport) {
+  Circuit ckt = hard_diode_circuit();
+  MnaSystem system(ckt);
+  RunReport report;
+  spice::OpOptions options;
+  options.analyze = lint::LintMode::kWarn;
+  options.report = &report;
+  spice::operating_point(system, options);
+  EXPECT_EQ(report.metrics.get("phase.lint").count, 1);
+  EXPECT_EQ(report.metrics.get("phase.analyze").count, 1);
+
+  // Gates that are off do no work and record nothing.
+  RunReport quiet;
+  options.lint = lint::LintMode::kOff;
+  options.analyze = lint::LintMode::kOff;
+  options.report = &quiet;
+  spice::operating_point(system, options);
+  EXPECT_EQ(quiet.metrics.get("phase.lint").count, 0);
+  EXPECT_EQ(quiet.metrics.get("phase.analyze").count, 0);
+  EXPECT_EQ(quiet.metrics.get("phase.op").count, 1);
+}
+
 TEST(RunReportTransient, Fanin16CountsAndBitwiseIdenticalWaveform) {
   // The acceptance circuit: fig11's fan-in-16 hybrid dynamic OR.
   core::DynamicOrConfig config;
@@ -250,12 +272,14 @@ TEST(RunReportTransient, Fanin16CountsAndBitwiseIdenticalWaveform) {
   core::DynamicOrMetrics instrumented =
       core::measure_dynamic_or(gate_b, &report);
 
-  // Bitwise identical results: the sink must not perturb the solve.
+  // Bitwise identical results: the sink, and the gate and phase timers
+  // that only run with one attached, must not perturb the solve.
   EXPECT_EQ(plain.worst_case_delay, instrumented.worst_case_delay);
   EXPECT_EQ(plain.switching_energy, instrumented.switching_energy);
   EXPECT_EQ(plain.leakage_power, instrumented.leakage_power);
 
   EXPECT_EQ(report.analysis, "transient");
+  EXPECT_GE(report.metrics.get("phase.lint").count, 1);
   EXPECT_GT(report.accepted_steps, 0u);
   EXPECT_GT(report.newton.total_iterations, 0);
   EXPECT_GT(report.stage_count(SteppingStageRecord::Kind::kPlain), 0u);

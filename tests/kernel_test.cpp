@@ -368,6 +368,50 @@ TEST(FixedPattern, IsDeclaredCellsPlusDiagonal) {
   }
 }
 
+/// structural_pattern(mode) is the sorted, deduplicated recording of one
+/// Device::stamp pass in `mode` at the cold-start iterate.
+void expect_structural_pattern_is_sorted_recording(const MnaSystem& system,
+                                                   const std::string& where) {
+  const std::size_t n = system.num_unknowns();
+  const linalg::Vector x0 = system.initial_guess();
+  for (const AnalysisMode mode :
+       {AnalysisMode::kDcOperatingPoint, AnalysisMode::kTransient}) {
+    std::vector<std::pair<std::size_t, std::size_t>> recorded;
+    linalg::Vector f(n, 0.0);
+    linalg::Vector scale(n, 0.0);
+    spice::StampContext ctx(system, x0, /*jacobian=*/nullptr, f, scale);
+    ctx.record_pattern(recorded);
+    ctx.disable_residual();
+    // The transient step of the engine's symbolic passes.
+    const double dt = mode == AnalysisMode::kTransient ? 1e-9 : 0.0;
+    ctx.configure(mode, dt, dt, /*gmin=*/0.0, /*source_factor=*/1.0);
+    for (std::size_t d = 0; d < system.circuit().num_devices(); ++d) {
+      system.circuit().device(d).stamp(ctx);
+    }
+    std::sort(recorded.begin(), recorded.end());
+    recorded.erase(std::unique(recorded.begin(), recorded.end()),
+                   recorded.end());
+    EXPECT_EQ(system.structural_pattern(mode), recorded) << where;
+  }
+}
+
+TEST(FixedPattern, StructuralPatternIsTheSortedRecording) {
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    for (const bool wrapped : {false, true}) {
+      Circuit ckt = check::generate_circuit(seed, {}, nullptr, wrapped);
+      MnaSystem system(ckt);
+      expect_structural_pattern_is_sorted_recording(
+          system, "seed " + std::to_string(seed) + (wrapped ? " wrapped" : ""));
+    }
+  }
+  core::SramColumnConfig config;
+  config.cell.kind = core::SramKind::kHybrid;
+  config.n_cells = 16;
+  core::SramColumn column = core::build_sram_column(config);
+  MnaSystem system(column.ckt());
+  expect_structural_pattern_is_sorted_recording(system, "16-cell column");
+}
+
 /// Has no kernel descriptor, so the plan stamps it through Device::stamp
 /// as a leftover: a conductance from `a` to ground, and once `wander` is
 /// set (after the pattern was recorded) also the (a, b) cell.

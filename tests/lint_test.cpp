@@ -2,7 +2,12 @@
 // class, plus the analysis-gate contract (off / warn / strict).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <functional>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "nemsim/devices/controlled.h"
 #include "nemsim/devices/mosfet.h"
@@ -296,6 +301,118 @@ TEST(Lint, FullRankCircuitPasses) {
   build_divider(ckt);
   LintReport r = lint::lint_circuit(ckt);
   EXPECT_EQ(count_rule(r, "structural-rank"), 0u);
+}
+
+// ------------------------------------------- structurally_unmatched_rows
+
+/// A CSR pattern built row by row.
+struct Pattern {
+  std::vector<std::size_t> row_start{0};
+  std::vector<std::size_t> col_index;
+
+  void add_row(const std::vector<std::size_t>& cols) {
+    col_index.insert(col_index.end(), cols.begin(), cols.end());
+    row_start.push_back(col_index.size());
+  }
+  std::vector<std::size_t> unmatched() const {
+    return lint::structurally_unmatched_rows(row_start, col_index);
+  }
+};
+
+/// Reference: Kuhn's recursive augmenting-path matching, rows in index
+/// order, with a full visited reset per row.
+std::vector<std::size_t> kuhn_unmatched_rows(const Pattern& p) {
+  const std::size_t n = p.row_start.size() - 1;
+  std::vector<std::size_t> match_col(n, SIZE_MAX);
+  std::vector<bool> visited(n);
+  std::function<bool(std::size_t)> try_match = [&](std::size_t row) {
+    for (std::size_t k = p.row_start[row]; k < p.row_start[row + 1]; ++k) {
+      const std::size_t col = p.col_index[k];
+      if (visited[col]) continue;
+      visited[col] = true;
+      if (match_col[col] == SIZE_MAX || try_match(match_col[col])) {
+        match_col[col] = row;
+        return true;
+      }
+    }
+    return false;
+  };
+  std::vector<std::size_t> unmatched;
+  for (std::size_t row = 0; row < n; ++row) {
+    std::fill(visited.begin(), visited.end(), false);
+    if (!try_match(row)) unmatched.push_back(row);
+  }
+  return unmatched;
+}
+
+TEST(StructuralMatching, MatchesKuhnOnRandomPatterns) {
+  std::mt19937_64 rng(20261020);
+  std::size_t deficient = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t n = 1 + rng() % 40;
+    // Sparse trials are mostly deficient; dense ones mostly full rank.
+    const double density = 0.02 + 0.2 * static_cast<double>(trial % 7) / 6.0;
+    const bool diagonal = trial % 3 == 0;
+    std::bernoulli_distribution keep(density);
+    Pattern p;
+    for (std::size_t r = 0; r < n; ++r) {
+      std::vector<std::size_t> cols;
+      for (std::size_t c = 0; c < n; ++c) {
+        if ((diagonal && c == r) || keep(rng)) cols.push_back(c);
+      }
+      std::shuffle(cols.begin(), cols.end(), rng);  // any order is allowed
+      p.add_row(cols);
+    }
+    const std::vector<std::size_t> want = kuhn_unmatched_rows(p);
+    EXPECT_EQ(p.unmatched(), want) << "trial " << trial << ", n = " << n;
+    if (!want.empty()) ++deficient;
+  }
+  // Both kinds of pattern were exercised.
+  EXPECT_GT(deficient, 100u);
+  EXPECT_LT(deficient, 500u);
+}
+
+TEST(StructuralMatching, NamesTheRowsKuhnLeavesUnmatched) {
+  // Row 0 takes its diagonal; row 1 then needs column 0 and moves row 0
+  // to column 1, so row 2 is the one left over.  Matching row 2 first
+  // would leave row 1 instead: the helper must take the rows in order.
+  Pattern p;
+  p.add_row({0, 1});
+  p.add_row({0});
+  p.add_row({1});
+  EXPECT_EQ(p.unmatched(), std::vector<std::size_t>{2});
+}
+
+TEST(StructuralMatching, EmptyRowsAndAnEmptyPattern) {
+  Pattern empty;
+  EXPECT_TRUE(empty.unmatched().empty());
+  Pattern p;
+  p.add_row({});
+  p.add_row({1});
+  EXPECT_EQ(p.unmatched(), std::vector<std::size_t>{0});
+}
+
+/// Rows 0 .. n-2 hold (i, i) and (i, i+1); the last row holds only
+/// column 0.  Every row but the last takes its diagonal, so the last one
+/// matches only through an augmenting path through all n rows.
+Pattern closed_bidiagonal(std::size_t n) {
+  Pattern p;
+  for (std::size_t r = 0; r + 1 < n; ++r) p.add_row({r, r + 1});
+  p.add_row({0});
+  return p;
+}
+
+TEST(StructuralMatching, LongestAugmentingPathNeedsNoRecursion) {
+  constexpr std::size_t kRows = 200000;
+  EXPECT_TRUE(closed_bidiagonal(kRows).unmatched().empty());
+
+  // Cut the path's end: row n-2 loses column n-1, which then appears in
+  // no row.  The last row's search walks every row and fails.
+  Pattern cut = closed_bidiagonal(kRows);
+  cut.col_index.erase(cut.col_index.begin() +
+                      static_cast<std::ptrdiff_t>(cut.row_start[kRows - 2] + 1));
+  for (std::size_t r = kRows - 1; r <= kRows; ++r) --cut.row_start[r];
+  EXPECT_EQ(cut.unmatched(), std::vector<std::size_t>{kRows - 1});
 }
 
 // ------------------------------------------------------- name-convention
